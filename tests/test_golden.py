@@ -1,0 +1,80 @@
+"""Golden reports: deterministic CLI output compared byte for byte.
+
+Each case is an argv and its expected exit code; the expected stdout lives
+in tests/golden/<name>.<format>.  A speed-up or refactor must leave these
+bytes alone; a change that alters a report on purpose regenerates them
+with `PYTHONPATH=src python tests/test_golden.py` and explains the diff.
+"""
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from hyperlab.cli import run
+from test_acceptance import CATALOG
+
+GOLDEN_DIR = pathlib.Path(__file__).with_name("golden")
+
+
+def _verify_argv(spec) -> list[str]:
+    argv = ["verify", "--ambient", spec.ambient, "--n", str(spec.n),
+            "--family", spec.family]
+    if spec.radius is not None:
+        argv += ["--radius", repr(spec.radius)]
+    if spec.k is not None:
+        argv += ["--k", str(spec.k)]
+    if spec.flip_normal:
+        argv.append("--flip-normal")
+    return argv + ["--deterministic"]
+
+
+def _verify_name(spec) -> str:
+    parts = ["verify", spec.ambient, f"n{spec.n}", spec.family]
+    if spec.k is not None:
+        parts.append(f"k{spec.k}")
+    if spec.radius is not None:
+        parts.append(f"r{spec.radius!r}")
+    if spec.flip_normal:
+        parts.append("flip")
+    return "-".join(parts)
+
+
+CASES = {_verify_name(spec): (_verify_argv(spec), 0) for spec in CATALOG}
+CASES.update({
+    "verify-CP-n60-A2-k5-r0.4": (["verify", "--ambient", "CP", "--n", "60",
+                                  "--family", "A2", "--k", "5", "--radius", "0.4",
+                                  "--deterministic"], 0),
+    "catalog": (["catalog", "--deterministic"], 0),
+    "jet-alpha2-beta0.5-c4": (["jet", "--alpha", "2.0", "--beta", "0.5", "--c", "4.0",
+                               "--deterministic"], 0),
+    "oracle-riccati-value": (["oracle", "riccati", "--kappa", "1.0", "--r", "0.8",
+                              "--deterministic"], 0),
+    "oracle-riccati-focal": (["oracle", "riccati", "--kappa", "4.0", "--r", "1.6",
+                              "--deterministic"], 1),
+})
+
+
+def _render(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(argv)
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name):
+    argv, expected_code = CASES[name]
+    code, text = _render(argv)
+    assert code == expected_code
+    assert text.encode("utf-8") == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, (argv, expected_code) in sorted(CASES.items()):
+        code, text = _render(argv)
+        if code != expected_code:
+            raise SystemExit(f"{name}: exit {code}, expected {expected_code}")
+        (GOLDEN_DIR / f"{name}.json").write_bytes(text.encode("utf-8"))
+        print(f"wrote {name}.json")
