@@ -410,7 +410,7 @@ def cmd_verify(res: Resolver) -> tuple[dict, int]:
         for subspace in (KER_ETA, SPAN_XI):
             rows.append(_row(check_l_A_commute(ctx, subspace, tol)))
     if "jacobi-cross-check" in names:
-        diff = float(np.max(np.abs(jacobi_from_curvature(ctx) - jacobi_closed_form(ctx))))
+        diff = float(np.max(np.abs(ctx.l_from_curvature - ctx.l_closed_form)))
         add("jacobi-cross-check", "all", diff, tol)
     if "spectral-oracle" in names and inst.spectral.oracle_deviation is not None:
         add("spectral-oracle", "all", inst.spectral.oracle_deviation, ORACLE_TOL)

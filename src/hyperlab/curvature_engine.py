@@ -15,6 +15,7 @@ agreement is a standing self-test.  Units: A carries 1/length, c carries
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,7 +36,12 @@ class MissingNablaAError(RuntimeError):
 
 @dataclass(frozen=True)
 class CurvatureContext:
-    """Pointwise hypersurface data: a structure, a g-symmetric A, and c != 0."""
+    """Pointwise hypersurface data: a structure, a g-symmetric A, and c != 0.
+
+    The context is immutable, so the tensors every check reads are derived
+    once per context and stored read-only: both Jacobi paths (each still
+    computed independently of the other) and the ker(eta) test basis.
+    """
 
     acs: AlmostContactStructure
     shape_operator: np.ndarray
@@ -68,6 +74,26 @@ class CurvatureContext:
 
     def g(self, x, y) -> float:
         return self.acs.g(x, y)
+
+    @cached_property
+    def l_from_curvature(self) -> np.ndarray:
+        """`jacobi_from_curvature` of this context, read-only."""
+        return _read_only(jacobi_from_curvature(self))
+
+    @cached_property
+    def l_closed_form(self) -> np.ndarray:
+        """`jacobi_closed_form` of this context, read-only."""
+        return _read_only(jacobi_closed_form(self))
+
+    @cached_property
+    def ker_eta_basis(self) -> np.ndarray:
+        """The g-orthonormal ker(eta) test vectors of the condition checks, as columns.
+
+        The seeding policy belongs to hopf_conditions, which imports this
+        module; hence the import at call time.
+        """
+        from .hopf_conditions import _ker_eta_test_basis
+        return _read_only(_ker_eta_test_basis(self))
 
     def to_jsonable(self) -> dict:
         out = self.acs.to_jsonable()
@@ -171,12 +197,13 @@ def jacobi_operator(ctx: CurvatureContext, cross_check: bool = True,
                     tol: float | None = None) -> np.ndarray:
     """The structure Jacobi operator, definitional path, cross-checked.
 
-    Both computation paths are evaluated and must agree; disagreement
-    beyond tolerance means the inputs are inconsistent and raises.
+    Both computation paths are evaluated (once per context) and must agree
+    on every call; disagreement beyond tolerance means the inputs are
+    inconsistent and raises.  The returned matrix is read-only.
     """
-    l_def = jacobi_from_curvature(ctx)
+    l_def = ctx.l_from_curvature
     if cross_check:
-        l_closed = jacobi_closed_form(ctx)
+        l_closed = ctx.l_closed_form
         tol = DEFAULT_TOL if tol is None else tol
         scale = 1.0 + abs(ctx.c) + float(np.linalg.norm(ctx.shape_operator)) ** 2
         gap = float(np.max(np.abs(l_def - l_closed)))

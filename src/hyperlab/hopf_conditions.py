@@ -100,21 +100,25 @@ class ConditionReport:
         return out
 
 
-def _subspace_vectors(ctx: CurvatureContext, subspace: str) -> list[np.ndarray]:
-    """Deterministic g-orthonormal test vectors spanning the subspace.
+def _ker_eta_test_basis(ctx: CurvatureContext) -> np.ndarray:
+    """Columns spanning ker(eta): phi-adapted and, off Hopf, seeded with U.
 
-    For ker(eta) the basis is phi-adapted and, off Hopf, seeded with the
-    decomposition's U so that residual magnitudes hit the adapted-frame
-    values exactly (U and phi U are both in the basis).
+    Seeding with the decomposition's U makes residual magnitudes hit the
+    adapted-frame values exactly (U and phi U are both in the basis).  The
+    context memoises the result as `ctx.ker_eta_basis`.
     """
+    dec = decompose_A_xi(ctx)
+    seeds = [dec.u] if dec.u is not None else None
+    return np.column_stack(build_phi_basis(ctx.acs, seeds=seeds).ker_eta())
+
+
+def _subspace_vectors(ctx: CurvatureContext, subspace: str) -> list[np.ndarray]:
+    """Deterministic g-orthonormal test vectors spanning the subspace."""
     if subspace == SPAN_XI:
         return [ctx.acs.xi]
     if subspace not in (KER_ETA, ALL):
         raise ValueError(f"unknown subspace {subspace!r}")
-    dec = decompose_A_xi(ctx)
-    seeds = [dec.u] if dec.u is not None else None
-    basis = build_phi_basis(ctx.acs, seeds=seeds)
-    vecs = basis.ker_eta()
+    vecs = list(ctx.ker_eta_basis.T)
     if subspace == ALL:
         vecs = vecs + [ctx.acs.xi]
     return vecs

@@ -1,4 +1,8 @@
 """Gauss-equation curvature, the structure Jacobi operator, and derivative plumbing."""
+import contextlib
+import io
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from hyperlab import (
     nabla_l,
     zero_nabla_a,
 )
+from hyperlab.cli import run
 from hyperlab.sampling import random_context, random_unit_ker_eta
 
 
@@ -86,6 +91,40 @@ def test_jacobi_paths_agree(rng):
         ctx = random_context(3, rng)
         gap = np.max(np.abs(jacobi_from_curvature(ctx) - jacobi_closed_form(ctx)))
         assert gap <= 1e-12 * (1.0 + abs(ctx.c) + np.linalg.norm(ctx.shape_operator) ** 2)
+
+
+def _count_calls(monkeypatch, fn) -> list[tuple]:
+    """Wrap fn at every hyperlab binding site; return the list of call args."""
+    calls: list[tuple] = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "hyperlab" or name.startswith("hyperlab."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_verify_derives_l_and_test_basis_once_per_context(monkeypatch):
+    import hyperlab.tensor_core as tensor_core
+    basis_calls = _count_calls(monkeypatch, tensor_core.build_phi_basis)
+    jacobi_calls = _count_calls(monkeypatch, jacobi_from_curvature)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run(["verify", "--ambient", "CP", "--n", "30", "--family", "A2",
+                    "--k", "5", "--radius", "0.4", "--deterministic"])
+    assert code == 0
+    # the seeded frame in instantiate, then the ker(eta) test basis
+    assert len(basis_calls) == 2
+    assert len(jacobi_calls) == 1
+    (ctx,) = jacobi_calls[0]
+    ell = jacobi_operator(ctx)
+    with pytest.raises(ValueError):
+        ell[0, 0] = 1.0
+    assert ell.tobytes() == jacobi_from_curvature(ctx).tobytes()
 
 
 def test_jacobi_kills_xi_and_is_self_adjoint(rng):
