@@ -199,6 +199,8 @@ class Resolver:
             value = default
         if value is None and required:
             raise ValueError(f"missing required option --{key.replace('_', '-')}")
+        if kind is float and value is not None and not math.isfinite(value):
+            raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value!r}")
         return value
 
     def flag(self, key: str) -> bool:
@@ -214,8 +216,8 @@ class Resolver:
         if value is None:
             env = os.environ.get("HYPERLAB_TOL")
             value = float(env) if env else DEFAULT_TOL
-        if value <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < value < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {value!r}")
         return value
 
     @property
@@ -632,6 +634,7 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if code == 0 else 2
     try:
         report, code, res = _dispatch(args)
+        _emit(report, res)
     except (OracleMismatchError, FocalPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -639,7 +642,6 @@ def run(argv: list[str] | None = None) -> int:
             NotHopfError, MissingNablaAError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, res)
     return code
 
 

@@ -238,6 +238,22 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--ambient", "CP", "--n", "3", "--family", "A2", "--k", "1",
+     "--radius", "0.8", "--tolerance", "inf"],
+    ["oracle", "riccati", "--kappa", "nan", "--r", "1"],
+    ["jet", "--alpha", "nan", "--beta", "1", "--c", "4"],
+    ["verify", "--ambient", "CH", "--n", "3", "--family", "A1", "--radius", "inf"],
+])
+def test_non_finite_flags_are_usage_errors(capsys, argv):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run([sys.executable, "-m", "hyperlab", "catalog",
                            "--deterministic"],
