@@ -2,12 +2,14 @@
 
 Each case is an argv and its expected exit code; the expected stdout lives
 in tests/golden/<name>.<format>.  A speed-up or refactor must leave these
-bytes alone; a change that alters a report on purpose regenerates them
-with `PYTHONPATH=src python tests/test_golden.py` and explains the diff.
+bytes alone; a change that alters a report on purpose regenerates the
+cases it meant to change with `PYTHONPATH=src python tests/test_golden.py
+NAME ...` (no NAME: every case) and explains the diff.
 """
 import contextlib
 import io
 import pathlib
+import sys
 
 import pytest
 
@@ -70,11 +72,25 @@ def test_golden_report(name):
     assert text.encode("utf-8") == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
-if __name__ == "__main__":
+def regenerate(names: list[str]) -> None:
+    """Rewrite the named golden files, printing changed or unchanged for each."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown cases: {', '.join(unknown)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, (argv, expected_code) in sorted(CASES.items()):
+    for name in names:
+        argv, expected_code = CASES[name]
         code, text = _render(argv)
         if code != expected_code:
             raise SystemExit(f"{name}: exit {code}, expected {expected_code}")
-        (GOLDEN_DIR / f"{name}.json").write_bytes(text.encode("utf-8"))
-        print(f"wrote {name}.json")
+        path = GOLDEN_DIR / f"{name}.json"
+        data = text.encode("utf-8")
+        if path.exists() and path.read_bytes() == data:
+            print(f"unchanged {path.name}")
+        else:
+            path.write_bytes(data)
+            print(f"changed {path.name}")
+
+
+if __name__ == "__main__":
+    regenerate(sys.argv[1:] or sorted(CASES))
