@@ -19,7 +19,6 @@ from .tensor_core import (
     TangentSpace,
     build_phi_basis,
     canonical_structure,
-    nabla_phi,
     nabla_xi,
     random_structure,
     structure_from_frame,
@@ -45,7 +44,6 @@ from .sampling import (
     random_hopf_shape,
     random_nonzero_c,
     random_symmetric_shape,
-    random_unit_ker_eta,
 )
 from .hopf_conditions import (
     ALL,
@@ -59,6 +57,7 @@ from .hopf_conditions import (
     HopfDecomposition,
     NotHopfError,
     TheoremVerdict,
+    alpha_vanishes,
     check_l_A_commute,
     check_nabla_xi_l,
     check_phi_l_commute,
@@ -67,7 +66,9 @@ from .hopf_conditions import (
     theorem_pipeline,
 )
 from .model_catalog import (
+    FAMILY_TABLE,
     CatalogError,
+    FamilyEntry,
     FocalPointError,
     ModelInstance,
     ModelSpec,
@@ -96,6 +97,7 @@ from .lemma_lab import (
     jet_residuals,
     rotation_coefficients,
     shape_connection_rows,
+    w1_norm_identity,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,18 +25,17 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .curvature_engine import (CurvatureContext, MissingNablaAError, codazzi_residual,
-                               commutator, gauss_curvature, jacobi_closed_form,
-                               jacobi_from_curvature, jacobi_operator)
+from .curvature_engine import (MissingNablaAError, codazzi_residual, commutator,
+                               gauss_curvature, jacobi_operator)
 from .hopf_conditions import (KER_ETA, SPAN_XI, NotHopfError,
                               VERDICT_HYPOTHESIS_FAILS, VERDICT_INDETERMINATE,
                               VERDICT_TYPE_A, check_l_A_commute, check_nabla_xi_l,
                               check_phi_l_commute, classify, decompose_A_xi,
                               theorem_pipeline)
-from .lemma_lab import (JetError, consistent_jet, contradiction_certificate,
+from .lemma_lab import (_MAPPING_KEYS, JetError, consistent_jet, contradiction_certificate,
                         jet_from_mapping, jet_residuals)
-from .model_catalog import (CatalogError, DEFAULT_STEP, FocalPointError, ModelSpec,
-                            OracleMismatchError, ORACLE_TOL, catalog_rows,
+from .model_catalog import (AMBIENTS, CatalogError, DEFAULT_STEP, FAMILIES, FocalPointError,
+                            ModelSpec, OracleMismatchError, ORACLE_TOL, catalog_rows,
                             instantiate, riccati_shape_evolution)
 from .sampling import (random_context, random_gram, random_hopf_context,
                        random_structure)
@@ -160,6 +159,9 @@ def to_markdown(report: dict) -> str:
 
 # ------------------------------------------------------------ config layer
 
+BOOL_KEYS = ("deterministic", "flip_normal", "emit_structure")
+
+
 def _as_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -167,6 +169,17 @@ def _as_bool(raw: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _finite(raw: str) -> float:
+    """The type of every float option, from a flag or from a config file."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {raw!r}")
+    return value
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -184,117 +197,112 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-class Resolver:
-    """Option resolution: flag, then config file, then environment/default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = load_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key: str, kind=str, default=None, required: bool = False):
-        value = getattr(self.args, key, None)
-        if value is None and key in self.config:
-            value = kind(self.config[key]) if kind is not bool else _as_bool(self.config[key])
-        if value is None:
-            value = default
-        if value is None and required:
+def _required(args: argparse.Namespace, *keys: str):
+    for key in keys:
+        if getattr(args, key) is None:
             raise ValueError(f"missing required option --{key.replace('_', '-')}")
-        if kind is float and value is not None and not math.isfinite(value):
-            raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value!r}")
-        return value
 
-    def flag(self, key: str) -> bool:
-        if getattr(self.args, key, False):
-            return True
-        if key in self.config:
-            return _as_bool(self.config[key])
-        return False
 
-    @property
-    def tolerance(self) -> float:
-        value = self.get("tolerance", float)
-        if value is None:
-            env = os.environ.get("HYPERLAB_TOL")
-            value = float(env) if env else DEFAULT_TOL
-        if not 0 < value < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {value!r}")
-        return value
-
-    @property
-    def format(self) -> str:
-        return self.get("format", str, "json")
-
-    @property
-    def deterministic(self) -> bool:
-        return self.flag("deterministic")
+def _tolerance(args: argparse.Namespace) -> float:
+    """Flag, then config file, then the HYPERLAB_TOL variable, then DEFAULT_TOL."""
+    value = args.tolerance
+    if value is None:
+        env = os.environ.get("HYPERLAB_TOL")
+        value = float(env) if env else DEFAULT_TOL
+    if not 0 < value < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {value!r}")
+    return value
 
 
 # ------------------------------------------------------------------ parser
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, which run() reports on one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "markdown"), default=None)
-    common.add_argument("--out", default=None, help="write the report to a file")
-    common.add_argument("--config", default=None, help="flat key = value defaults file")
-    common.add_argument("--tolerance", type=float, default=None,
+    """The hyperlab parser; each subcommand's namespace carries its own parser as `leaf`."""
+    common = _Parser(add_help=False)
+    common.add_argument("--format", choices=("json", "markdown"), default="json")
+    common.add_argument("--out", help="write the report to a file")
+    common.add_argument("--config", help="flat key = value defaults file")
+    common.add_argument("--tolerance", type=_finite,
                         help="check tolerance (default 1e-9, or HYPERLAB_TOL)")
-    common.add_argument("--deterministic", action="store_true", default=False,
+    common.add_argument("--deterministic", action="store_true",
                         help="omit the timestamp for byte-identical reports")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyperlab",
         description="verification engine for real hypersurfaces in complex space forms")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("catalog", parents=[common], help="list the model catalog")
+    cat = sub.add_parser("catalog", parents=[common], help="list the model catalog")
 
     ver = sub.add_parser("verify", parents=[common],
                          help="run condition checks on one catalog model")
-    ver.add_argument("--ambient", choices=("CP", "CH"), default=None)
-    ver.add_argument("--n", type=int, default=None, help="complex dimension, >= 2")
-    ver.add_argument("--family", choices=("A0", "A1", "A2", "B"), default=None)
-    ver.add_argument("--c", type=float, default=None,
-                     help="holomorphic curvature (default +4 CP / -4 CH)")
-    ver.add_argument("--radius", type=float, default=None)
-    ver.add_argument("--k", type=int, default=None, help="core complex dimension")
-    ver.add_argument("--flip-normal", dest="flip_normal", action="store_true",
-                     default=False)
-    ver.add_argument("--seed", type=int, default=None, help="frame seed (default 0)")
-    ver.add_argument("--samples", type=int, default=None,
+    ver.add_argument("--ambient", choices=AMBIENTS)
+    ver.add_argument("--n", type=int, help="complex dimension, >= 2")
+    ver.add_argument("--family", choices=FAMILIES)
+    ver.add_argument("--c", type=_finite, help="holomorphic curvature (default +4 CP / -4 CH)")
+    ver.add_argument("--radius", type=_finite)
+    ver.add_argument("--k", type=int, help="core complex dimension")
+    ver.add_argument("--flip-normal", dest="flip_normal", action="store_true")
+    ver.add_argument("--seed", type=int, default=0, help="frame seed (default 0)")
+    ver.add_argument("--samples", type=int, default=25,
                      help="sampled pairs for the codazzi row (default 25)")
-    ver.add_argument("--checks", default=None,
-                     help="comma-separated row names, or 'all'")
+    ver.add_argument("--checks", default="all", help="comma-separated row names, or 'all'")
     ver.add_argument("--emit-structure", dest="emit_structure", action="store_true",
-                     default=False, help="embed the realized tensors in the report")
+                     help="embed the realized tensors in the report")
 
     rnd = sub.add_parser("random", parents=[common],
                          help="property sweeps over randomized structures")
-    rnd.add_argument("--dim", type=int, default=None, help="odd tangent dimension >= 3")
-    rnd.add_argument("--samples", type=int, default=None, help="default 1000")
-    rnd.add_argument("--seed", type=int, default=None, help="default 0")
-    rnd.add_argument("--property", dest="prop", default=None,
-                     choices=RANDOM_PROPERTIES + ("all",))
+    rnd.add_argument("--dim", type=int, default=5, help="odd tangent dimension >= 3")
+    rnd.add_argument("--samples", type=int, default=1000, help="default 1000")
+    rnd.add_argument("--seed", type=int, default=0, help="default 0")
+    rnd.add_argument("--property", default="all", choices=RANDOM_PROPERTIES + ("all",))
 
     orc = sub.add_parser("oracle", help="numerical oracles")
     orc_sub = orc.add_subparsers(dest="oracle_command", required=True)
     ric = orc_sub.add_parser("riccati", parents=[common],
                              help="integrate the radial shape equation")
-    ric.add_argument("--kappa", type=float, default=None, required=False,
-                     help="normal curvature of the branch (c or c/4)")
-    ric.add_argument("--r", type=float, default=None, help="target radius")
-    ric.add_argument("--r0", type=float, default=None, help="anchor radius (default 0.01)")
-    ric.add_argument("--lambda0", type=float, default=None,
+    ric.add_argument("--kappa", type=_finite, help="normal curvature of the branch (c or c/4)")
+    ric.add_argument("--r", type=_finite, help="target radius")
+    ric.add_argument("--r0", type=_finite, default=0.01, help="anchor radius (default 0.01)")
+    ric.add_argument("--lambda0", type=_finite,
                      help="anchor value (default: tube asymptote at r0)")
-    ric.add_argument("--step", type=float, default=None,
+    ric.add_argument("--step", type=_finite, default=DEFAULT_STEP,
                      help=f"integration step (default {DEFAULT_STEP:g})")
 
     jet = sub.add_parser("jet", parents=[common],
                          help="scalar residual rows for a tilted local jet")
-    jet.add_argument("--alpha", type=float, default=None)
-    jet.add_argument("--beta", type=float, default=None)
-    jet.add_argument("--c", type=float, default=None)
-    jet.add_argument("--kappa3", type=float, default=None)
+    jet.add_argument("--alpha", type=_finite)
+    jet.add_argument("--beta", type=_finite)
+    jet.add_argument("--c", type=_finite)
+    jet.add_argument("--kappa3", type=_finite, default=0.0)
+
+    for leaf in (cat, ver, rnd, ric, jet):
+        leaf.set_defaults(leaf=leaf)
     return parser
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """Parse argv; with --config, the file's values become the subcommand's defaults.
+
+    argparse converts a string default with the option's type, so a file
+    value passes the same checks as a flag, and a flag still wins over it;
+    store_true keys from a file are read with _as_bool.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        config = load_config(args.config)
+        args.leaf.set_defaults(**{key: _as_bool(raw) if key in BOOL_KEYS else raw
+                                  for key, raw in config.items()})
+        args = parser.parse_args(argv)
+    return args
 
 
 # ------------------------------------------------------------- assembly
@@ -304,23 +312,22 @@ def _skeleton(command: str, config: dict) -> dict:
             "config": config}
 
 
-def _finalize(report: dict, rows: list[dict], res: Resolver) -> int:
+def _finalize(report: dict, rows: list[dict], args: argparse.Namespace) -> int:
     rows = sorted(rows, key=lambda r: (r["check"], r.get("subspace", "")))
     report["checks"] = rows
     unexpected = sum(1 for r in rows if r["pass"] != r.get("expected", True))
     report["summary"] = {"rows": len(rows), "unexpected": unexpected,
                          "all_ok": unexpected == 0}
-    if not res.deterministic:
+    if not args.deterministic:
         report["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return 0 if unexpected == 0 else 1
 
 
-def _emit(report: dict, res: Resolver):
-    text = (to_canonical_json(report) if res.format == "json"
+def _emit(report: dict, args: argparse.Namespace):
+    text = (to_canonical_json(report) if args.format == "json"
             else to_markdown(report)) + "\n"
-    out = res.get("out", str)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -334,36 +341,24 @@ def _row(report, expected: bool = True) -> dict:
 
 # ------------------------------------------------------------- commands
 
-def cmd_catalog(res: Resolver) -> tuple[dict, int]:
-    report = _skeleton("catalog", {"format": res.format,
-                                   "deterministic": res.deterministic})
+def cmd_catalog(args: argparse.Namespace) -> tuple[dict, int]:
+    report = _skeleton("catalog", {"format": args.format,
+                                   "deterministic": args.deterministic})
     report["catalog"] = catalog_rows()
-    code = _finalize(report, [], res)
+    code = _finalize(report, [], args)
     return report, code
 
 
-def _model_spec(res: Resolver) -> ModelSpec:
-    return ModelSpec(
-        ambient=res.get("ambient", str, required=True),
-        n=res.get("n", int, required=True),
-        family=res.get("family", str, required=True),
-        c=res.get("c", float),
-        radius=res.get("radius", float),
-        k=res.get("k", int),
-        flip_normal=res.flag("flip_normal"),
-    )
-
-
-def cmd_verify(res: Resolver) -> tuple[dict, int]:
-    spec = _model_spec(res)
-    seed = res.get("seed", int, 0)
-    samples = res.get("samples", int, 25)
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+    _required(args, "ambient", "n", "family")
+    spec = ModelSpec(ambient=args.ambient, n=args.n, family=args.family, c=args.c,
+                     radius=args.radius, k=args.k, flip_normal=args.flip_normal)
+    seed, samples = args.seed, args.samples
     if samples <= 0:
         raise ValueError("samples must be positive")
-    tol = res.tolerance
-    wanted = res.get("checks", str, "all")
-    if wanted != "all":
-        names = tuple(w.strip() for w in wanted.split(",") if w.strip())
+    tol = _tolerance(args)
+    if args.checks != "all":
+        names = tuple(w.strip() for w in args.checks.split(",") if w.strip())
         unknown = sorted(set(names) - set(VERIFY_CHECKS))
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
@@ -372,14 +367,14 @@ def cmd_verify(res: Resolver) -> tuple[dict, int]:
 
     inst = instantiate(spec, seed=seed)
     ctx, acs = inst.ctx, inst.ctx.acs
-    negative_control = spec.family == "B" and not inst.spectral.alpha_is_zero
+    negative_control = spec.entry.phi_swapped and not inst.spectral.alpha_is_zero
     expected_false = ({("shape-phi-commute", "all"), ("phi-l-commute", "ker-eta")}
                       if negative_control else set())
 
     config = spec.to_jsonable()
     config.update({"seed": seed, "samples": samples, "tolerance": tol,
                    "checks": ",".join(names) if names != VERIFY_CHECKS else "all",
-                   "format": res.format, "deterministic": res.deterministic})
+                   "format": args.format, "deterministic": args.deterministic})
     report = _skeleton("verify", config)
     report["spectral"] = inst.spectral.to_jsonable()
 
@@ -401,8 +396,7 @@ def cmd_verify(res: Resolver) -> tuple[dict, int]:
         add("hopf-decomposition", "span-xi", dec.beta, dec.tolerance,
             {"alpha": dec.alpha})
     if "shape-phi-commute" in names:
-        swap = float(np.max(np.abs(ctx.shape_operator @ acs.phi
-                                   - acs.phi @ ctx.shape_operator)))
+        swap = float(np.max(np.abs(commutator(ctx.shape_operator, acs.phi))))
         add("shape-phi-commute", "all", swap, tol)
     if "phi-l-commute" in names:
         for subspace in (KER_ETA, SPAN_XI):
@@ -412,8 +406,7 @@ def cmd_verify(res: Resolver) -> tuple[dict, int]:
         for subspace in (KER_ETA, SPAN_XI):
             rows.append(_row(check_l_A_commute(ctx, subspace, tol)))
     if "jacobi-cross-check" in names:
-        diff = float(np.max(np.abs(ctx.l_from_curvature - ctx.l_closed_form)))
-        add("jacobi-cross-check", "all", diff, tol)
+        add("jacobi-cross-check", "all", ctx.l_path_gap, tol)
     if "spectral-oracle" in names and inst.spectral.oracle_deviation is not None:
         add("spectral-oracle", "all", inst.spectral.oracle_deviation, ORACLE_TOL)
 
@@ -421,8 +414,8 @@ def cmd_verify(res: Resolver) -> tuple[dict, int]:
     if inst.nabla_a is None:
         skipped = [n for n in ("nabla-xi-l", "mu-vanishes", "codazzi") if n in names]
         if skipped:
-            notes.append(", ".join(skipped)
-                         + " omitted: family B ships no derivative provider")
+            notes.append(", ".join(skipped) + f" omitted: family {spec.family} "
+                         "ships no derivative provider")
     else:
         if "nabla-xi-l" in names or "mu-vanishes" in names:
             for subspace in (KER_ETA, SPAN_XI):
@@ -459,9 +452,9 @@ def cmd_verify(res: Resolver) -> tuple[dict, int]:
                                 "unknown": sorted(cls.unknown)}
     if notes:
         report["notes"] = notes
-    if res.flag("emit_structure"):
+    if args.emit_structure:
         report["structure"] = ctx.to_jsonable()
-    code = _finalize(report, rows, res)
+    code = _finalize(report, rows, args)
     return report, code
 
 
@@ -485,12 +478,7 @@ def _run_property(prop: str, dim: int, samples: int, seed: int) -> float:
         return _sweep_acs(rng, dim, samples,
                           lambda acs: validate_acs(acs)["skew"])
     if prop == "jacobi-cross-check":
-        worst = 0.0
-        for _ in range(samples):
-            ctx = random_context(n, rng)
-            worst = max(worst, float(np.max(np.abs(
-                jacobi_from_curvature(ctx) - jacobi_closed_form(ctx)))))
-        return worst
+        return max(random_context(n, rng).l_path_gap for _ in range(samples))
     if prop == "hopf-commutator":
         worst = 0.0
         for _ in range(samples):
@@ -498,7 +486,7 @@ def _run_property(prop: str, dim: int, samples: int, seed: int) -> float:
             ell = jacobi_operator(ctx)
             phi, a = ctx.acs.phi, ctx.shape_operator
             lhs = commutator(phi, ell)
-            rhs = ctx.alpha * (phi @ a - a @ phi)
+            rhs = ctx.alpha * commutator(phi, a)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))),
                         float(np.max(np.abs(commutator(ell, a)))))
         return worst
@@ -516,27 +504,24 @@ def _run_property(prop: str, dim: int, samples: int, seed: int) -> float:
     raise ValueError(f"unknown property {prop!r}")
 
 
-def cmd_random(res: Resolver) -> tuple[dict, int]:
-    dim = res.get("dim", int, 5)
-    samples = res.get("samples", int, 1000)
-    seed = res.get("seed", int, 0)
-    prop = res.get("prop", str) or res.get("property", str, "all")
+def cmd_random(args: argparse.Namespace) -> tuple[dict, int]:
+    dim, samples, seed, prop = args.dim, args.samples, args.seed, args.property
     if dim < 3 or dim % 2 == 0:
         raise ValueError("dim must be odd and >= 3")
     if samples <= 0:
         raise ValueError("samples must be positive")
-    tol = res.tolerance
+    tol = _tolerance(args)
     props = RANDOM_PROPERTIES if prop == "all" else (prop,)
     config = {"dim": dim, "samples": samples, "seed": seed, "property": prop,
-              "tolerance": tol, "format": res.format,
-              "deterministic": res.deterministic}
+              "tolerance": tol, "format": args.format,
+              "deterministic": args.deterministic}
     report = _skeleton("random", config)
     rows = []
     for name in props:
         residual = _run_property(name, dim, samples, seed)
         rows.append({"check": name, "subspace": "all", "residual": float(residual),
                      "tolerance": tol, "pass": residual <= tol, "expected": True})
-    code = _finalize(report, rows, res)
+    code = _finalize(report, rows, args)
     return report, code
 
 
@@ -545,53 +530,40 @@ def _default_anchor(kappa: float, r0: float) -> float:
     return 1.0 / r0 - kappa * r0 / 3.0 - kappa * kappa * r0 ** 3 / 45.0
 
 
-def cmd_oracle_riccati(res: Resolver) -> tuple[dict, int]:
-    kappa = res.get("kappa", float, required=True)
-    r = res.get("r", float, required=True)
-    r0 = res.get("r0", float, 0.01)
-    lambda0 = res.get("lambda0", float)
+def cmd_oracle_riccati(args: argparse.Namespace) -> tuple[dict, int]:
+    _required(args, "kappa", "r")
+    kappa, r, r0, step = args.kappa, args.r, args.r0, args.step
+    lambda0 = args.lambda0
     if lambda0 is None:
         lambda0 = _default_anchor(kappa, r0)
-    step = res.get("step", float, DEFAULT_STEP)
     config = {"kappa": kappa, "r": r, "r0": r0, "lambda0": lambda0, "step": step,
-              "format": res.format, "deterministic": res.deterministic}
+              "format": args.format, "deterministic": args.deterministic}
     report = _skeleton("oracle riccati", config)
     try:
         value = riccati_shape_evolution(kappa, r, (r0, lambda0), step=step)
     except FocalPointError as exc:
         report["oracle"] = {"error": str(exc)}
-        _finalize(report, [], res)
+        _finalize(report, [], args)
         report["summary"]["all_ok"] = False
         return report, 1
     report["oracle"] = {"value": value}
-    code = _finalize(report, [], res)
+    code = _finalize(report, [], args)
     return report, code
 
 
-_JET_CONFIG_KEYS = ("gamma", "lambda", "lam", "kappa1", "kappa2",
-                    "dalpha_xi", "dalpha_U", "dalpha_phiU", "dalpha_phiW2",
-                    "dalpha_W3", "dbeta_xi", "dbeta_U", "dbeta_phiU",
-                    "dbeta_phiW1", "w1_norm_sq", "d2beta_phiU_xi",
-                    "d2alpha_phiU_U")
-
-
-def cmd_jet(res: Resolver) -> tuple[dict, int]:
-    alpha = res.get("alpha", float, required=True)
-    beta = res.get("beta", float, required=True)
-    c = res.get("c", float, required=True)
-    kappa3 = res.get("kappa3", float, 0.0)
-    tol = res.tolerance
-    mapping_extras = {k: float(res.config[k]) for k in _JET_CONFIG_KEYS
-                      if k in res.config}
-    if mapping_extras:
-        mapping = {"alpha": alpha, "beta": beta, "c": c, "kappa3": kappa3}
-        mapping.update(mapping_extras)
+def cmd_jet(args: argparse.Namespace) -> tuple[dict, int]:
+    """The self-consistent jet, or the jet a config file's raw jet keys describe."""
+    _required(args, "alpha", "beta", "c")
+    alpha, beta, c, kappa3 = args.alpha, args.beta, args.c, args.kappa3
+    tol = _tolerance(args)
+    mapping = {key: value for key, value in vars(args).items() if key in _MAPPING_KEYS}
+    if set(mapping) - {"alpha", "beta", "c", "kappa3"}:
         jet = jet_from_mapping(mapping)
     else:
         jet = consistent_jet(alpha, beta, c, kappa3=kappa3)
     config = {"alpha": alpha, "beta": beta, "c": c, "kappa3": kappa3,
-              "tolerance": tol, "format": res.format,
-              "deterministic": res.deterministic}
+              "tolerance": tol, "format": args.format,
+              "deterministic": args.deterministic}
     report = _skeleton("jet", config)
     report["jet"] = jet.to_jsonable()
     report["certificate"] = contradiction_certificate(
@@ -602,39 +574,23 @@ def cmd_jet(res: Resolver) -> tuple[dict, int]:
         out["subspace"] = "scalar"
         out["expected"] = True
         rows.append(out)
-    code = _finalize(report, rows, res)
+    code = _finalize(report, rows, args)
     return report, code
 
 
 # ------------------------------------------------------------- entry points
 
-def _dispatch(args: argparse.Namespace) -> tuple[dict, int, Resolver]:
-    res = Resolver(args)
-    if args.command == "catalog":
-        report, code = cmd_catalog(res)
-    elif args.command == "verify":
-        report, code = cmd_verify(res)
-    elif args.command == "random":
-        report, code = cmd_random(res)
-    elif args.command == "oracle":
-        report, code = cmd_oracle_riccati(res)
-    elif args.command == "jet":
-        report, code = cmd_jet(res)
-    else:
-        raise ValueError(f"unknown command {args.command!r}")
-    return report, code, res
+COMMANDS = {"catalog": cmd_catalog, "verify": cmd_verify, "random": cmd_random,
+            "oracle": cmd_oracle_riccati, "jet": cmd_jet}
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
-    try:
-        report, code, res = _dispatch(args)
-        _emit(report, res)
+        args = _parse(argv)
+        report, code = COMMANDS[args.command](args)
+        _emit(report, args)
+    except SystemExit as exc:  # --help
+        return 0 if exc.code in (0, None) else 2
     except (OracleMismatchError, FocalPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,6 +27,7 @@ from .tensor_core import (
     _check_matrix,
     _check_vector,
     _read_only,
+    nabla_xi,
 )
 
 
@@ -40,13 +41,13 @@ class CurvatureContext:
 
     The context is immutable, so the tensors every check reads are derived
     once per context and stored read-only: both Jacobi paths (each still
-    computed independently of the other) and the ker(eta) test basis.
+    computed independently of the other), their gap, and the ker(eta) test
+    basis.
     """
 
     acs: AlmostContactStructure
     shape_operator: np.ndarray
     c: float
-    structural_tol: float = 1e-8
 
     def __post_init__(self):
         a = _check_matrix(self.shape_operator, self.acs.dim, "shape_operator")
@@ -55,7 +56,7 @@ class CurvatureContext:
         gram = self.acs.space.gram
         sym = np.max(np.abs(gram @ a - a.T @ gram))
         scale = 1.0 + float(np.linalg.norm(a))
-        if sym > self.structural_tol * scale:
+        if sym > 1e-8 * scale:
             raise StructuralError(f"shape operator is not g-symmetric (residual {sym:.3e})")
         object.__setattr__(self, "shape_operator", _read_only(a))
         object.__setattr__(self, "c", float(self.c))
@@ -86,6 +87,11 @@ class CurvatureContext:
         return _read_only(jacobi_closed_form(self))
 
     @cached_property
+    def l_path_gap(self) -> float:
+        """max |l_def - l_closed| over the matrix entries: the standing self-test."""
+        return float(np.max(np.abs(self.l_from_curvature - self.l_closed_form)))
+
+    @cached_property
     def ker_eta_basis(self) -> np.ndarray:
         """The g-orthonormal ker(eta) test vectors of the condition checks, as columns.
 
@@ -102,48 +108,13 @@ class CurvatureContext:
         return out
 
 
-class NablaAProvider:
-    """Bilinear map (X, Y) -> (nabla_X A)Y with g((nabla_X A)Y, Z) symmetric in Y, Z.
-
-    An optional scalar-derivative hook reports directional derivatives of
-    alpha = g(A xi, xi); it defaults to zero, which is exact for the
-    catalog models where alpha is constant.
-    """
-
-    def __init__(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 dim: int,
-                 alpha_derivative: Callable[[np.ndarray], float] | None = None,
-                 endomorphism_fn: Callable[[np.ndarray], np.ndarray] | None = None):
-        self._fn = fn
-        self._dim = dim
-        self._alpha_derivative = alpha_derivative
-        self._endomorphism_fn = endomorphism_fn
-
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._fn(x, y)
-
-    def endomorphism(self, w: np.ndarray) -> np.ndarray:
-        """Matrix of Y -> (nabla_W A)Y in the working frame."""
-        if self._endomorphism_fn is not None:
-            return self._endomorphism_fn(w)
-        cols = []
-        for j in range(self._dim):
-            e = np.zeros(self._dim)
-            e[j] = 1.0
-            cols.append(self._fn(w, e))
-        return np.column_stack(cols)
-
-    def alpha_rate(self, w: np.ndarray) -> float:
-        if self._alpha_derivative is None:
-            return 0.0
-        return float(self._alpha_derivative(w))
+NablaAProvider = Callable[[np.ndarray], np.ndarray]
+"""W -> matrix of Y -> (nabla_W A)Y, with g((nabla_W A)Y, Z) symmetric in Y, Z."""
 
 
 def zero_nabla_a(dim: int) -> NablaAProvider:
     """The provider of a parallel shape operator (nabla A identically zero)."""
-    zero = np.zeros(dim)
-    return NablaAProvider(lambda x, y: zero.copy(), dim,
-                          endomorphism_fn=lambda w: np.zeros((dim, dim)))
+    return lambda w: np.zeros((dim, dim))
 
 
 def gauss_curvature(ctx: CurvatureContext, x: np.ndarray, y: np.ndarray,
@@ -193,23 +164,17 @@ def jacobi_closed_form(ctx: CurvatureContext) -> np.ndarray:
     return quarter * (eye - np.outer(xi, eta)) + ctx.alpha * a - np.outer(w, gram @ w)
 
 
-def jacobi_operator(ctx: CurvatureContext, cross_check: bool = True,
-                    tol: float | None = None) -> np.ndarray:
+def jacobi_operator(ctx: CurvatureContext) -> np.ndarray:
     """The structure Jacobi operator, definitional path, cross-checked.
 
     Both computation paths are evaluated (once per context) and must agree
     on every call; disagreement beyond tolerance means the inputs are
     inconsistent and raises.  The returned matrix is read-only.
     """
-    l_def = ctx.l_from_curvature
-    if cross_check:
-        l_closed = ctx.l_closed_form
-        tol = DEFAULT_TOL if tol is None else tol
-        scale = 1.0 + abs(ctx.c) + float(np.linalg.norm(ctx.shape_operator)) ** 2
-        gap = float(np.max(np.abs(l_def - l_closed)))
-        if gap > tol * scale:
-            raise StructuralError(f"Jacobi operator paths disagree by {gap:.3e}")
-    return l_def
+    scale = 1.0 + abs(ctx.c) + float(np.linalg.norm(ctx.shape_operator)) ** 2
+    if ctx.l_path_gap > DEFAULT_TOL * scale:
+        raise StructuralError(f"Jacobi operator paths disagree by {ctx.l_path_gap:.3e}")
+    return ctx.l_from_curvature
 
 
 def codazzi_residual(ctx: CurvatureContext, nabla_a: NablaAProvider,
@@ -226,7 +191,7 @@ def codazzi_residual(ctx: CurvatureContext, nabla_a: NablaAProvider,
     y = _check_vector(y, d, "y")
     acs = ctx.acs
     px, py = acs.phi @ x, acs.phi @ y
-    skew = nabla_a(x, y) - nabla_a(y, x)
+    skew = nabla_a(x) @ y - nabla_a(y) @ x
     rhs = (ctx.c / 4.0) * (acs.eta_of(x) * py - acs.eta_of(y) * px
                            - 2.0 * acs.g(px, y) * acs.xi)
     return skew - rhs
@@ -236,9 +201,9 @@ def nabla_l(ctx: CurvatureContext, nabla_a: NablaAProvider,
             w: np.ndarray) -> np.ndarray:
     """Matrix of (nabla_W l) from the product rule on the closed form.
 
-    Uses nabla_W xi = phi A W, nabla_W (A xi) = (nabla_W A)xi + A phi A W,
-    and the provider's alpha-rate (zero unless a scalar-derivative hook is
-    attached).
+    Uses nabla_W xi = phi A W and nabla_W (A xi) = (nabla_W A)xi + A phi A W;
+    alpha = g(A xi, xi) is taken as locally constant, which is exact for
+    the catalog models.
     """
     if nabla_a is None:
         raise MissingNablaAError("nabla_l needs a nabla-A provider")
@@ -248,14 +213,13 @@ def nabla_l(ctx: CurvatureContext, nabla_a: NablaAProvider,
     a = ctx.shape_operator
     xi, eta = acs.xi, acs.eta
 
-    paw = acs.phi @ (a @ w)            # nabla_W xi
-    e_w = nabla_a.endomorphism(w)
+    paw = nabla_xi(acs, a, w)
+    e_w = nabla_a(w)
     axi = a @ xi
     d_axi = e_w @ xi + a @ paw         # nabla_W (A xi)
-    d_alpha = nabla_a.alpha_rate(w)
 
     out = (-ctx.c / 4.0) * (np.outer(xi, gram @ paw) + np.outer(paw, eta))
-    out = out + d_alpha * a + ctx.alpha * e_w
+    out = out + ctx.alpha * e_w
     out = out - np.outer(d_axi, gram @ axi) - np.outer(axi, gram @ d_axi)
     return out
 

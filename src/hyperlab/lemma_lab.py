@@ -44,6 +44,11 @@ def _require(cond: bool, msg: str):
         raise JetError(msg)
 
 
+def _require_alpha(alpha: float, what: str):
+    """alpha != 0, and alpha**2 must not underflow: every formula divides by it."""
+    _require(alpha * alpha != 0.0, f"{what} needs alpha**2 > 0, got alpha = {alpha!r}")
+
+
 @dataclass(frozen=True)
 class LocalJet:
     """First-order scalar data of a tilted configuration at one point.
@@ -70,7 +75,7 @@ class LocalJet:
 
     def __post_init__(self):
         _require(self.c != 0.0, "c must be nonzero")
-        _require(self.alpha != 0.0, "alpha must be nonzero on the tilted set")
+        _require_alpha(self.alpha, "the tilted set")
         _require(self.beta > 0.0, "beta must be positive on the tilted set")
         k1, k2 = rotation_coefficients(self.alpha, self.beta, self.c)
         if self.kappa1 is None:
@@ -98,8 +103,8 @@ class LocalJet:
 
 def rotation_coefficients(alpha: float, beta: float, c: float) -> tuple[float, float]:
     """Closed forms of k1 = g(nabla_xi U, phiU) and k2 = g(nabla_U U, phiU)."""
-    _require(alpha != 0.0 and beta != 0.0 and c != 0.0,
-             "rotation coefficients need alpha, beta, c nonzero")
+    _require(alpha * beta != 0.0 and c != 0.0,
+             "rotation coefficients need alpha, beta, c nonzero (alpha beta must not underflow)")
     k1 = -4.0 * alpha
     k2 = -4.0 * beta + (c / (4.0 * alpha * beta)) * (c / (4.0 * alpha) - beta ** 2 / alpha)
     return k1, k2
@@ -262,12 +267,20 @@ def jet_residuals(jet: LocalJet, tol: float | None = None) -> list[JetRow]:
         rows["ddalpha-phiU-U"] = jet.d2_alpha_phiU_U - b * k3 * (
             7.0 * q - 8.0 * a - 36.0 * a * b * b / c - b * b / a)
     if jet.w1_norm_sq is not None:
-        rows["w1-norm-identity"] = (12.0 * (5.0 * a * a + b * b) * c + 64.0 * a ** 4
-                                    - 16.0 * a * a * (jet.w1_norm_sq + 3.0 * b * b)
-                                    - 3.0 * c * c)
+        rows["w1-norm-identity"] = w1_norm_identity(c, a, b, jet.w1_norm_sq)
     cutoff = tol * scale
     return [JetRow(name, abs(res), cutoff, abs(res) <= cutoff)
             for name, res in sorted(rows.items())]
+
+
+def w1_norm_identity(c: float, alpha: float, beta: float, w1_norm_sq: float) -> float:
+    """Left side of the norm identity for W1 on the k3 = 0 branch; zero when it holds.
+
+    12 (5 alpha^2 + beta^2) c + 64 alpha^4 - 16 alpha^2 (|W1|^2 + 3 beta^2) - 3 c^2.
+    """
+    a, b = alpha, beta
+    return (12.0 * (5.0 * a * a + b * b) * c + 64.0 * a ** 4
+            - 16.0 * a * a * (w1_norm_sq + 3.0 * b * b) - 3.0 * c * c)
 
 
 def implied_w1_norm_sq(c: float, alpha: float, beta: float) -> float:
@@ -276,9 +289,8 @@ def implied_w1_norm_sq(c: float, alpha: float, beta: float) -> float:
     A negative return is already a contradiction: no real field W1 can
     close the identity at these scalars.
     """
-    _require(alpha != 0.0, "the norm identity needs alpha != 0")
-    return (12.0 * (5.0 * alpha ** 2 + beta ** 2) * c + 64.0 * alpha ** 4
-            - 3.0 * c ** 2 - 48.0 * alpha ** 2 * beta ** 2) / (16.0 * alpha ** 2)
+    _require_alpha(alpha, "the norm identity")
+    return w1_norm_identity(c, alpha, beta, 0.0) / (16.0 * alpha * alpha)
 
 
 @dataclass(frozen=True)
@@ -322,16 +334,14 @@ def contradiction_certificate(c: float, alpha: float, beta: float,
                               tol: float = DEFAULT_TOL) -> ContradictionCertificate:
     """Evaluate both branch certificates at one scalar triple."""
     _require(c != 0.0, "c must be nonzero")
-    _require(alpha != 0.0, "the certificate lives on the tilted set, alpha != 0")
+    _require_alpha(alpha, "the certificate (it lives on the tilted set)")
     factor = c - 4.0 * alpha ** 2 - 2.0 * beta ** 2
     sum_sq = 2.0 * alpha ** 2 + beta ** 2
     disc = 3600.0 * c ** 2 - 3072.0 * c * beta ** 2
     w1sq = implied_w1_norm_sq(c, alpha, beta)
     residual = None
     if w1_norm_sq is not None:
-        residual = abs(12.0 * (5.0 * alpha ** 2 + beta ** 2) * c + 64.0 * alpha ** 4
-                       - 16.0 * alpha ** 2 * (w1_norm_sq + 3.0 * beta ** 2)
-                       - 3.0 * c ** 2)
+        residual = abs(w1_norm_identity(c, alpha, beta, w1_norm_sq))
     verdict = WITNESSED if disc >= 0.0 else NO_WITNESS
     return ContradictionCertificate(
         c=c, alpha=alpha, beta=beta, factor=factor, sum_sq=sum_sq,
@@ -357,7 +367,8 @@ def jet_from_mapping(mapping: dict) -> LocalJet:
     """Build a jet from a flat scalar mapping (the CLI's input format).
 
     alpha, beta, c are required; kappa1/kappa2 default to their closed
-    forms, every other scalar to zero or absent.  Unknown keys raise.
+    forms, every other scalar to zero or absent.  Unknown keys, values
+    that are not numbers and non-finite values raise, naming the key.
     """
     unknown = sorted(set(mapping) - set(_MAPPING_KEYS))
     if unknown:
@@ -365,12 +376,14 @@ def jet_from_mapping(mapping: dict) -> LocalJet:
     for need in ("alpha", "beta", "c"):
         if need not in mapping:
             raise JetError(f"jet mapping is missing {need!r}")
-    kwargs = {"alpha": float(mapping["alpha"]), "beta": float(mapping["beta"]),
-              "c": float(mapping["c"]), "d_alpha": {}, "d_beta": {}}
-    for key, target in _MAPPING_KEYS.items():
-        if target is None or key not in mapping:
-            continue
-        value = float(mapping[key])
+    kwargs = {"d_alpha": {}, "d_beta": {}}
+    for key, raw in mapping.items():
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            raise JetError(f"jet value {key} = {raw!r} is not a number") from None
+        _require(math.isfinite(value), f"jet value {key} = {raw!r} must be finite")
+        target = _MAPPING_KEYS[key] or key
         if isinstance(target, tuple):
             kwargs[target[0]][target[1]] = value
         else:

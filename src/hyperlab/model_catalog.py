@@ -1,17 +1,11 @@
 """Catalog of model hypersurfaces and the radial Riccati oracle.
 
-Families, for ambient CP (c > 0) and CH (c < 0), with s = sqrt(|c|)/2:
-
-  A0  horosphere (CH only):       alpha = 2s,            s x (2n-2)
-  A1  geodesic sphere (CP/CH)     alpha = 2s cot(2sr),   s cot(sr) x (2n-2)
-      or tube over a complex      alpha = 2s coth(2sr),  s coth(sr) / s tanh(sr)
-      hyperplane (CH, k = n-1)
-  A2  tube over a totally geo-    alpha as A1,           s cot(sr) x 2(n-1-k),
-      desic complex k-subspace                           -s tan(sr) x 2k
-                                                         (coth/tanh in CH)
-  B   tube over a real form /     CP: alpha = 2s cot(2sr),  s cot(sr -+ pi/4),
-      complex quadric             CH: alpha = 2s tanh(2sr), s coth / s tanh,
-      (negative control)          phi-swapped pairs of multiplicity n-1
+FAMILY_TABLE holds every model family of ambient CP (c > 0) and CH (c < 0):
+the closed forms of its principal curvatures in s = sqrt(|c|)/2 and the
+radius r, their multiplicities, the s r domain, the admissible k, and the
+strings `hyperlab catalog` prints.  Family B is the negative control: its
+two ker(eta) branches sit on V and phi V respectively (phi-swapped), so
+A phi != phi A.
 
 Every spectral value is validated at construction against an independent
 fixed-step RK4 integration of the radial Riccati equation
@@ -26,21 +20,21 @@ the radial equation only under reversed traversal.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from collections.abc import Callable, Container
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_engine import CurvatureContext, NablaAProvider
+from .curvature_engine import CurvatureContext, NablaAProvider, commutator
+from .hopf_conditions import alpha_vanishes, decompose_A_xi
 from .tensor_core import build_phi_basis, canonical_structure, PhiBasis
 
 DEFAULT_STEP = 5e-5
 ORACLE_TOL = 1e-6
 BLOWUP_LIMIT = 1e6
-
-FAMILIES = ("A0", "A1", "A2", "B")
-AMBIENTS = ("CP", "CH")
 
 
 class CatalogError(ValueError):
@@ -95,6 +89,89 @@ def _cot(x: float) -> float:
 
 
 @dataclass(frozen=True)
+class FamilyEntry:
+    """One (ambient, family) row of the catalog.
+
+    alpha and each ker(eta) branch are closed forms in (s, r); branch i has
+    multiplicity multiplicities(n, k)[i] (k = 0 when none is given), and a
+    branch of multiplicity 0 is left out.  s r ranges over (0, sr_max);
+    sr_max None means the model is radius-free.  ks(n) holds the admissible
+    k, None standing for "no k".  A phi_swapped family puts its first branch
+    on V_1..V_{n-1} and its second on phi V_1..phi V_{n-1}.
+    """
+
+    core: str
+    radius_domain: str
+    alpha_doc: str
+    eigenvalues_doc: str
+    sr_max: float | None
+    alpha: Callable[[float, float], float]
+    branches: tuple[Callable[[float, float], float], ...]
+    multiplicities: Callable[[int, int], tuple[int, ...]]
+    ks: Callable[[int], Container]
+    phi_swapped: bool
+
+
+def _tube(n: int, k: int) -> tuple[int, int]:
+    return 2 * (n - 1 - k), 2 * k
+
+
+def _swapped(n: int, k: int) -> tuple[int, int]:
+    return n - 1, n - 1
+
+
+def _no_k(n: int) -> tuple[None]:
+    return (None,)
+
+
+def _core_k(n: int) -> range:
+    return range(1, n - 1)
+
+
+_CP_ALPHA = lambda s, r: 2.0 * s * _cot(2.0 * s * r)
+_CH_TUBE_ALPHA = lambda s, r: 2.0 * s / math.tanh(2.0 * s * r)
+_CP_TUBE = (lambda s, r: s * _cot(s * r), lambda s, r: -s * math.tan(s * r))
+_CH_TUBE = (lambda s, r: s / math.tanh(s * r), lambda s, r: s * math.tanh(s * r))
+
+FAMILY_TABLE: dict[tuple[str, str], FamilyEntry] = {
+    ("CH", "A0"): FamilyEntry(
+        "horosphere", "none (radius-free)", "2s", "s x (2n-2)",
+        None, lambda s, r: 2.0 * s, (lambda s, r: s,), lambda n, k: (2 * n - 2,), _no_k,
+        False),
+    ("CP", "A1"): FamilyEntry(
+        "point / complex hyperplane", "0 < s r < pi/2",
+        "2s cot(2 s r)", "s cot(s r) x (2n-2)",
+        math.pi / 2.0, _CP_ALPHA, _CP_TUBE, _tube, _no_k, False),
+    ("CH", "A1"): FamilyEntry(
+        "point (k=0) / complex hyperplane (k=n-1)", "r > 0",
+        "2s coth(2 s r)", "s coth(s r) x (2n-2) | s tanh(s r) x (2n-2)",
+        math.inf, _CH_TUBE_ALPHA, _CH_TUBE, _tube, lambda n: (None, 0, n - 1), False),
+    ("CP", "A2"): FamilyEntry(
+        "totally geodesic complex k-subspace", "0 < s r < pi/2, 1 <= k <= n-2",
+        "2s cot(2 s r)", "s cot(s r) x 2(n-1-k), -s tan(s r) x 2k",
+        math.pi / 2.0, _CP_ALPHA, _CP_TUBE, _tube, _core_k, False),
+    ("CH", "A2"): FamilyEntry(
+        "totally geodesic complex k-subspace", "r > 0, 1 <= k <= n-2",
+        "2s coth(2 s r)", "s coth(s r) x 2(n-1-k), s tanh(s r) x 2k",
+        math.inf, _CH_TUBE_ALPHA, _CH_TUBE, _tube, _core_k, False),
+    ("CP", "B"): FamilyEntry(
+        "complex quadric (negative control)", "0 < s r < pi/4", "2s cot(2 s r)",
+        "s cot(s r - pi/4), s cot(s r + pi/4), phi-swapped x (n-1) each",
+        math.pi / 4.0, _CP_ALPHA,
+        (lambda s, r: s * _cot(s * r - math.pi / 4.0),
+         lambda s, r: s * _cot(s * r + math.pi / 4.0)),
+        _swapped, _no_k, True),
+    ("CH", "B"): FamilyEntry(
+        "real form (negative control)", "r > 0", "2s tanh(2 s r)",
+        "s coth(s r), s tanh(s r), phi-swapped x (n-1) each",
+        math.inf, lambda s, r: 2.0 * s * math.tanh(2.0 * s * r), _CH_TUBE,
+        _swapped, _no_k, True),
+}
+AMBIENTS = tuple(sorted({ambient for ambient, _ in FAMILY_TABLE}))
+FAMILIES = tuple(sorted({family for _, family in FAMILY_TABLE}))
+
+
+@dataclass(frozen=True)
 class ModelSpec:
     """Parameters selecting one catalog model.
 
@@ -113,10 +190,10 @@ class ModelSpec:
     flip_normal: bool = False
 
     def __post_init__(self):
-        if self.ambient not in AMBIENTS:
-            raise CatalogError(f"ambient must be one of {AMBIENTS}, got {self.ambient!r}")
-        if self.family not in FAMILIES:
-            raise CatalogError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        if (self.ambient, self.family) not in FAMILY_TABLE:
+            raise CatalogError(
+                f"no family {self.family!r} in ambient {self.ambient!r}; the catalog has "
+                + ", ".join(" ".join(key) for key in FAMILY_TABLE))
         if not isinstance(self.n, int) or self.n < 2:
             raise CatalogError(f"n must be an integer >= 2, got {self.n!r}")
         c = self.c
@@ -129,41 +206,28 @@ class ModelSpec:
             raise CatalogError("CH requires c < 0")
         object.__setattr__(self, "c", c)
         self._validate_radius()
-        self._validate_k()
+        if not (self.k is None or isinstance(self.k, int)) or self.k not in self.entry.ks(self.n):
+            raise CatalogError(f"{self.ambient} {self.family} does not take k = {self.k!r} "
+                               f"at n = {self.n} ({self.entry.core}; {self.entry.radius_domain})")
 
     def _validate_radius(self):
-        if self.family == "A0":
-            if self.ambient != "CH":
-                raise CatalogError("family A0 (horosphere) exists only in CH")
+        sr_max = self.entry.sr_max
+        if sr_max is None:
             if self.radius is not None:
-                raise CatalogError("family A0 takes no radius")
+                raise CatalogError(f"family {self.family} takes no radius")
             return
         if self.radius is None:
             raise CatalogError(f"family {self.family} requires a radius")
         r = float(self.radius)
-        if r <= 0:
-            raise CatalogError("radius must be positive")
+        bound = sr_max / self.scale
+        if not 0 < r < bound:
+            raise CatalogError(f"{self.ambient} family {self.family} requires "
+                               f"0 < r < {bound:.6f} for c = {self.c}")
         object.__setattr__(self, "radius", r)
-        if self.ambient == "CP":
-            bound = (math.pi / 4.0 if self.family == "B" else math.pi / 2.0) / self.scale
-            if r >= bound:
-                raise CatalogError(
-                    f"CP family {self.family} requires 0 < r < {bound:.6f} for c = {self.c}")
 
-    def _validate_k(self):
-        if self.family == "A2":
-            if self.k is None:
-                raise CatalogError("family A2 requires k")
-            if not isinstance(self.k, int) or not 1 <= self.k <= self.n - 2:
-                raise CatalogError(f"family A2 requires 1 <= k <= n-2, got k = {self.k!r}")
-            return
-        if self.family == "A1" and self.ambient == "CH":
-            if self.k not in (None, 0, self.n - 1):
-                raise CatalogError(
-                    "CH A1 takes k = 0 (geodesic sphere) or k = n-1 (hyperplane tube)")
-            return
-        if self.k is not None:
-            raise CatalogError(f"family {self.family} takes no k")
+    @property
+    def entry(self) -> FamilyEntry:
+        return FAMILY_TABLE[self.ambient, self.family]
 
     @property
     def scale(self) -> float:
@@ -205,9 +269,6 @@ class SpectralTable:
     def multiplicity_total(self) -> int:
         return sum(e.multiplicity for e in self.entries)
 
-    def eigenvalues(self) -> list[float]:
-        return [e.value for e in self.entries]
-
     def to_jsonable(self) -> dict:
         out = {
             "alpha": self.alpha,
@@ -225,47 +286,16 @@ class SpectralTable:
         return out
 
 
-def _branches(spec: ModelSpec):
-    """(alpha_fn, [(lambda_fn, multiplicity, phi_invariant), ...]) closed forms."""
-    s = spec.scale
-    n, k = spec.n, spec.k
-    fam, amb = spec.family, spec.ambient
-    if amb == "CP":
-        alpha_fn = lambda r: 2.0 * s * _cot(2.0 * s * r)
-        if fam == "A1":
-            lams = [(lambda r: s * _cot(s * r), 2 * n - 2, True)]
-        elif fam == "A2":
-            lams = [
-                (lambda r: s * _cot(s * r), 2 * (n - 1 - k), True),
-                (lambda r: -s * math.tan(s * r), 2 * k, True),
-            ]
-        else:  # B
-            lams = [
-                (lambda r: s * _cot(s * r - math.pi / 4.0), n - 1, False),
-                (lambda r: s * _cot(s * r + math.pi / 4.0), n - 1, False),
-            ]
-        return alpha_fn, lams
-    # CH
-    if fam == "A0":
-        return (lambda r: 2.0 * s), [(lambda r: s, 2 * n - 2, True)]
-    if fam == "B":
-        alpha_fn = lambda r: 2.0 * s * math.tanh(2.0 * s * r)
-        lams = [
-            (lambda r: s / math.tanh(s * r), n - 1, False),
-            (lambda r: s * math.tanh(s * r), n - 1, False),
-        ]
-        return alpha_fn, lams
-    alpha_fn = lambda r: 2.0 * s / math.tanh(2.0 * s * r)
-    k_eff = k if fam == "A2" else (spec.k or 0)
-    lams = []
-    if n - 1 - k_eff > 0:
-        lams.append((lambda r: s / math.tanh(s * r), 2 * (n - 1 - k_eff), True))
-    if k_eff > 0:
-        lams.append((lambda r: s * math.tanh(s * r), 2 * k_eff, True))
-    return alpha_fn, lams
+def _branches(spec: ModelSpec) -> list[tuple[Callable[[float], float], float, int]]:
+    """(closed form in r, kappa, multiplicity): alpha first, then each ker(eta) branch."""
+    entry, s = spec.entry, spec.scale
+    mults = entry.multiplicities(spec.n, spec.k or 0)
+    forms = [(entry.alpha, spec.c, 1)] + [(fn, spec.c / 4.0, m)
+                                          for fn, m in zip(entry.branches, mults) if m]
+    return [(functools.partial(fn, s), kappa, m) for fn, kappa, m in forms]
 
 
-def _oracle_deviation(spec: ModelSpec, alpha_fn, lams, step: float) -> float:
+def _oracle_deviation(spec: ModelSpec, branches, step: float) -> float:
     """Worst disagreement between the closed forms and the Riccati flow.
 
     Tube branches are anchored at the closed-form value just off the core
@@ -277,37 +307,33 @@ def _oracle_deviation(spec: ModelSpec, alpha_fn, lams, step: float) -> float:
     r = spec.radius if spec.radius is not None else 1.0 / s
     r0 = 0.01 / s if spec.radius is not None else 0.0
     worst = 0.0
-    for fn, kappa in [(alpha_fn, spec.c)] + [(lf, spec.c / 4.0) for lf, _, _ in lams]:
-        anchor = fn(r0) if spec.radius is not None else fn(0.0)
-        got = riccati_shape_evolution(kappa, r, (r0, anchor), step=h)
+    for fn, kappa, _ in branches:
+        got = riccati_shape_evolution(kappa, r, (r0, fn(r0)), step=h)
         worst = max(worst, abs(got - fn(r)))
     return worst
 
 
-def principal_curvatures(spec: ModelSpec, oracle_check: bool = True,
-                         step: float = DEFAULT_STEP) -> SpectralTable:
+def principal_curvatures(spec: ModelSpec, step: float = DEFAULT_STEP) -> SpectralTable:
     """Evaluate the model's spectral table, oracle-checked at construction."""
-    alpha_fn, lams = _branches(spec)
-    deviation = None
-    if oracle_check:
-        deviation = _oracle_deviation(spec, alpha_fn, lams, step)
-        if deviation > ORACLE_TOL:
-            raise OracleMismatchError(
-                f"spectral table disagrees with the Riccati oracle by {deviation:.3e}")
+    branches = _branches(spec)
+    deviation = _oracle_deviation(spec, branches, step)
+    if deviation > ORACLE_TOL:
+        raise OracleMismatchError(
+            f"spectral table disagrees with the Riccati oracle by {deviation:.3e}")
     r = spec.radius if spec.radius is not None else 0.0
+    (alpha_fn, _, _), *lams = branches
     alpha = alpha_fn(r)
-    entries = tuple(SpectralEntry(fn(r), mult, inv) for fn, mult, inv in lams)
-    if sum(e.multiplicity for e in entries) != 2 * spec.n - 2:
+    invariant = not spec.entry.phi_swapped
+    entries = tuple(SpectralEntry(fn(r), mult, invariant) for fn, _, mult in lams)
+    table = SpectralTable(alpha, entries, alpha_vanishes(alpha, spec.c), deviation)
+    if table.multiplicity_total() != 2 * spec.n - 2:
         raise OracleMismatchError("spectral multiplicities do not fill ker(eta)")
-    for e in entries:
-        if e.phi_invariant and e.multiplicity % 2 != 0:
-            raise OracleMismatchError("phi-invariant eigenspaces need even multiplicity")
-    alpha_zero = abs(alpha) <= 1e-12 * (1.0 + 2.0 * spec.scale)
-    if spec.flip_normal:
-        alpha = -alpha
-        entries = tuple(SpectralEntry(-e.value, e.multiplicity, e.phi_invariant)
-                        for e in entries)
-    return SpectralTable(alpha, entries, alpha_zero, deviation, flipped=spec.flip_normal)
+    if any(e.phi_invariant and e.multiplicity % 2 for e in entries):
+        raise OracleMismatchError("phi-invariant eigenspaces need even multiplicity")
+    if not spec.flip_normal:
+        return table
+    flipped = tuple(SpectralEntry(-e.value, e.multiplicity, e.phi_invariant) for e in entries)
+    return SpectralTable(-alpha, flipped, table.alpha_is_zero, deviation, flipped=True)
 
 
 @dataclass(frozen=True)
@@ -330,28 +356,24 @@ def instantiate(spec: ModelSpec, seed: int = 0) -> ModelInstance:
 
     The shape operator is assembled diagonally on a phi-basis drawn from the
     seeded generator, so instances are reproducible yet not frame-aligned.
-    For the A families the eigenvalues are phi-invariant (A phi = phi A);
-    family B gets the phi-swapped layout, so A phi != phi A, and ships
-    without a nabla-A provider (its derivative data is not type A).
+    Each phi-invariant branch fills V and phi V alike (A phi = phi A); a
+    phi-swapped family (the negative control) gets its two branches on V
+    and phi V respectively, so A phi != phi A, and ships without a nabla-A
+    provider (its derivative data is not type A).
     """
     table = principal_curvatures(spec)
     acs = canonical_structure(spec.n)
-    rng = np.random.default_rng(seed)
-    basis = build_phi_basis(acs, rng=rng)
+    basis = build_phi_basis(acs, rng=np.random.default_rng(seed))
     f = basis.matrix
-    if spec.family == "B":
-        first, second = table.entries
-        v_vals = [first.value] * first.multiplicity
-        w_vals = [second.value] * second.multiplicity
+    swapped = spec.entry.phi_swapped
+    if swapped:
+        v_vals, w_vals = ([e.value] * e.multiplicity for e in table.entries)
     else:
-        v_vals = []
-        for e in table.entries:
-            v_vals.extend([e.value] * (e.multiplicity // 2))
-        w_vals = list(v_vals)
+        v_vals = [e.value for e in table.entries for _ in range(e.multiplicity // 2)]
+        w_vals = v_vals
     diag = np.array(v_vals + w_vals + [table.alpha])
-    a = (f * diag) @ f.T
-    ctx = CurvatureContext(acs, a, spec.c)
-    nabla = None if spec.family == "B" else type_a_nabla_a(ctx, warn_non_type_a=False)
+    ctx = CurvatureContext(acs, (f * diag) @ f.T, spec.c)
+    nabla = None if swapped else type_a_nabla_a(ctx, warn_non_type_a=False)
     return ModelInstance(spec, ctx, table, nabla, basis)
 
 
@@ -368,53 +390,23 @@ def type_a_nabla_a(ctx: CurvatureContext, warn_non_type_a: bool = True) -> Nabla
     quarter = ctx.c / 4.0
     gram = acs.space.gram
     if warn_non_type_a:
-        beta = acs.norm(ctx.a_xi - ctx.alpha * acs.xi)
-        swap = float(np.max(np.abs(ctx.shape_operator @ acs.phi
-                                   - acs.phi @ ctx.shape_operator)))
-        tol = 1e-9 * (1.0 + float(np.linalg.norm(ctx.shape_operator)))
-        if beta > tol or swap > tol:
+        dec = decompose_A_xi(ctx)
+        swap = float(np.max(np.abs(commutator(ctx.shape_operator, acs.phi))))
+        if not dec.is_hopf or swap > dec.tolerance:
             warnings.warn("shape operator is not type A; the provider is "
                           "Codazzi-consistent but not this context's geometry",
                           stacklevel=2)
-
-    def fn(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        px = acs.phi @ x
-        return -quarter * (acs.eta_of(y) * px + acs.g(px, y) * acs.xi)
 
     def endo(w: np.ndarray) -> np.ndarray:
         pw = acs.phi @ w
         return -quarter * (np.outer(pw, acs.eta) + np.outer(acs.xi, gram @ pw))
 
-    return NablaAProvider(fn, acs.dim, endomorphism_fn=endo)
+    return endo
 
 
 def catalog_rows() -> list[dict]:
-    """Static catalog documentation rows for the listing subcommand."""
-    return [
-        {"ambient": "CH", "family": "A0", "core": "horosphere",
-         "radius_domain": "none (radius-free)",
-         "alpha": "2s", "eigenvalues": "s x (2n-2)"},
-        {"ambient": "CP", "family": "A1", "core": "point / complex hyperplane",
-         "radius_domain": "0 < s r < pi/2",
-         "alpha": "2s cot(2 s r)", "eigenvalues": "s cot(s r) x (2n-2)"},
-        {"ambient": "CH", "family": "A1", "core": "point (k=0) / complex hyperplane (k=n-1)",
-         "radius_domain": "r > 0",
-         "alpha": "2s coth(2 s r)",
-         "eigenvalues": "s coth(s r) x (2n-2) | s tanh(s r) x (2n-2)"},
-        {"ambient": "CP", "family": "A2", "core": "totally geodesic complex k-subspace",
-         "radius_domain": "0 < s r < pi/2, 1 <= k <= n-2",
-         "alpha": "2s cot(2 s r)",
-         "eigenvalues": "s cot(s r) x 2(n-1-k), -s tan(s r) x 2k"},
-        {"ambient": "CH", "family": "A2", "core": "totally geodesic complex k-subspace",
-         "radius_domain": "r > 0, 1 <= k <= n-2",
-         "alpha": "2s coth(2 s r)",
-         "eigenvalues": "s coth(s r) x 2(n-1-k), s tanh(s r) x 2k"},
-        {"ambient": "CP", "family": "B", "core": "complex quadric (negative control)",
-         "radius_domain": "0 < s r < pi/4",
-         "alpha": "2s cot(2 s r)",
-         "eigenvalues": "s cot(s r - pi/4), s cot(s r + pi/4), phi-swapped x (n-1) each"},
-        {"ambient": "CH", "family": "B", "core": "real form (negative control)",
-         "radius_domain": "r > 0",
-         "alpha": "2s tanh(2 s r)",
-         "eigenvalues": "s coth(s r), s tanh(s r), phi-swapped x (n-1) each"},
-    ]
+    """Documentation rows of FAMILY_TABLE for the listing subcommand."""
+    return [{"ambient": ambient, "family": family, "core": e.core,
+             "radius_domain": e.radius_domain, "alpha": e.alpha_doc,
+             "eigenvalues": e.eigenvalues_doc}
+            for (ambient, family), e in FAMILY_TABLE.items()]

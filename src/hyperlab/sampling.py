@@ -11,62 +11,48 @@ from .curvature_engine import CurvatureContext
 from .tensor_core import AlmostContactStructure, build_phi_basis, random_structure
 
 
-def random_gram(dim: int, rng: np.random.Generator, spread: float = 0.3) -> np.ndarray:
+def random_gram(dim: int, rng: np.random.Generator) -> np.ndarray:
     """A well-conditioned symmetric positive-definite Gram matrix."""
     s = rng.standard_normal((dim, dim))
     s = (s + s.T) / 2.0
     s = s / max(float(np.linalg.norm(s, 2)), 1e-12)
-    return np.eye(dim) + spread * s
+    return np.eye(dim) + 0.3 * s
 
 
-def random_nonzero_c(rng: np.random.Generator, lo: float = 0.5, hi: float = 8.0) -> float:
-    c = float(rng.uniform(lo, hi))
+def random_nonzero_c(rng: np.random.Generator) -> float:
+    c = float(rng.uniform(0.5, 8.0))
     return c if rng.integers(2) == 0 else -c
 
 
-def random_unit_ker_eta(acs: AlmostContactStructure, rng: np.random.Generator) -> np.ndarray:
-    """A g-unit vector in ker(eta) (the g-orthogonal complement of xi)."""
-    while True:
-        v = rng.standard_normal(acs.dim)
-        v = v - acs.g(v, acs.xi) * acs.xi
-        nrm = acs.norm(v)
-        if nrm > 1e-6:
-            return v / nrm
-
-
-def random_symmetric_shape(acs: AlmostContactStructure, rng: np.random.Generator,
-                           scale: float = 1.0) -> np.ndarray:
+def random_symmetric_shape(acs: AlmostContactStructure,
+                           rng: np.random.Generator) -> np.ndarray:
     """A random g-symmetric endomorphism (no Hopf constraint)."""
     basis = build_phi_basis(acs, rng=rng)
     f = basis.matrix
-    s = rng.standard_normal((acs.dim, acs.dim)) * scale
+    s = rng.standard_normal((acs.dim, acs.dim))
     s = (s + s.T) / 2.0
     return f @ s @ (f.T @ acs.space.gram)
 
 
-def random_hopf_shape(acs: AlmostContactStructure, rng: np.random.Generator,
-                      alpha: float | None = None, scale: float = 1.0) -> np.ndarray:
-    """A random g-symmetric endomorphism with A xi = alpha xi."""
+def random_hopf_shape(acs: AlmostContactStructure, rng: np.random.Generator) -> np.ndarray:
+    """A random g-symmetric endomorphism with A xi = alpha xi, alpha uniform in [-2, 2]."""
     basis = build_phi_basis(acs, rng=rng)
     f = basis.matrix
     k = acs.dim - 1
     s = np.zeros((acs.dim, acs.dim))
-    blk = rng.standard_normal((k, k)) * scale
+    blk = rng.standard_normal((k, k))
     s[:k, :k] = (blk + blk.T) / 2.0
-    s[k, k] = float(rng.uniform(-2.0, 2.0)) if alpha is None else alpha
+    s[k, k] = float(rng.uniform(-2.0, 2.0))
     return f @ s @ (f.T @ acs.space.gram)
 
 
-def random_context(n: int, rng: np.random.Generator, c: float | None = None,
-                   gram: np.ndarray | None = None) -> CurvatureContext:
-    acs = random_structure(n, rng, gram=gram)
+def random_context(n: int, rng: np.random.Generator) -> CurvatureContext:
+    acs = random_structure(n, rng)
     a = random_symmetric_shape(acs, rng)
-    return CurvatureContext(acs, a, random_nonzero_c(rng) if c is None else c)
+    return CurvatureContext(acs, a, random_nonzero_c(rng))
 
 
-def random_hopf_context(n: int, rng: np.random.Generator, c: float | None = None,
-                        alpha: float | None = None,
-                        gram: np.ndarray | None = None) -> CurvatureContext:
-    acs = random_structure(n, rng, gram=gram)
-    a = random_hopf_shape(acs, rng, alpha=alpha)
-    return CurvatureContext(acs, a, random_nonzero_c(rng) if c is None else c)
+def random_hopf_context(n: int, rng: np.random.Generator) -> CurvatureContext:
+    acs = random_structure(n, rng)
+    a = random_hopf_shape(acs, rng)
+    return CurvatureContext(acs, a, random_nonzero_c(rng))

@@ -202,7 +202,7 @@ def validate_acs(acs: AlmostContactStructure) -> dict[str, float]:
 class PhiBasis:
     """g-orthonormal frame adapted to phi: V_1..V_{n-1}, phiV_1..phiV_{n-1}, xi.
 
-    Entry n-1+i is phi applied to entry i, exactly as constructed (no
+    Column n-1+i is phi applied to column i, exactly as constructed (no
     re-orthonormalization of the phi images).
     """
 
@@ -212,32 +212,13 @@ class PhiBasis:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _read_only(self.matrix))
 
-    @property
-    def vectors(self) -> list[np.ndarray]:
-        return [self.matrix[:, j] for j in range(self.matrix.shape[1])]
-
-    @property
-    def xi(self) -> np.ndarray:
-        return self.matrix[:, -1]
-
-    def v(self, i: int) -> np.ndarray:
-        return self.matrix[:, i]
-
-    def phi_v(self, i: int) -> np.ndarray:
-        return self.matrix[:, self.n - 1 + i]
-
     def ker_eta(self) -> list[np.ndarray]:
         return [self.matrix[:, j] for j in range(2 * (self.n - 1))]
-
-    def gram_residual(self, space: TangentSpace) -> float:
-        m = self.matrix
-        return float(np.max(np.abs(m.T @ space.gram @ m - np.eye(space.dim))))
 
 
 def build_phi_basis(acs: AlmostContactStructure,
                     seeds: list[np.ndarray] | None = None,
-                    rng: np.random.Generator | None = None,
-                    tol: float = 1e-8) -> PhiBasis:
+                    rng: np.random.Generator | None = None) -> PhiBasis:
     """Complete xi to a phi-adapted g-orthonormal basis.
 
     Each new V_i comes from the next seed, projected g-orthogonally onto
@@ -276,7 +257,7 @@ def build_phi_basis(acs: AlmostContactStructure,
         for b in chosen:
             w = w - acs.g(w, b) * b
         nrm = acs.norm(w)
-        if nrm <= tol:
+        if nrm <= 1e-8:
             if explicit:
                 raise DegenerateSeedError("seed lies (numerically) in the span already chosen")
             continue
@@ -294,12 +275,3 @@ def nabla_xi(acs: AlmostContactStructure, shape_operator: np.ndarray,
     a = _check_matrix(shape_operator, acs.dim, "shape_operator")
     return acs.phi @ (a @ _check_vector(x, acs.dim, "x"))
 
-
-def nabla_phi(acs: AlmostContactStructure, shape_operator: np.ndarray,
-              x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Covariant derivative of phi: (nabla_x phi)y = eta(y) A x - g(A x, y) xi."""
-    a = _check_matrix(shape_operator, acs.dim, "shape_operator")
-    x = _check_vector(x, acs.dim, "x")
-    y = _check_vector(y, acs.dim, "y")
-    ax = a @ x
-    return acs.eta_of(y) * ax - acs.g(ax, y) * acs.xi

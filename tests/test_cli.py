@@ -61,6 +61,18 @@ def test_verify_alpha_zero_radius_indeterminate(capsys):
     assert rep["spectral"]["alpha_is_zero"] is True
 
 
+def test_verify_alpha_just_past_zero_radius_agrees_with_catalog(capsys):
+    # pi/4 + 1e-11 is a valid CP model with alpha = -4e-11: the catalog and
+    # the verdict pipeline share one alpha-vanishes predicate
+    code, rep = _report(capsys, ["verify", "--ambient", "CP", "--n", "3",
+                                 "--family", "A1", "--radius", "0.7853981634074483",
+                                 "--deterministic"])
+    assert code == 0
+    assert rep["spectral"]["alpha_is_zero"] is False
+    assert rep["theorem"]["verdict"] == rep["theorem"]["expected_verdict"] \
+        == "type-A-compatible"
+
+
 def test_verify_check_subset_and_structure_emission(capsys):
     code, rep = _report(capsys, ["verify", "--ambient", "CP", "--n", "2",
                                  "--family", "A1", "--radius", "0.5",
@@ -168,6 +180,18 @@ def test_jet_config_mapping_path(capsys, tmp_path):
     assert rep["jet"]["d_alpha"]["U"] == 0.25
 
 
+def test_jet_config_non_finite_value_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "jet.cfg"
+    cfg.write_text("dalpha_U = nan\n")
+    code = run(["jet", "--alpha", "1.0", "--beta", "1.0", "--c", "4.0",
+                "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "dalpha_U" in err
+
+
 def test_deterministic_runs_are_byte_identical(capsys):
     argv = ["verify", "--ambient", "CH", "--n", "3", "--family", "A2",
             "--radius", "1.3", "--k", "1", "--deterministic"]
@@ -244,6 +268,7 @@ def test_usage_errors_exit_two(capsys):
     ["oracle", "riccati", "--kappa", "nan", "--r", "1"],
     ["jet", "--alpha", "nan", "--beta", "1", "--c", "4"],
     ["verify", "--ambient", "CH", "--n", "3", "--family", "A1", "--radius", "inf"],
+    ["jet", "--alpha", "1e-200", "--beta", "1", "--c", "4"],  # alpha**2 underflows
 ])
 def test_non_finite_flags_are_usage_errors(capsys, argv):
     code = run(argv)

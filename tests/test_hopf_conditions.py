@@ -46,7 +46,7 @@ def test_decompose_hopf_diagonal():
     assert dec.alpha == 3.0
     assert dec.beta == 0.0
     assert dec.u is None
-    assert np.allclose(dec.reconstruct(ctx.acs.xi), ctx.a_xi, atol=0)
+    assert np.allclose(dec.alpha * ctx.acs.xi, ctx.a_xi, atol=0)
 
 
 def test_decompose_tilted():
@@ -58,7 +58,7 @@ def test_decompose_tilted():
     e0 = np.zeros(5)
     e0[0] = 1.0
     assert np.allclose(dec.u, e0, atol=1e-15)
-    assert np.allclose(dec.reconstruct(ctx.acs.xi), ctx.a_xi, atol=1e-15)
+    assert np.allclose(dec.alpha * ctx.acs.xi + dec.beta * dec.u, ctx.a_xi, atol=1e-15)
 
 
 def test_decompose_threshold_scales_with_operator():
@@ -86,19 +86,10 @@ def test_l_a_commute_subspaces():
     ctx = _diag_context([1.0, 2.0, 1.0, 2.0, 3.0])
     for subspace in (KER_ETA, SPAN_XI, ALL):
         assert check_l_A_commute(ctx, subspace).passed
-    tilted = _tilted_context()
-    plain = check_l_A_commute(tilted, SPAN_XI)
-    strict = check_l_A_commute(tilted, SPAN_XI, strict=True)
-    assert strict.residual >= plain.residual
-    assert not strict.passed
-
-
-def test_l_a_strict_matches_plain_on_hopf(rng):
-    ctx = random_hopf_context(3, rng)
-    plain = check_l_A_commute(ctx, SPAN_XI)
-    strict = check_l_A_commute(ctx, SPAN_XI, strict=True)
-    assert strict.residual >= plain.residual
-    assert strict.passed == plain.passed
+    # A xi = xi + 0.5 V1 with l V1 = 0.75 V1 and l xi = 0: lA xi = 0.375 V1, Al xi = 0
+    rep = check_l_A_commute(_tilted_context(), SPAN_XI)
+    assert not rep.passed
+    assert abs(rep.residual - 0.5 * 0.75) <= 1e-12
 
 
 def test_subspace_name_is_checked():

@@ -1,10 +1,12 @@
 """Model catalog: spec validation, spectral tables, the Riccati oracle, instantiation."""
+import json
 import math
 
 import numpy as np
 import pytest
 
 from hyperlab import (
+    FAMILY_TABLE,
     CatalogError,
     FocalPointError,
     ModelSpec,
@@ -19,6 +21,7 @@ from hyperlab import (
     type_a_nabla_a,
     validate_acs,
 )
+from hyperlab.cli import run
 
 ALL_SPECS = [
     ModelSpec("CP", 2, "A1", radius=0.5),
@@ -142,7 +145,7 @@ def test_spectral_tables_spot_values():
 def test_spectral_table_bookkeeping():
     t = principal_curvatures(ModelSpec("CP", 3, "A2", radius=0.8, k=1))
     assert t.multiplicity_total() == 4
-    assert len(t.eigenvalues()) == 2  # distinct ker(eta) values
+    assert len(t.entries) == 2  # distinct ker(eta) values
     block = t.to_jsonable()
     assert block["alpha"] == t.alpha
     assert len(block["entries"]) == 2
@@ -159,11 +162,6 @@ def test_every_model_passes_construction_oracle():
 def test_coarse_step_trips_oracle():
     with pytest.raises(OracleMismatchError):
         principal_curvatures(ModelSpec("CP", 3, "A1", radius=0.9), step=1e-2)
-
-
-def test_oracle_opt_out_skips_deviation():
-    t = principal_curvatures(ModelSpec("CP", 2, "A1", radius=0.5), oracle_check=False)
-    assert t.oracle_deviation is None
 
 
 def test_alpha_zero_radius_is_flagged():
@@ -236,8 +234,32 @@ def test_type_a_provider_warns_on_non_commuting_shape():
         type_a_nabla_a(inst.ctx)
 
 
-def test_catalog_rows_cover_all_families():
+def test_catalog_rows_cover_all_families(capsys):
     rows = catalog_rows()
     families = {(r["ambient"], r["family"]) for r in rows}
     assert families == {("CP", "A1"), ("CP", "A2"), ("CP", "B"),
                         ("CH", "A0"), ("CH", "A1"), ("CH", "A2"), ("CH", "B")}
+    assert [(r["ambient"], r["family"]) for r in rows] == list(FAMILY_TABLE)
+    # every table entry, at mid-domain and each admissible k, passes the oracle
+    n = 4
+    for (ambient, family), entry in FAMILY_TABLE.items():
+        for k in entry.ks(n):
+            if entry.sr_max is None:
+                radius = None
+            else:
+                radius = 0.4 * min(entry.sr_max, 2.0)  # s = 1 at the default c
+            spec = ModelSpec(ambient, n, family, radius=radius, k=k)
+            inst = instantiate(spec, seed=3)
+            assert inst.spectral.oracle_deviation <= 1e-6
+            assert inst.spectral.multiplicity_total() == 2 * n - 2
+            assert (inst.nabla_a is None) == entry.phi_swapped
+    # every pair outside the table is refused
+    for ambient in ("CP", "CH", "XX"):
+        for family in ("A0", "A1", "A2", "B", "C"):
+            if (ambient, family) not in FAMILY_TABLE:
+                with pytest.raises(CatalogError):
+                    ModelSpec(ambient, n, family, radius=0.5)
+    # the catalog subcommand prints one row per entry
+    assert run(["catalog", "--deterministic"]) == 0
+    printed = json.loads(capsys.readouterr().out)["catalog"]
+    assert [(r["ambient"], r["family"]) for r in printed] == list(FAMILY_TABLE)
