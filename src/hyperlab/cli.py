@@ -159,7 +159,9 @@ def to_markdown(report: dict) -> str:
 
 # ------------------------------------------------------------ config layer
 
-BOOL_KEYS = ("deterministic", "flip_normal", "emit_structure")
+_BOOL_KEYS = ("deterministic", "flip_normal", "emit_structure")
+# Namespace entries the parser itself sets; a file must not override them.
+_PARSER_KEYS = ("command", "oracle_command", "leaf")
 
 
 def _as_bool(raw: str) -> bool:
@@ -299,8 +301,9 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config:
         config = load_config(args.config)
-        args.leaf.set_defaults(**{key: _as_bool(raw) if key in BOOL_KEYS else raw
-                                  for key, raw in config.items()})
+        args.leaf.set_defaults(**{key: _as_bool(raw) if key in _BOOL_KEYS else raw
+                                  for key, raw in config.items()
+                                  if key not in _PARSER_KEYS})
         args = parser.parse_args(argv)
     return args
 
@@ -580,14 +583,14 @@ def cmd_jet(args: argparse.Namespace) -> tuple[dict, int]:
 
 # ------------------------------------------------------------- entry points
 
-COMMANDS = {"catalog": cmd_catalog, "verify": cmd_verify, "random": cmd_random,
-            "oracle": cmd_oracle_riccati, "jet": cmd_jet}
+_COMMANDS = {"catalog": cmd_catalog, "verify": cmd_verify, "random": cmd_random,
+             "oracle": cmd_oracle_riccati, "jet": cmd_jet}
 
 
 def run(argv: list[str] | None = None) -> int:
     try:
         args = _parse(argv)
-        report, code = COMMANDS[args.command](args)
+        report, code = _COMMANDS[args.command](args)
         _emit(report, args)
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 2

@@ -276,11 +276,12 @@ def jet_residuals(jet: LocalJet, tol: float | None = None) -> list[JetRow]:
 def w1_norm_identity(c: float, alpha: float, beta: float, w1_norm_sq: float) -> float:
     """Left side of the norm identity for W1 on the k3 = 0 branch; zero when it holds.
 
-    12 (5 alpha^2 + beta^2) c + 64 alpha^4 - 16 alpha^2 (|W1|^2 + 3 beta^2) - 3 c^2.
+    12 (5 alpha^2 + beta^2) c + 64 alpha^4 - 3 c^2 - 48 alpha^2 beta^2
+    - 16 alpha^2 |W1|^2; at |W1|^2 = 0 it is exactly the numerator of
+    implied_w1_norm_sq.
     """
-    a, b = alpha, beta
-    return (12.0 * (5.0 * a * a + b * b) * c + 64.0 * a ** 4
-            - 16.0 * a * a * (w1_norm_sq + 3.0 * b * b) - 3.0 * c * c)
+    return (12.0 * (5.0 * alpha ** 2 + beta ** 2) * c + 64.0 * alpha ** 4
+            - 3.0 * c ** 2 - 48.0 * alpha ** 2 * beta ** 2 - 16.0 * alpha ** 2 * w1_norm_sq)
 
 
 def implied_w1_norm_sq(c: float, alpha: float, beta: float) -> float:
@@ -290,7 +291,7 @@ def implied_w1_norm_sq(c: float, alpha: float, beta: float) -> float:
     close the identity at these scalars.
     """
     _require_alpha(alpha, "the norm identity")
-    return w1_norm_identity(c, alpha, beta, 0.0) / (16.0 * alpha * alpha)
+    return w1_norm_identity(c, alpha, beta, 0.0) / (16.0 * alpha ** 2)
 
 
 @dataclass(frozen=True)

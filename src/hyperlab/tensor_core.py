@@ -274,4 +274,3 @@ def nabla_xi(acs: AlmostContactStructure, shape_operator: np.ndarray,
     """Covariant derivative of xi along x: phi(A x)."""
     a = _check_matrix(shape_operator, acs.dim, "shape_operator")
     return acs.phi @ (a @ _check_vector(x, acs.dim, "x"))
-

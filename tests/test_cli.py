@@ -231,9 +231,10 @@ def test_out_file_writes_report(capsys, tmp_path):
 def test_config_file_supplies_and_flag_overrides(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("ambient = CP\nn = 2\nfamily = A1\nradius = 0.5\n"
-                   "deterministic = true\n")
+                   "deterministic = true\ncommand = catalog\n")
     code, rep = _report(capsys, ["verify", "--config", str(cfg)])
     assert code == 0
+    assert rep["command"] == "verify"  # the subcommand comes from argv only
     assert rep["config"]["radius"] == 0.5
     assert "timestamp" not in rep
     code, rep = _report(capsys, ["verify", "--config", str(cfg),

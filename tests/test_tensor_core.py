@@ -150,4 +150,3 @@ def test_nabla_xi_formula(rng):
     a = a + a.T
     x = rng.standard_normal(5)
     assert np.allclose(nabla_xi(acs, a, x), acs.phi @ (a @ x), atol=0)
-
