@@ -352,7 +352,7 @@ def contradiction_certificate(c: float, alpha: float, beta: float,
 
 
 _MAPPING_KEYS = {
-    "alpha": None, "beta": None, "c": None, "gamma": "gamma", "lambda": "lam",
+    "alpha": "alpha", "beta": "beta", "c": "c", "gamma": "gamma", "lambda": "lam",
     "lam": "lam", "kappa1": "kappa1", "kappa2": "kappa2", "kappa3": "kappa3",
     "dalpha_xi": ("d_alpha", "xi"), "dalpha_U": ("d_alpha", "U"),
     "dalpha_phiU": ("d_alpha", "phiU"), "dalpha_phiW2": ("d_alpha", "phiW2"),
@@ -384,7 +384,7 @@ def jet_from_mapping(mapping: dict) -> LocalJet:
         except (TypeError, ValueError):
             raise JetError(f"jet value {key} = {raw!r} is not a number") from None
         _require(math.isfinite(value), f"jet value {key} = {raw!r} must be finite")
-        target = _MAPPING_KEYS[key] or key
+        target = _MAPPING_KEYS[key]
         if isinstance(target, tuple):
             kwargs[target[0]][target[1]] = value
         else:
