@@ -1,7 +1,7 @@
 """Golden reports: deterministic CLI output compared byte for byte.
 
 Each case is an argv and its expected exit code; the expected stdout lives
-in tests/golden/<name>.<format>.  A speed-up or refactor must leave these
+in tests/golden/<name>.json, or <name>.md for a `--format markdown` case.  A speed-up or refactor must leave these
 bytes alone; a change that alters a report on purpose regenerates the
 cases it meant to change with `PYTHONPATH=src python tests/test_golden.py
 NAME ...` (no NAME: every case) and explains the diff.
@@ -54,7 +54,23 @@ CASES.update({
                               "--deterministic"], 0),
     "oracle-riccati-focal": (["oracle", "riccati", "--kappa", "4.0", "--r", "1.6",
                               "--deterministic"], 1),
+    "random-dim5-s50-seed3": (["random", "--dim", "5", "--samples", "50", "--seed", "3",
+                               "--deterministic"], 0),
+    "verify-CP-n4-A2-k2-r0.6-checks": (
+        ["verify", "--ambient", "CP", "--n", "4", "--family", "A2", "--k", "2",
+         "--radius", "0.6", "--checks",
+         "phi-l-commute,l-A-commute,nabla-xi-l,mu-vanishes,theorem-verdict",
+         "--deterministic"], 0),
+    "verify-CP-n4-A2-k2-r0.6-markdown": (
+        ["verify", "--ambient", "CP", "--n", "4", "--family", "A2", "--k", "2",
+         "--radius", "0.6", "--format", "markdown", "--deterministic"], 0),
 })
+
+
+def _golden_path(name: str) -> pathlib.Path:
+    argv = CASES[name][0]
+    markdown = "--format" in argv and argv[argv.index("--format") + 1] == "markdown"
+    return GOLDEN_DIR / f"{name}.{'md' if markdown else 'json'}"
 
 
 def _render(argv: list[str]) -> tuple[int, str]:
@@ -69,7 +85,7 @@ def test_golden_report(name):
     argv, expected_code = CASES[name]
     code, text = _render(argv)
     assert code == expected_code
-    assert text.encode("utf-8") == (GOLDEN_DIR / f"{name}.json").read_bytes()
+    assert text.encode("utf-8") == _golden_path(name).read_bytes()
 
 
 def regenerate(names: list[str]) -> None:
@@ -83,7 +99,7 @@ def regenerate(names: list[str]) -> None:
         code, text = _render(argv)
         if code != expected_code:
             raise SystemExit(f"{name}: exit {code}, expected {expected_code}")
-        path = GOLDEN_DIR / f"{name}.json"
+        path = _golden_path(name)
         data = text.encode("utf-8")
         if path.exists() and path.read_bytes() == data:
             print(f"unchanged {path.name}")
