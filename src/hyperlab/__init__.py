@@ -35,7 +35,6 @@ from .curvature_engine import (
     jacobi_from_curvature,
     jacobi_operator,
     nabla_l,
-    zero_nabla_a,
 )
 from .sampling import (
     random_context,
@@ -46,7 +45,6 @@ from .sampling import (
     random_symmetric_shape,
 )
 from .hopf_conditions import (
-    ALL,
     KER_ETA,
     SPAN_XI,
     VERDICT_HYPOTHESIS_FAILS,

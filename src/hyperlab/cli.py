@@ -27,11 +27,9 @@ import numpy as np
 from . import __version__
 from .curvature_engine import (MissingNablaAError, codazzi_residual, commutator,
                                gauss_curvature, jacobi_operator)
-from .hopf_conditions import (KER_ETA, SPAN_XI, NotHopfError,
-                              VERDICT_HYPOTHESIS_FAILS, VERDICT_INDETERMINATE,
-                              VERDICT_TYPE_A, check_l_A_commute, check_nabla_xi_l,
-                              check_phi_l_commute, classify, decompose_A_xi,
-                              theorem_pipeline)
+from .hopf_conditions import (NotHopfError, VERDICT_HYPOTHESIS_FAILS,
+                              VERDICT_INDETERMINATE, VERDICT_TYPE_A, classify,
+                              decompose_A_xi, theorem_pipeline)
 from .lemma_lab import (_MAPPING_KEYS, JetError, consistent_jet, contradiction_certificate,
                         jet_from_mapping, jet_residuals)
 from .model_catalog import (AMBIENTS, CatalogError, DEFAULT_STEP, FAMILIES, FocalPointError,
@@ -336,12 +334,6 @@ def _emit(report: dict, args: argparse.Namespace):
         sys.stdout.write(text)
 
 
-def _row(report, expected: bool = True) -> dict:
-    out = report.to_jsonable()
-    out["expected"] = expected
-    return out
-
-
 # ------------------------------------------------------------- commands
 
 def cmd_catalog(args: argparse.Namespace) -> tuple[dict, int]:
@@ -383,14 +375,26 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
 
     rows: list[dict] = []
 
+    def add_row(row: dict):
+        row["expected"] = (row["check"], row["subspace"]) not in expected_false
+        rows.append(row)
+
     def add(name, subspace, residual, tolerance, extra: dict | None = None):
         row = {"check": name, "subspace": subspace, "residual": float(residual),
                "tolerance": float(tolerance),
                "pass": bool(float(residual) <= float(tolerance))}
         if extra:
             row.update(extra)
-        row["expected"] = (name, subspace) not in expected_false
-        rows.append(row)
+        add_row(row)
+
+    # phi-l-commute, l-A-commute and nabla-xi-l rows, and mu-vanishes from the
+    # latter, are the classification's own reports, each computed once
+    cls = classify(ctx, inst.nabla_a, tol)
+    for rep in cls.reports.values():
+        if rep.name in names:
+            add_row(rep.to_jsonable())
+        if rep.name == "nabla-xi-l" and "mu-vanishes" in names:
+            add("mu-vanishes", rep.subspace, abs(rep.mu), tol)
 
     if "structure-axioms" in names:
         add("structure-axioms", "all", max(validate_acs(acs).values()), tol)
@@ -401,13 +405,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     if "shape-phi-commute" in names:
         swap = float(np.max(np.abs(commutator(ctx.shape_operator, acs.phi))))
         add("shape-phi-commute", "all", swap, tol)
-    if "phi-l-commute" in names:
-        for subspace in (KER_ETA, SPAN_XI):
-            rows.append(_row(check_phi_l_commute(ctx, subspace, tol),
-                             expected=("phi-l-commute", subspace) not in expected_false))
-    if "l-A-commute" in names:
-        for subspace in (KER_ETA, SPAN_XI):
-            rows.append(_row(check_l_A_commute(ctx, subspace, tol)))
     if "jacobi-cross-check" in names:
         add("jacobi-cross-check", "all", ctx.l_path_gap, tol)
     if "spectral-oracle" in names and inst.spectral.oracle_deviation is not None:
@@ -419,22 +416,14 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         if skipped:
             notes.append(", ".join(skipped) + f" omitted: family {spec.family} "
                          "ships no derivative provider")
-    else:
-        if "nabla-xi-l" in names or "mu-vanishes" in names:
-            for subspace in (KER_ETA, SPAN_XI):
-                rep = check_nabla_xi_l(ctx, inst.nabla_a, subspace, tol)
-                if "nabla-xi-l" in names:
-                    rows.append(_row(rep))
-                if "mu-vanishes" in names:
-                    add("mu-vanishes", subspace, abs(rep.mu), tol)
-        if "codazzi" in names:
-            rng = np.random.default_rng(seed + 1)
-            worst = 0.0
-            for _ in range(samples):
-                x = rng.standard_normal(ctx.dim)
-                y = rng.standard_normal(ctx.dim)
-                worst = max(worst, acs.norm(codazzi_residual(ctx, inst.nabla_a, x, y)))
-            add("codazzi", "all", worst, tol)
+    elif "codazzi" in names:
+        rng = np.random.default_rng(seed + 1)
+        worst = 0.0
+        for _ in range(samples):
+            x = rng.standard_normal(ctx.dim)
+            y = rng.standard_normal(ctx.dim)
+            worst = max(worst, acs.norm(codazzi_residual(ctx, inst.nabla_a, x, y)))
+        add("codazzi", "all", worst, tol)
 
     if "theorem-verdict" in names:
         verdict = theorem_pipeline(ctx, tol)
@@ -450,7 +439,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         block["expected_verdict"] = expected_verdict
         report["theorem"] = block
 
-    cls = classify(ctx, inst.nabla_a, tol)
     report["classification"] = {"labels": sorted(cls.labels),
                                 "unknown": sorted(cls.unknown)}
     if notes:

@@ -112,11 +112,6 @@ NablaAProvider = Callable[[np.ndarray], np.ndarray]
 """W -> matrix of Y -> (nabla_W A)Y, with g((nabla_W A)Y, Z) symmetric in Y, Z."""
 
 
-def zero_nabla_a(dim: int) -> NablaAProvider:
-    """The provider of a parallel shape operator (nabla A identically zero)."""
-    return lambda w: np.zeros((dim, dim))
-
-
 def gauss_curvature(ctx: CurvatureContext, x: np.ndarray, y: np.ndarray,
                     z: np.ndarray) -> np.ndarray:
     """R(X,Y)Z from the Gauss equation of the hypersurface."""

@@ -30,7 +30,6 @@ from .tensor_core import DEFAULT_TOL, build_phi_basis
 
 KER_ETA = "ker-eta"
 SPAN_XI = "span-xi"
-ALL = "all"
 
 
 class NotHopfError(ValueError):
@@ -118,12 +117,9 @@ def _subspace_vectors(ctx: CurvatureContext, subspace: str) -> list[np.ndarray]:
     """Deterministic g-orthonormal test vectors spanning the subspace."""
     if subspace == SPAN_XI:
         return [ctx.acs.xi]
-    if subspace not in (KER_ETA, ALL):
+    if subspace != KER_ETA:
         raise ValueError(f"unknown subspace {subspace!r}")
-    vecs = list(ctx.ker_eta_basis.T)
-    if subspace == ALL:
-        vecs = vecs + [ctx.acs.xi]
-    return vecs
+    return list(ctx.ker_eta_basis.T)
 
 
 def check_phi_l_commute(ctx: CurvatureContext, subspace: str = KER_ETA,
@@ -170,7 +166,7 @@ def check_nabla_xi_l(ctx: CurvatureContext, nabla_a: NablaAProvider,
 
 @dataclass(frozen=True)
 class Classification:
-    """Condition-class membership: labels that hold, labels that are undecidable."""
+    """Condition-class membership and the six condition reports it rests on."""
 
     labels: frozenset[str]
     unknown: frozenset[str]
@@ -179,44 +175,32 @@ class Classification:
 
 def classify(ctx: CurvatureContext, nabla_a: NablaAProvider | None = None,
              tol: float | None = None) -> Classification:
-    """Assign the commutation/derivative condition classes.
+    """Run every condition check once and assign the condition classes.
 
     A: phi l = l phi and lA = Al on ker(eta).
     B: phi l = l phi and lA = Al on span{xi}.
     C: phi l = l phi and (nabla_xi l) = mu xi on ker(eta).
     D: phi l = l phi and (nabla_xi l) = mu xi on span{xi}.
 
-    C and D need a nabla-A provider; without one they are "unknown" unless
-    the shared phi-commutation condition already fails, which settles them.
-    Loosening the tolerance never removes a label.
+    reports holds phi-l and l-A on both subspaces and, given a nabla-A
+    provider, nabla-xi-l on both, keyed "<check>/<subspace>".  Without a
+    provider C and D are "unknown" unless the shared phi-commutation
+    condition already fails, which settles them.  Loosening the tolerance
+    never removes a label.
     """
     reports: dict[str, ConditionReport] = {}
-    r_phi = check_phi_l_commute(ctx, KER_ETA, tol)
-    reports["phi-l/ker-eta"] = r_phi
-    r_a = check_l_A_commute(ctx, KER_ETA, tol)
-    reports["l-A/ker-eta"] = r_a
-    r_b = check_l_A_commute(ctx, SPAN_XI, tol)
-    reports["l-A/span-xi"] = r_b
+    for subspace in (KER_ETA, SPAN_XI):
+        reports[f"phi-l/{subspace}"] = check_phi_l_commute(ctx, subspace, tol)
+        reports[f"l-A/{subspace}"] = check_l_A_commute(ctx, subspace, tol)
+        if nabla_a is not None:
+            reports[f"nabla-xi-l/{subspace}"] = check_nabla_xi_l(ctx, nabla_a, subspace, tol)
 
-    labels = set()
-    unknown = set()
-    if r_phi.passed and r_a.passed:
-        labels.add("A")
-    if r_phi.passed and r_b.passed:
-        labels.add("B")
-    if not r_phi.passed:
-        pass  # C and D share the failed hypothesis: settled, not unknown
-    elif nabla_a is None:
-        unknown.update({"C", "D"})
-    else:
-        r_c = check_nabla_xi_l(ctx, nabla_a, KER_ETA, tol)
-        reports["nabla-xi-l/ker-eta"] = r_c
-        r_d = check_nabla_xi_l(ctx, nabla_a, SPAN_XI, tol)
-        reports["nabla-xi-l/span-xi"] = r_d
-        if r_c.passed:
-            labels.add("C")
-        if r_d.passed:
-            labels.add("D")
+    shared = reports["phi-l/ker-eta"].passed
+    rules = {"A": "l-A/ker-eta", "B": "l-A/span-xi",
+             "C": "nabla-xi-l/ker-eta", "D": "nabla-xi-l/span-xi"}
+    labels = {label for label, key in rules.items()
+              if shared and key in reports and reports[key].passed}
+    unknown = {"C", "D"} if shared and nabla_a is None else set()
     return Classification(frozenset(labels), frozenset(unknown), reports)
 
 

@@ -19,7 +19,6 @@ from hyperlab import (
     jacobi_from_curvature,
     jacobi_operator,
     nabla_l,
-    zero_nabla_a,
 )
 from hyperlab.cli import run
 from hyperlab.sampling import random_context
@@ -132,6 +131,21 @@ def test_verify_derives_l_and_test_basis_once_per_context(monkeypatch):
     assert ell.tobytes() == jacobi_from_curvature(ctx).tobytes()
 
 
+def test_verify_runs_each_condition_check_once_per_subspace(monkeypatch):
+    # classify computes the six condition reports; the verify rows reuse them
+    import hyperlab.hopf_conditions as hc
+    counted = {fn.__name__: _count_calls(monkeypatch, fn)
+               for fn in (hc.check_phi_l_commute, hc.check_l_A_commute,
+                          hc.check_nabla_xi_l, nabla_l)}
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run(["verify", "--ambient", "CP", "--n", "30", "--family", "A2",
+                    "--k", "5", "--radius", "0.4", "--deterministic"])
+    assert code == 0
+    assert {name: len(calls) for name, calls in counted.items()} == {
+        "check_phi_l_commute": 2, "check_l_A_commute": 2,
+        "check_nabla_xi_l": 2, "nabla_l": 2}
+
+
 def test_jacobi_kills_xi_and_is_self_adjoint(rng):
     ctx = random_context(4, rng)
     ell = jacobi_operator(ctx)
@@ -154,7 +168,7 @@ def test_jacobi_cross_check_catches_broken_structure():
 def test_codazzi_residual_of_trivial_provider():
     # A parallel shape operator misses the curved right-hand side exactly.
     ctx = _flat_shape_context(n=2)
-    provider = zero_nabla_a(3)
+    provider = lambda w: np.zeros((3, 3))  # parallel A: nabla A = 0
     acs = ctx.acs
     e = np.eye(3)
     got = codazzi_residual(ctx, provider, e[0], acs.xi)
@@ -175,7 +189,7 @@ def test_nabla_l_product_rule_hand_value(rng):
     acs = canonical_structure(2)
     ctx = CurvatureContext(acs, np.eye(3), 4.0)
     w = rng.standard_normal(3)
-    got = nabla_l(ctx, zero_nabla_a(3), w)
+    got = nabla_l(ctx, lambda w: np.zeros((3, 3)), w)
     pw = acs.phi @ w
     want = -2.0 * (np.outer(acs.xi, pw) + np.outer(pw, acs.xi))
     assert np.allclose(got, want, atol=1e-14)
