@@ -34,6 +34,10 @@ NO_WITNESS = "no-witness-at-this-beta"
 
 FIRST_ORDER_DIRECTIONS = ("xi", "U", "phiU")
 
+JET_SCALAR_MAX = 1e50
+"""Largest |alpha|, |beta|, |c| a jet accepts: the jet formulas raise them to
+at most the fourth power, which stays near 1e200, far from float overflow."""
+
 
 class JetError(ValueError):
     """A local jet violates its open-set preconditions."""
@@ -42,6 +46,13 @@ class JetError(ValueError):
 def _require(cond: bool, msg: str):
     if not cond:
         raise JetError(msg)
+
+
+def _require_scalars(alpha: float, beta: float, c: float):
+    """alpha, beta and c within JET_SCALAR_MAX in magnitude (NaN fails too)."""
+    for name, value in (("alpha", alpha), ("beta", beta), ("c", c)):
+        _require(abs(value) <= JET_SCALAR_MAX,
+                 f"jet scalar {name} = {value!r} exceeds {JET_SCALAR_MAX:g} in magnitude")
 
 
 def _require_alpha(alpha: float, what: str):
@@ -103,6 +114,7 @@ class LocalJet:
 
 def rotation_coefficients(alpha: float, beta: float, c: float) -> tuple[float, float]:
     """Closed forms of k1 = g(nabla_xi U, phiU) and k2 = g(nabla_U U, phiU)."""
+    _require_scalars(alpha, beta, c)
     _require(alpha * beta != 0.0 and c != 0.0,
              "rotation coefficients need alpha, beta, c nonzero (alpha beta must not underflow)")
     k1 = -4.0 * alpha
@@ -139,6 +151,7 @@ def shape_connection_rows(alpha: float, beta: float, c: float) -> ShapeConnectio
     W1 = nabla_xi U, W2 = nabla_U U and the ker(eta) part W3 of
     nabla_phiU U, plus frame terms with the coefficients below.
     """
+    _require_scalars(alpha, beta, c)
     _require(alpha != 0.0, "the tilted shape table needs alpha != 0")
     q = c / (4.0 * alpha)
     a_uu = beta ** 2 / alpha - q
@@ -290,6 +303,7 @@ def implied_w1_norm_sq(c: float, alpha: float, beta: float) -> float:
     A negative return is already a contradiction: no real field W1 can
     close the identity at these scalars.
     """
+    _require_scalars(alpha, beta, c)
     _require_alpha(alpha, "the norm identity")
     return w1_norm_identity(c, alpha, beta, 0.0) / (16.0 * alpha ** 2)
 
@@ -334,6 +348,7 @@ def contradiction_certificate(c: float, alpha: float, beta: float,
                               w1_norm_sq: float | None = None,
                               tol: float = DEFAULT_TOL) -> ContradictionCertificate:
     """Evaluate both branch certificates at one scalar triple."""
+    _require_scalars(alpha, beta, c)
     _require(c != 0.0, "c must be nonzero")
     _require_alpha(alpha, "the certificate (it lives on the tilted set)")
     factor = c - 4.0 * alpha ** 2 - 2.0 * beta ** 2

@@ -35,6 +35,9 @@ from .tensor_core import build_phi_basis, canonical_structure, PhiBasis
 DEFAULT_STEP = 5e-5
 ORACLE_TOL = 1e-6
 BLOWUP_LIMIT = 1e6
+MAX_ORACLE_STEPS = 5_000_000
+"""Most RK4 steps one oracle call may take: over 10x the ~480k of a CH tube
+at s r = 12 and |c| = 1, the costliest catalog model that passes the oracle."""
 
 
 class CatalogError(ValueError):
@@ -56,7 +59,8 @@ def riccati_shape_evolution(kappa: float, r: float,
 
     Fixed-step classical RK4; this is the independent oracle the catalog
     closed forms are checked against, so it deliberately shares no code
-    with them.  |lambda| crossing 1e6 (a focal point) raises.
+    with them.  |lambda| crossing 1e6 (a focal point) raises, and so, before
+    any step, does an interval that needs more than MAX_ORACLE_STEPS steps.
     """
     r0, lam = float(lambda0[0]), float(lambda0[1])
     kappa = float(kappa)
@@ -67,7 +71,11 @@ def riccati_shape_evolution(kappa: float, r: float,
     span = float(r) - r0
     if span == 0.0:
         return lam
-    nsteps = max(1, math.ceil(abs(span) / step))
+    ratio = abs(span) / step
+    if not ratio <= MAX_ORACLE_STEPS:
+        raise ValueError(f"the oracle would take {ratio:.3g} steps of {step:.3g}, "
+                         f"more than the cap of {MAX_ORACLE_STEPS}")
+    nsteps = max(1, math.ceil(ratio))
     h = span / nsteps
     for _ in range(nsteps):
         k1 = -(lam * lam + kappa)

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -270,6 +271,8 @@ def test_usage_errors_exit_two(capsys):
     ["jet", "--alpha", "nan", "--beta", "1", "--c", "4"],
     ["verify", "--ambient", "CH", "--n", "3", "--family", "A1", "--radius", "inf"],
     ["jet", "--alpha", "1e-200", "--beta", "1", "--c", "4"],  # alpha**2 underflows
+    ["jet", "--alpha", "1", "--beta", "1e200", "--c", "4"],  # beta**2 overflows
+    ["jet", "--alpha", "1e100", "--beta", "1", "--c", "4"],  # alpha**4 overflows
 ])
 def test_non_finite_flags_are_usage_errors(capsys, argv):
     code = run(argv)
@@ -278,6 +281,23 @@ def test_non_finite_flags_are_usage_errors(capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "riccati", "--kappa", "1", "--r", "1e300", "--step", "1e-10"],
+    ["oracle", "riccati", "--kappa", "1", "--r", "2", "--step", "1e-300"],
+    ["verify", "--ambient", "CH", "--n", "3", "--family", "A1", "--radius", "1e300"],
+])
+def test_oracle_step_cap_refuses_before_integrating(capsys, argv):
+    start = time.perf_counter()
+    code = run(argv)
+    took = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cap" in err
+    assert took < 1.0  # refused up front: integrating even the capped step count takes seconds
 
 
 def test_module_entry_point_smoke():

@@ -21,6 +21,7 @@ from hyperlab import (
     rotation_coefficients,
     shape_connection_rows,
 )
+from hyperlab.lemma_lab import JET_SCALAR_MAX
 
 
 def test_jet_preconditions():
@@ -206,6 +207,23 @@ def test_certificate_preconditions():
         contradiction_certificate(0.0, 1.0, 1.0)
     with pytest.raises(JetError):
         contradiction_certificate(4.0, 0.0, 1.0)
+
+
+def test_jet_scalars_are_capped_where_they_enter():
+    # at the cap every power in the formulas is finite; past it each entry point refuses
+    jet = consistent_jet(JET_SCALAR_MAX, JET_SCALAR_MAX, JET_SCALAR_MAX)
+    assert all(math.isfinite(row.residual) for row in jet_residuals(jet))
+    cert = contradiction_certificate(JET_SCALAR_MAX, JET_SCALAR_MAX, JET_SCALAR_MAX)
+    assert math.isfinite(cert.discriminant) and math.isfinite(cert.w1_norm_sq_implied)
+    big = 2.0 * JET_SCALAR_MAX
+    for alpha, beta, c in ((big, 1.0, 4.0), (1.0, big, 4.0), (1.0, 1.0, -big)):
+        for entry in (lambda: consistent_jet(alpha, beta, c),
+                      lambda: LocalJet(alpha=alpha, beta=beta, c=c),
+                      lambda: contradiction_certificate(c, alpha, beta),
+                      lambda: shape_connection_rows(alpha, beta, c),
+                      lambda: implied_w1_norm_sq(c, alpha, beta)):
+            with pytest.raises(JetError, match="exceeds"):
+                entry()
 
 
 def test_jet_from_mapping_roundtrip():
