@@ -84,7 +84,6 @@ from .lemma_lab import (
     WITNESSED,
     ContradictionCertificate,
     JetError,
-    JetRow,
     LocalJet,
     ShapeConnectionTable,
     alpha_zero_commutator_norm,

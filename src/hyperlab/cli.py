@@ -27,9 +27,9 @@ import numpy as np
 from . import __version__
 from .curvature_engine import (MissingNablaAError, codazzi_residual, commutator,
                                gauss_curvature, jacobi_operator)
-from .hopf_conditions import (NotHopfError, VERDICT_HYPOTHESIS_FAILS,
-                              VERDICT_INDETERMINATE, VERDICT_TYPE_A, classify,
-                              decompose_A_xi, theorem_pipeline)
+from .hopf_conditions import (SPAN_XI, ConditionReport, NotHopfError,
+                              VERDICT_HYPOTHESIS_FAILS, VERDICT_INDETERMINATE,
+                              VERDICT_TYPE_A, classify, decompose_A_xi, theorem_pipeline)
 from .lemma_lab import (_MAPPING_KEYS, JetError, consistent_jet, contradiction_certificate,
                         jet_from_mapping, jet_residuals)
 from .model_catalog import (AMBIENTS, CatalogError, DEFAULT_STEP, FAMILIES, FocalPointError,
@@ -46,8 +46,6 @@ VERIFY_CHECKS = ("structure-axioms", "hopf-decomposition", "shape-phi-commute",
                  "phi-l-commute", "l-A-commute", "nabla-xi-l", "mu-vanishes",
                  "codazzi", "spectral-oracle", "jacobi-cross-check",
                  "theorem-verdict")
-RANDOM_PROPERTIES = ("acs-axioms", "gauss-symmetry", "hopf-commutator",
-                     "jacobi-cross-check", "phi-skew")
 
 
 # ---------------------------------------------------------------- emitters
@@ -313,10 +311,14 @@ def _skeleton(command: str, config: dict) -> dict:
             "config": config}
 
 
-def _finalize(report: dict, rows: list[dict], args: argparse.Namespace) -> int:
-    rows = sorted(rows, key=lambda r: (r["check"], r.get("subspace", "")))
+def _finalize(report: dict, reports: list[ConditionReport], failing: set,
+              args: argparse.Namespace) -> int:
+    """Serialise the check rows sorted by (check, subspace); a row expected to
+    fail is one whose (check, subspace) is in failing."""
+    rows = [{**rep.to_jsonable(), "expected": (rep.name, rep.subspace) not in failing}
+            for rep in sorted(reports, key=lambda r: (r.name, r.subspace))]
     report["checks"] = rows
-    unexpected = sum(1 for r in rows if r["pass"] != r.get("expected", True))
+    unexpected = sum(1 for r in rows if r["pass"] != r["expected"])
     report["summary"] = {"rows": len(rows), "unexpected": unexpected,
                          "all_ok": unexpected == 0}
     if not args.deterministic:
@@ -340,8 +342,7 @@ def cmd_catalog(args: argparse.Namespace) -> tuple[dict, int]:
     report = _skeleton("catalog", {"format": args.format,
                                    "deterministic": args.deterministic})
     report["catalog"] = catalog_rows()
-    code = _finalize(report, [], args)
-    return report, code
+    return report, _finalize(report, [], set(), args)
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
@@ -373,42 +374,28 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     report = _skeleton("verify", config)
     report["spectral"] = inst.spectral.to_jsonable()
 
-    rows: list[dict] = []
-
-    def add_row(row: dict):
-        row["expected"] = (row["check"], row["subspace"]) not in expected_false
-        rows.append(row)
-
-    def add(name, subspace, residual, tolerance, extra: dict | None = None):
-        row = {"check": name, "subspace": subspace, "residual": float(residual),
-               "tolerance": float(tolerance),
-               "pass": bool(float(residual) <= float(tolerance))}
-        if extra:
-            row.update(extra)
-        add_row(row)
-
     # phi-l-commute, l-A-commute and nabla-xi-l rows, and mu-vanishes from the
     # latter, are the classification's own reports, each computed once
     cls = classify(ctx, inst.nabla_a, tol)
-    for rep in cls.reports.values():
-        if rep.name in names:
-            add_row(rep.to_jsonable())
-        if rep.name == "nabla-xi-l" and "mu-vanishes" in names:
-            add("mu-vanishes", rep.subspace, abs(rep.mu), tol)
-
+    rows = [rep for rep in cls.reports.values() if rep.name in names]
+    if "mu-vanishes" in names:
+        rows += [ConditionReport("mu-vanishes", rep.subspace, abs(rep.mu), tol)
+                 for rep in cls.reports.values() if rep.name == "nabla-xi-l"]
     if "structure-axioms" in names:
-        add("structure-axioms", "all", max(validate_acs(acs).values()), tol)
+        rows.append(ConditionReport("structure-axioms", "all",
+                                    max(validate_acs(acs).values()), tol))
     if "hopf-decomposition" in names:
         dec = decompose_A_xi(ctx, tol)
-        add("hopf-decomposition", "span-xi", dec.beta, dec.tolerance,
-            {"alpha": dec.alpha})
+        rows.append(ConditionReport("hopf-decomposition", SPAN_XI, dec.beta, dec.tolerance,
+                                    {"alpha": dec.alpha}))
     if "shape-phi-commute" in names:
         swap = float(np.max(np.abs(commutator(ctx.shape_operator, acs.phi))))
-        add("shape-phi-commute", "all", swap, tol)
+        rows.append(ConditionReport("shape-phi-commute", "all", swap, tol))
     if "jacobi-cross-check" in names:
-        add("jacobi-cross-check", "all", ctx.l_path_gap, tol)
+        rows.append(ConditionReport("jacobi-cross-check", "all", ctx.l_path_gap, tol))
     if "spectral-oracle" in names and inst.spectral.oracle_deviation is not None:
-        add("spectral-oracle", "all", inst.spectral.oracle_deviation, ORACLE_TOL)
+        rows.append(ConditionReport("spectral-oracle", "all",
+                                    inst.spectral.oracle_deviation, ORACLE_TOL))
 
     notes: list[str] = []
     if inst.nabla_a is None:
@@ -423,7 +410,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
             x = rng.standard_normal(ctx.dim)
             y = rng.standard_normal(ctx.dim)
             worst = max(worst, acs.norm(codazzi_residual(ctx, inst.nabla_a, x, y)))
-        add("codazzi", "all", worst, tol)
+        rows.append(ConditionReport("codazzi", "all", worst, tol))
 
     if "theorem-verdict" in names:
         verdict = theorem_pipeline(ctx, tol)
@@ -434,7 +421,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         else:
             expected_verdict = VERDICT_TYPE_A
         matches = verdict.verdict == expected_verdict
-        add("theorem-verdict", "all", 0.0 if matches else 1.0, 0.5)
+        rows.append(ConditionReport("theorem-verdict", "all", 0.0 if matches else 1.0, 0.5))
         block = verdict.to_jsonable()
         block["expected_verdict"] = expected_verdict
         report["theorem"] = block
@@ -445,54 +432,54 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         report["notes"] = notes
     if args.emit_structure:
         report["structure"] = ctx.to_jsonable()
-    code = _finalize(report, rows, args)
-    return report, code
+    return report, _finalize(report, rows, expected_false, args)
 
 
-def _sweep_acs(rng, dim, samples, collect):
-    n = (dim + 1) // 2
-    worst = 0.0
-    for i in range(samples):
-        gram = random_gram(dim, rng) if i % 2 else None
-        acs = random_structure(n, rng, gram=gram)
-        worst = max(worst, collect(acs))
-    return worst
+def _acs_sample(residual):
+    """Per-sample function: residual of a random structure, every second one
+    on a random Gram matrix."""
+    def sample(rng, n, i):
+        gram = random_gram(2 * n - 1, rng) if i % 2 else None
+        return residual(random_structure(n, rng, gram=gram))
+    return sample
+
+
+def _hopf_commutator(rng, n, i) -> float:
+    ctx = random_hopf_context(n, rng)
+    ell = jacobi_operator(ctx)
+    phi, a = ctx.acs.phi, ctx.shape_operator
+    lhs = commutator(phi, ell)
+    rhs = ctx.alpha * commutator(phi, a)
+    return max(float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(commutator(ell, a)))))
+
+
+def _gauss_symmetry(rng, n, i) -> float:
+    ctx = random_context(n, rng)
+    x, y, z, w = (rng.standard_normal(ctx.dim) for _ in range(4))
+    r_xyz = gauss_curvature(ctx, x, y, z)
+    bianchi = r_xyz + gauss_curvature(ctx, y, z, x) + gauss_curvature(ctx, z, x, y)
+    return max(float(np.max(np.abs(r_xyz + gauss_curvature(ctx, y, x, z)))),
+               abs(ctx.g(r_xyz, w) + ctx.g(gauss_curvature(ctx, x, y, w), z)),
+               float(np.max(np.abs(bianchi))))
+
+
+# property -> residual of sample i (complex dimension n) drawn from rng; the
+# order fixes each property's seed offset
+_PROPERTIES = {
+    "acs-axioms": _acs_sample(lambda acs: max(validate_acs(acs).values())),
+    "gauss-symmetry": _gauss_symmetry,
+    "hopf-commutator": _hopf_commutator,
+    "jacobi-cross-check": lambda rng, n, i: random_context(n, rng).l_path_gap,
+    "phi-skew": _acs_sample(lambda acs: validate_acs(acs)["skew"]),
+}
+RANDOM_PROPERTIES = tuple(_PROPERTIES)
 
 
 def _run_property(prop: str, dim: int, samples: int, seed: int) -> float:
+    """Worst residual of the property over the samples of its own stream."""
     rng = np.random.default_rng(seed + RANDOM_PROPERTIES.index(prop))
-    n = (dim + 1) // 2
-    if prop == "acs-axioms":
-        return _sweep_acs(rng, dim, samples,
-                          lambda acs: max(validate_acs(acs).values()))
-    if prop == "phi-skew":
-        return _sweep_acs(rng, dim, samples,
-                          lambda acs: validate_acs(acs)["skew"])
-    if prop == "jacobi-cross-check":
-        return max(random_context(n, rng).l_path_gap for _ in range(samples))
-    if prop == "hopf-commutator":
-        worst = 0.0
-        for _ in range(samples):
-            ctx = random_hopf_context(n, rng)
-            ell = jacobi_operator(ctx)
-            phi, a = ctx.acs.phi, ctx.shape_operator
-            lhs = commutator(phi, ell)
-            rhs = ctx.alpha * commutator(phi, a)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))),
-                        float(np.max(np.abs(commutator(ell, a)))))
-        return worst
-    if prop == "gauss-symmetry":
-        worst = 0.0
-        for _ in range(samples):
-            ctx = random_context(n, rng)
-            x, y, z, w = (rng.standard_normal(dim) for _ in range(4))
-            r_xyz = gauss_curvature(ctx, x, y, z)
-            worst = max(worst, float(np.max(np.abs(r_xyz + gauss_curvature(ctx, y, x, z)))))
-            worst = max(worst, abs(ctx.g(r_xyz, w) + ctx.g(gauss_curvature(ctx, x, y, w), z)))
-            bianchi = r_xyz + gauss_curvature(ctx, y, z, x) + gauss_curvature(ctx, z, x, y)
-            worst = max(worst, float(np.max(np.abs(bianchi))))
-        return worst
-    raise ValueError(f"unknown property {prop!r}")
+    sample = _PROPERTIES[prop]
+    return max(sample(rng, (dim + 1) // 2, i) for i in range(samples))
 
 
 def cmd_random(args: argparse.Namespace) -> tuple[dict, int]:
@@ -507,13 +494,9 @@ def cmd_random(args: argparse.Namespace) -> tuple[dict, int]:
               "tolerance": tol, "format": args.format,
               "deterministic": args.deterministic}
     report = _skeleton("random", config)
-    rows = []
-    for name in props:
-        residual = _run_property(name, dim, samples, seed)
-        rows.append({"check": name, "subspace": "all", "residual": float(residual),
-                     "tolerance": tol, "pass": residual <= tol, "expected": True})
-    code = _finalize(report, rows, args)
-    return report, code
+    rows = [ConditionReport(name, "all", _run_property(name, dim, samples, seed), tol)
+            for name in props]
+    return report, _finalize(report, rows, set(), args)
 
 
 def _default_anchor(kappa: float, r0: float) -> float:
@@ -534,12 +517,11 @@ def cmd_oracle_riccati(args: argparse.Namespace) -> tuple[dict, int]:
         value = riccati_shape_evolution(kappa, r, (r0, lambda0), step=step)
     except FocalPointError as exc:
         report["oracle"] = {"error": str(exc)}
-        _finalize(report, [], args)
+        _finalize(report, [], set(), args)
         report["summary"]["all_ok"] = False
         return report, 1
     report["oracle"] = {"value": value}
-    code = _finalize(report, [], args)
-    return report, code
+    return report, _finalize(report, [], set(), args)
 
 
 def cmd_jet(args: argparse.Namespace) -> tuple[dict, int]:
@@ -559,14 +541,7 @@ def cmd_jet(args: argparse.Namespace) -> tuple[dict, int]:
     report["jet"] = jet.to_jsonable()
     report["certificate"] = contradiction_certificate(
         c, alpha, beta, w1_norm_sq=jet.w1_norm_sq).to_jsonable()
-    rows = []
-    for row in jet_residuals(jet, tol):
-        out = row.to_jsonable()
-        out["subspace"] = "scalar"
-        out["expected"] = True
-        rows.append(out)
-    code = _finalize(report, rows, args)
-    return report, code
+    return report, _finalize(report, jet_residuals(jet, tol), set(), args)
 
 
 # ------------------------------------------------------------- entry points

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature_engine import CurvatureContext, jacobi_operator
+from .hopf_conditions import ConditionReport
 from .tensor_core import DEFAULT_TOL, canonical_structure
 
 WITNESSED = "contradiction-witnessed"
@@ -224,19 +225,7 @@ def consistent_jet(alpha: float, beta: float, c: float,
                     d2_beta_phiU_xi=d2_beta, d2_alpha_phiU_U=d2_alpha)
 
 
-@dataclass(frozen=True)
-class JetRow:
-    name: str
-    residual: float
-    tolerance: float
-    passed: bool
-
-    def to_jsonable(self) -> dict:
-        return {"check": self.name, "residual": self.residual,
-                "tolerance": self.tolerance, "pass": self.passed}
-
-
-def jet_residuals(jet: LocalJet, tol: float | None = None) -> list[JetRow]:
+def jet_residuals(jet: LocalJet, tol: float | None = None) -> list[ConditionReport]:
     """Residual of every scalar relation the jet is subject to.
 
     Mandatory rows cover the two first-derivative symmetries, the closed
@@ -282,7 +271,7 @@ def jet_residuals(jet: LocalJet, tol: float | None = None) -> list[JetRow]:
     if jet.w1_norm_sq is not None:
         rows["w1-norm-identity"] = w1_norm_identity(c, a, b, jet.w1_norm_sq)
     cutoff = tol * scale
-    return [JetRow(name, abs(res), cutoff, abs(res) <= cutoff)
+    return [ConditionReport(name, "scalar", abs(res), cutoff)
             for name, res in sorted(rows.items())]
 
 

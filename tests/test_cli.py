@@ -300,6 +300,28 @@ def test_oracle_step_cap_refuses_before_integrating(capsys, argv):
     assert took < 1.0  # refused up front: integrating even the capped step count takes seconds
 
 
+def _rows_keep_one_record(rows: list[dict]):
+    fixed = ["check", "subspace", "residual", "tolerance", "pass"]
+    for row in rows:
+        keys = list(row)
+        assert keys[:5] == fixed and keys[-1] == "expected"
+        assert set(keys[5:-1]) <= {"alpha", "mu", "mu_spread"}
+        assert row["pass"] == (row["residual"] <= row["tolerance"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--ambient", "CH", "--n", "3", "--family", "B", "--radius", "0.7"],
+    ["verify", "--ambient", "CP", "--n", "3", "--family", "A2", "--k", "1",
+     "--radius", "0.8"],
+    ["random", "--dim", "5", "--samples", "10", "--tolerance", "1e-15"],
+    ["jet", "--alpha", "0.7", "--beta", "0.9", "--c", "4", "--kappa3", "0.3"],
+])
+def test_every_row_has_the_record_key_order_and_pass_rule(capsys, argv):
+    _, rep = _report(capsys, argv + ["--deterministic"])
+    assert rep["checks"]
+    _rows_keep_one_record(rep["checks"])
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run([sys.executable, "-m", "hyperlab", "catalog",
                            "--deterministic"],

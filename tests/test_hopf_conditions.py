@@ -8,6 +8,7 @@ from hyperlab import (
     VERDICT_HYPOTHESIS_FAILS,
     VERDICT_INDETERMINATE,
     VERDICT_TYPE_A,
+    ConditionReport,
     CurvatureContext,
     MissingNablaAError,
     NotHopfError,
@@ -19,10 +20,13 @@ from hyperlab import (
     commutator,
     decompose_A_xi,
     jacobi_operator,
+    nabla_l,
     theorem_pipeline,
     type_a_nabla_a,
 )
-from hyperlab.sampling import random_context, random_hopf_context
+from hyperlab.sampling import (random_context, random_gram, random_hopf_context,
+                               random_symmetric_shape)
+from hyperlab.tensor_core import random_structure
 
 
 def _diag_context(values, c=4.0, n=3):
@@ -115,6 +119,39 @@ def test_condition_report_jsonable():
     assert set(base) == {"check", "subspace", "residual", "tolerance", "pass"}
     rep = check_nabla_xi_l(ctx, type_a_nabla_a(ctx)).to_jsonable()
     assert {"mu", "mu_spread"} <= set(rep)
+
+
+def test_condition_report_pass_rule_and_extras():
+    assert ConditionReport("x", "all", 1e-9, 1e-9).passed
+    assert not ConditionReport("x", "all", 2e-9, 1e-9).passed
+    rep = ConditionReport("nabla-xi-l", KER_ETA, 0.0, 1e-9, {"mu": 0.5, "mu_spread": 0.25})
+    assert (rep.mu, rep.mu_spread) == (0.5, 0.25)
+    assert list(rep.to_jsonable()) == ["check", "subspace", "residual", "tolerance",
+                                       "pass", "mu", "mu_spread"]
+    assert ConditionReport("x", "all", 0.0, 1e-9).mu is None
+
+
+def test_block_residuals_match_the_per_vector_loop(rng):
+    # the checks measure operator @ basis in one block; the per-vector loop is
+    # the reference, equal up to summation order (a few ulps per entry)
+    slack = 64 * np.finfo(float).eps
+    for n in (2, 3, 5):
+        acs = random_structure(n, rng, gram=random_gram(2 * n - 1, rng))
+        ctx = CurvatureContext(acs, random_symmetric_shape(acs, rng), 4.0)
+        provider = type_a_nabla_a(ctx, warn_non_type_a=False)
+        ell, m = jacobi_operator(ctx), nabla_l(ctx, provider, acs.xi)
+        for subspace, basis in ((KER_ETA, ctx.ker_eta_basis.T), (SPAN_XI, [acs.xi])):
+            for check, op in ((check_phi_l_commute, commutator(acs.phi, ell)),
+                              (check_l_A_commute, commutator(ell, ctx.shape_operator))):
+                want = max(acs.norm(op @ v) for v in basis)
+                assert abs(check(ctx, subspace).residual - want) <= slack * (1.0 + want)
+            mus = [acs.g(m @ v, acs.xi) for v in basis]
+            want = max(acs.norm(m @ v - mu * acs.xi) for v, mu in zip(basis, mus))
+            rep = check_nabla_xi_l(ctx, provider, subspace)
+            scale = 1.0 + float(np.max(np.abs(m)))
+            assert abs(rep.residual - want) <= slack * (1.0 + want)
+            assert abs(rep.mu - float(np.mean(mus))) <= slack * scale
+            assert abs(rep.mu_spread - (max(mus) - min(mus))) <= 2 * slack * scale
 
 
 def test_classify_full_membership():
