@@ -501,7 +501,14 @@ def cmd_random(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _default_anchor(kappa: float, r0: float) -> float:
     """Small-radius tube asymptote: 1/r - kappa r/3 - kappa^2 r^3/45."""
-    return 1.0 / r0 - kappa * r0 / 3.0 - kappa * kappa * r0 ** 3 / 45.0
+    try:
+        value = 1.0 / r0 - kappa * r0 / 3.0 - kappa * kappa * r0 ** 3 / 45.0
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"the default anchor 1/r0 - kappa r0/3 - kappa^2 r0^3/45 is not finite "
+                         f"at --kappa {kappa!r}, --r0 {r0!r}; give --lambda0")
+    return value
 
 
 def cmd_oracle_riccati(args: argparse.Namespace) -> tuple[dict, int]:

@@ -85,6 +85,10 @@ class ConditionReport:
     tolerance: float
     extras: dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not math.isfinite(self.residual):
+            raise ValueError(f"check {self.name} on {self.subspace}: residual is {self.residual!r}")
+
     @property
     def passed(self) -> bool:
         return bool(self.residual <= self.tolerance)

@@ -97,6 +97,11 @@ class LocalJet:
         for direction in FIRST_ORDER_DIRECTIONS:
             self.d_alpha.setdefault(direction, 0.0)
             self.d_beta.setdefault(direction, 0.0)
+        for key, target in _MAPPING_KEYS.items():
+            value = (getattr(self, target[0]).get(target[1]) if isinstance(target, tuple)
+                     else getattr(self, target))
+            _require(value is None or math.isfinite(value),
+                     f"jet value {key} = {value!r} is not finite")
 
     def to_jsonable(self) -> dict:
         out = {

@@ -300,6 +300,28 @@ def test_oracle_step_cap_refuses_before_integrating(capsys, argv):
     assert took < 1.0  # refused up front: integrating even the capped step count takes seconds
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["oracle", "riccati", "--kappa", "1", "--r", "1", "--r0", "1e200"], "--r0 1e+200"),
+    (["oracle", "riccati", "--kappa", "1e300", "--r", "1"], "--kappa 1e+300"),
+])
+def test_overflowing_default_anchor_is_usage_error(capsys, argv, names):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert names in err and "--lambda0" in err
+
+
+def test_overflowing_jet_value_names_its_key(capsys):
+    code = run(["jet", "--alpha", "1", "--beta", "1e40", "--c", "1e-300"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: jet value dalpha_phiW2 = ") and err.count("\n") == 1
+    assert "non-finite value in report" not in err
+
+
 def _rows_keep_one_record(rows: list[dict]):
     fixed = ["check", "subspace", "residual", "tolerance", "pass"]
     for row in rows:

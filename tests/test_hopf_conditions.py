@@ -129,6 +129,8 @@ def test_condition_report_pass_rule_and_extras():
     assert list(rep.to_jsonable()) == ["check", "subspace", "residual", "tolerance",
                                        "pass", "mu", "mu_spread"]
     assert ConditionReport("x", "all", 0.0, 1e-9).mu is None
+    with pytest.raises(ValueError, match="check x on all: residual is nan"):
+        ConditionReport("x", "all", float("nan"), 1e-9)
 
 
 def test_block_residuals_match_the_per_vector_loop(rng):

@@ -226,6 +226,14 @@ def test_jet_scalars_are_capped_where_they_enter():
                 entry()
 
 
+def test_non_finite_derived_jet_value_names_its_key():
+    # beta**3 / c overflows although alpha, beta and c are all within the cap
+    with pytest.raises(JetError, match="jet value dalpha_phiW2 = nan is not finite"):
+        consistent_jet(1.0, 1e40, 1e-300)
+    with pytest.raises(JetError, match="jet value kappa2 = "):
+        LocalJet(alpha=1e-150, beta=1e20, c=1.0)
+
+
 def test_jet_from_mapping_roundtrip():
     jet = jet_from_mapping({"alpha": 1.0, "beta": 2.0, "c": 4.0,
                             "dalpha_U": 0.5, "dbeta_xi": 0.5, "lambda": 0.1})
