@@ -47,6 +47,14 @@ VERIFY_CHECKS = ("structure-axioms", "hopf-decomposition", "shape-phi-commute",
                  "codazzi", "spectral-oracle", "jacobi-cross-check",
                  "theorem-verdict")
 
+# Caps on the size options.  verify --n: 4x the benchmark's largest n of 60
+# (cost grows about as n^3.7; a run at the cap takes about 10 s on one core);
+# random --dim: the tangent dimension of that model, over 10x the benchmark's
+# 41; --samples of both commands: 10x random's default of 1000.
+MAX_VERIFY_N = 240
+MAX_RANDOM_DIM = 2 * MAX_VERIFY_N - 1
+MAX_SAMPLES = 10_000
+
 
 # ---------------------------------------------------------------- emitters
 
@@ -345,13 +353,19 @@ def cmd_catalog(args: argparse.Namespace) -> tuple[dict, int]:
     return report, _finalize(report, [], set(), args)
 
 
+def _in_range(flag: str, value: int, low: int, cap: int):
+    """Refuse a size option outside [low, cap] before anything is built."""
+    if not low <= value <= cap:
+        raise ValueError(f"{flag} must be in [{low}, {cap}], got {value}")
+
+
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     _required(args, "ambient", "n", "family")
+    _in_range("--n", args.n, 2, MAX_VERIFY_N)
+    _in_range("--samples", args.samples, 1, MAX_SAMPLES)
     spec = ModelSpec(ambient=args.ambient, n=args.n, family=args.family, c=args.c,
                      radius=args.radius, k=args.k, flip_normal=args.flip_normal)
     seed, samples = args.seed, args.samples
-    if samples <= 0:
-        raise ValueError("samples must be positive")
     tol = _tolerance(args)
     if args.checks != "all":
         names = tuple(w.strip() for w in args.checks.split(",") if w.strip())
@@ -484,10 +498,10 @@ def _run_property(prop: str, dim: int, samples: int, seed: int) -> float:
 
 def cmd_random(args: argparse.Namespace) -> tuple[dict, int]:
     dim, samples, seed, prop = args.dim, args.samples, args.seed, args.property
-    if dim < 3 or dim % 2 == 0:
-        raise ValueError("dim must be odd and >= 3")
-    if samples <= 0:
-        raise ValueError("samples must be positive")
+    _in_range("--dim", dim, 3, MAX_RANDOM_DIM)
+    _in_range("--samples", samples, 1, MAX_SAMPLES)
+    if dim % 2 == 0:
+        raise ValueError(f"--dim must be odd, got {dim}")
     tol = _tolerance(args)
     props = RANDOM_PROPERTIES if prop == "all" else (prop,)
     config = {"dim": dim, "samples": samples, "seed": seed, "property": prop,

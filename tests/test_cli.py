@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from hyperlab import cli
 from hyperlab.cli import run, to_canonical_json, to_markdown
 
 
@@ -320,6 +321,50 @@ def test_overflowing_jet_value_names_its_key(capsys):
     assert out == ""
     assert err.startswith("error: jet value dalpha_phiW2 = ") and err.count("\n") == 1
     assert "non-finite value in report" not in err
+
+
+class _Built(Exception):
+    """Raised where a command would start building arrays."""
+
+
+def _refuse_building(monkeypatch):
+    def built(*args, **kwargs):
+        raise _Built
+    monkeypatch.setattr(cli, "instantiate", built)
+    monkeypatch.setattr(cli, "_run_property", built)
+
+
+_VERIFY = ["verify", "--ambient", "CP", "--family", "A1", "--radius", "0.3"]
+
+
+@pytest.mark.parametrize("argv", [
+    _VERIFY + ["--n", str(cli.MAX_VERIFY_N + 1)],
+    _VERIFY + ["--n", "3", "--samples", str(cli.MAX_SAMPLES + 1)],
+    ["random", "--dim", str(cli.MAX_RANDOM_DIM + 1)],
+    ["random", "--dim", str(cli.MAX_RANDOM_DIM + 2)],  # the first odd dim past the cap
+    ["random", "--samples", str(cli.MAX_SAMPLES + 1)],
+])
+def test_size_caps_refuse_before_building(capsys, monkeypatch, argv):
+    _refuse_building(monkeypatch)
+    start = time.perf_counter()
+    code = run(argv)
+    took = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be in [" in err
+    assert took < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    _VERIFY + ["--n", str(cli.MAX_VERIFY_N), "--samples", str(cli.MAX_SAMPLES)],
+    ["random", "--dim", str(cli.MAX_RANDOM_DIM), "--samples", str(cli.MAX_SAMPLES)],
+])
+def test_size_caps_admit_the_cap(monkeypatch, argv):
+    _refuse_building(monkeypatch)
+    with pytest.raises(_Built):
+        run(argv)
 
 
 def _rows_keep_one_record(rows: list[dict]):
