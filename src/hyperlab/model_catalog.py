@@ -30,7 +30,7 @@ import numpy as np
 
 from .curvature_engine import CurvatureContext, NablaAProvider, commutator
 from .hopf_conditions import alpha_vanishes, decompose_A_xi
-from .tensor_core import build_phi_basis, canonical_structure, PhiBasis
+from .tensor_core import build_phi_basis, canonical_structure
 
 DEFAULT_STEP = 5e-5
 ORACLE_TOL = 1e-6
@@ -352,7 +352,6 @@ class ModelInstance:
     ctx: CurvatureContext
     spectral: SpectralTable
     nabla_a: NablaAProvider | None
-    basis: PhiBasis
 
     @property
     def alpha(self) -> float:
@@ -371,8 +370,7 @@ def instantiate(spec: ModelSpec, seed: int = 0) -> ModelInstance:
     """
     table = principal_curvatures(spec)
     acs = canonical_structure(spec.n)
-    basis = build_phi_basis(acs, rng=np.random.default_rng(seed))
-    f = basis.matrix
+    f = build_phi_basis(acs, rng=np.random.default_rng(seed)).matrix
     swapped = spec.entry.phi_swapped
     if swapped:
         v_vals, w_vals = ([e.value] * e.multiplicity for e in table.entries)
@@ -382,7 +380,7 @@ def instantiate(spec: ModelSpec, seed: int = 0) -> ModelInstance:
     diag = np.array(v_vals + w_vals + [table.alpha])
     ctx = CurvatureContext(acs, (f * diag) @ f.T, spec.c)
     nabla = None if swapped else type_a_nabla_a(ctx, warn_non_type_a=False)
-    return ModelInstance(spec, ctx, table, nabla, basis)
+    return ModelInstance(spec, ctx, table, nabla)
 
 
 def type_a_nabla_a(ctx: CurvatureContext, warn_non_type_a: bool = True) -> NablaAProvider:

@@ -207,13 +207,9 @@ class PhiBasis:
     """
 
     matrix: np.ndarray
-    n: int
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _read_only(self.matrix))
-
-    def ker_eta(self) -> list[np.ndarray]:
-        return [self.matrix[:, j] for j in range(2 * (self.n - 1))]
 
 
 def build_phi_basis(acs: AlmostContactStructure,
@@ -266,7 +262,7 @@ def build_phi_basis(acs: AlmostContactStructure,
         vs.append(v)
         ws.append(fv)
         chosen.extend([v, fv])
-    return PhiBasis(np.column_stack(vs + ws + [acs.xi]), acs.n)
+    return PhiBasis(np.column_stack(vs + ws + [acs.xi]))
 
 
 def nabla_xi(acs: AlmostContactStructure, shape_operator: np.ndarray,
