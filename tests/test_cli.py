@@ -367,15 +367,6 @@ def test_size_caps_admit_the_cap(monkeypatch, argv):
         run(argv)
 
 
-def _rows_keep_one_record(rows: list[dict]):
-    fixed = ["check", "subspace", "residual", "tolerance", "pass"]
-    for row in rows:
-        keys = list(row)
-        assert keys[:5] == fixed and keys[-1] == "expected"
-        assert set(keys[5:-1]) <= {"alpha", "mu", "mu_spread"}
-        assert row["pass"] == (row["residual"] <= row["tolerance"])
-
-
 @pytest.mark.parametrize("argv", [
     ["verify", "--ambient", "CH", "--n", "3", "--family", "B", "--radius", "0.7"],
     ["verify", "--ambient", "CP", "--n", "3", "--family", "A2", "--k", "1",
@@ -386,7 +377,12 @@ def _rows_keep_one_record(rows: list[dict]):
 def test_every_row_has_the_record_key_order_and_pass_rule(capsys, argv):
     _, rep = _report(capsys, argv + ["--deterministic"])
     assert rep["checks"]
-    _rows_keep_one_record(rep["checks"])
+    for row in rep["checks"]:
+        keys = list(row)
+        assert keys[:5] == ["check", "subspace", "residual", "tolerance", "pass"]
+        assert keys[-1] == "expected"
+        assert set(keys[5:-1]) <= {"alpha", "mu", "mu_spread"}
+        assert row["pass"] == (row["residual"] <= row["tolerance"])
 
 
 def test_module_entry_point_smoke():
