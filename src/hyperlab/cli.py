@@ -470,11 +470,12 @@ def _hopf_commutator(rng, n, i) -> float:
 def _gauss_symmetry(rng, n, i) -> float:
     ctx = random_context(n, rng)
     x, y, z, w = (rng.standard_normal(ctx.dim) for _ in range(4))
-    r_xyz = gauss_curvature(ctx, x, y, z)
-    bianchi = r_xyz + gauss_curvature(ctx, y, z, x) + gauss_curvature(ctx, z, x, y)
-    return max(float(np.max(np.abs(r_xyz + gauss_curvature(ctx, y, x, z)))),
-               abs(ctx.g(r_xyz, w) + ctx.g(gauss_curvature(ctx, x, y, w), z)),
-               float(np.max(np.abs(bianchi))))
+    r_xyz, r_yzx, r_zxy, r_yxz, r_xyw = gauss_curvature(
+        ctx, np.column_stack([x, y, z, y, x]), np.column_stack([y, z, x, x, y]),
+        np.column_stack([z, x, y, z, w])).T
+    return max(float(np.max(np.abs(r_xyz + r_yxz))),
+               abs(ctx.g(r_xyz, w) + ctx.g(r_xyw, z)),
+               float(np.max(np.abs(r_xyz + r_yzx + r_zxy))))
 
 
 # property -> residual of sample i (complex dimension n) drawn from rng; the

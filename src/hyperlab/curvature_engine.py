@@ -114,12 +114,19 @@ NablaAProvider = Callable[[np.ndarray], np.ndarray]
 
 def gauss_curvature(ctx: CurvatureContext, x: np.ndarray, y: np.ndarray,
                     z: np.ndarray) -> np.ndarray:
-    """R(X,Y)Z from the Gauss equation of the hypersurface."""
+    """R(X,Y)Z from the Gauss equation; x, y and z are (dim,) vectors or (dim, m)
+    blocks, and column j of the result is R(X_j, Y_j)Z_j (a vector fills every column)."""
     d = ctx.dim
-    x = _check_vector(x, d, "x")
-    y = _check_vector(y, d, "y")
-    z = _check_vector(z, d, "z")
-    g, phi, a = ctx.g, ctx.acs.phi, ctx.shape_operator
+    args = [np.asarray(v, dtype=float) for v in (x, y, z)]
+    if (any(v.ndim not in (1, 2) or v.shape[0] != d for v in args)
+            or len({v.shape[1] for v in args if v.ndim == 2}) > 1):
+        raise StructuralError(f"x, y and z must be ({d},) vectors or ({d}, m) blocks of one m")
+    x, y, z = (v.reshape(d, -1) for v in args)
+    gram, phi, a = ctx.acs.space.gram, ctx.acs.phi, ctx.shape_operator
+
+    def g(p, q):  # g(P_j, Q_j) for every column j
+        return np.sum(p * (gram @ q), axis=0)
+
     px, py, pz = phi @ x, phi @ y, phi @ z
     ax, ay = a @ x, a @ y
     quarter = ctx.c / 4.0
@@ -130,18 +137,13 @@ def gauss_curvature(ctx: CurvatureContext, x: np.ndarray, y: np.ndarray,
     out = out - (2.0 * quarter * g(px, y)) * pz
     out = out + g(ay, z) * ax
     out = out - g(ax, z) * ay
-    return out
+    return out if any(v.ndim == 2 for v in args) else out[:, 0]
 
 
 def jacobi_from_curvature(ctx: CurvatureContext) -> np.ndarray:
-    """l as a matrix, column by column from the definition l X = R(X, xi)xi."""
+    """l as a matrix: the definition l X = R(X, xi)xi on the columns of the identity."""
     xi = ctx.acs.xi
-    cols = []
-    for j in range(ctx.dim):
-        e = np.zeros(ctx.dim)
-        e[j] = 1.0
-        cols.append(gauss_curvature(ctx, e, xi, xi))
-    return np.column_stack(cols)
+    return gauss_curvature(ctx, np.eye(ctx.dim), xi, xi)
 
 
 def jacobi_closed_form(ctx: CurvatureContext) -> np.ndarray:

@@ -217,19 +217,21 @@ def build_phi_basis(acs: AlmostContactStructure,
                     rng: np.random.Generator | None = None) -> PhiBasis:
     """Complete xi to a phi-adapted g-orthonormal basis.
 
-    Each new V_i comes from the next seed, projected g-orthogonally onto
-    the complement of everything chosen so far (which lands it in ker(eta))
-    and normalized; phiV_i is appended as the literal phi image.  Seeds are
-    consumed in order: the explicit `seeds` list first, then draws from
-    `rng` if given, then a deterministic sweep of the standard basis.  An
-    explicit seed whose projection is numerically zero raises
-    DegenerateSeedError; sweep candidates that degenerate are skipped.
+    Each new V_i comes from the next seed, projected g-orthogonally off the
+    columns B chosen so far (which lands it in ker(eta)) by the block step
+    w - B(B^T G w), applied twice since two classical Gram-Schmidt passes
+    are as stable as the modified form, and normalized; phiV_i is appended
+    as the literal phi image.  Seeds are consumed in order: the explicit
+    `seeds` list first, then draws from `rng` if given, then a
+    deterministic sweep of the standard basis.  An explicit seed whose
+    projection is numerically zero raises DegenerateSeedError; sweep
+    candidates that degenerate are skipped.
     """
     dim, k = acs.dim, acs.n - 1
-    gram = acs.space.gram
-    chosen: list[np.ndarray] = [acs.xi]
-    vs: list[np.ndarray] = []
-    ws: list[np.ndarray] = []
+    # working order xi, V_1, phiV_1, V_2, phiV_2, ...; reordered on return
+    frame = np.empty((dim, 2 * k + 1))
+    frame[:, 0] = acs.xi
+    m = 1
 
     def candidates():
         if seeds is not None:
@@ -238,31 +240,24 @@ def build_phi_basis(acs: AlmostContactStructure,
         if rng is not None:
             for _ in range(16 * dim):
                 yield rng.standard_normal(dim), False
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = 1.0
+        for e in np.eye(dim):
             yield e, False
 
-    source = candidates()
-    while len(vs) < k:
-        try:
-            cand, explicit = next(source)
-        except StopIteration:
-            raise DegenerateSeedError("ran out of seed candidates before completing the basis")
-        w = cand.astype(float)
-        for b in chosen:
-            w = w - acs.g(w, b) * b
+    for w, explicit in candidates():
+        chosen = frame[:, :m]
+        for _ in range(2):
+            w = w - chosen @ (chosen.T @ (acs.space.gram @ w))
         nrm = acs.norm(w)
         if nrm <= 1e-8:
             if explicit:
                 raise DegenerateSeedError("seed lies (numerically) in the span already chosen")
             continue
-        v = w / nrm
-        fv = acs.phi @ v
-        vs.append(v)
-        ws.append(fv)
-        chosen.extend([v, fv])
-    return PhiBasis(np.column_stack(vs + ws + [acs.xi]))
+        frame[:, m] = w / nrm
+        frame[:, m + 1] = acs.phi @ frame[:, m]
+        m += 2
+        if m == 2 * k + 1:
+            return PhiBasis(frame[:, [*range(1, m, 2), *range(2, m, 2), 0]])
+    raise DegenerateSeedError("ran out of seed candidates before completing the basis")
 
 
 def nabla_xi(acs: AlmostContactStructure, shape_operator: np.ndarray,

@@ -1,6 +1,7 @@
 """Gauss-equation curvature, the structure Jacobi operator, and derivative plumbing."""
 import contextlib
 import io
+import itertools
 import sys
 
 import numpy as np
@@ -19,9 +20,10 @@ from hyperlab import (
     jacobi_from_curvature,
     jacobi_operator,
     nabla_l,
+    random_structure,
 )
 from hyperlab.cli import run
-from hyperlab.sampling import random_context
+from hyperlab.sampling import random_context, random_gram, random_symmetric_shape
 
 
 def _flat_shape_context(n=3, c=4.0):
@@ -88,6 +90,42 @@ def test_gauss_tensor_symmetries(rng):
         cyclic = (rxyz + gauss_curvature(ctx, y, z, x)
                   + gauss_curvature(ctx, z, x, y))
         assert np.max(np.abs(cyclic)) <= 1e-9
+
+
+def test_block_gauss_curvature_matches_the_vector_calls(rng):
+    # column j of a block call is the vector call on column j (or on the vector
+    # given for every column), up to summation order; m = dim is where a
+    # per-column coefficient broadcast along the wrong axis would still run
+    eps = np.finfo(float).eps
+    for n, m in ((3, 2), (3, 5), (4, 7), (5, 3)):
+        acs = random_structure(n, rng, gram=random_gram(2 * n - 1, rng))
+        ctx = CurvatureContext(acs, random_symmetric_shape(acs, rng), 4.0)
+        d = ctx.dim
+        blocks = [rng.standard_normal((d, m)) for _ in range(3)]
+        vectors = [rng.standard_normal(d) for _ in range(3)]
+        for mask in itertools.product((False, True), repeat=3):
+            args = [b if is_block else v for b, v, is_block in zip(blocks, vectors, mask)]
+            got = gauss_curvature(ctx, *args)
+            if not any(mask):
+                assert got.shape == (d,)
+                continue
+            assert got.shape == (d, m)
+            for j in range(m):
+                cols = [a[:, j] if is_block else a for a, is_block in zip(args, mask)]
+                want = gauss_curvature(ctx, *cols)
+                scale = (1.0 + abs(ctx.c) + np.linalg.norm(ctx.shape_operator) ** 2) * np.prod(
+                    [np.linalg.norm(c) for c in cols])
+                assert np.max(np.abs(got[:, j] - want)) <= 64 * eps * scale
+
+
+def test_gauss_curvature_rejects_bad_blocks():
+    ctx = _flat_shape_context(n=3)
+    v = np.ones(5)
+    for bad in (np.ones(4), np.ones((4, 2)), np.ones((5, 2, 2)), np.float64(1.0)):
+        with pytest.raises(StructuralError):
+            gauss_curvature(ctx, bad, v, v)
+    with pytest.raises(StructuralError):
+        gauss_curvature(ctx, np.ones((5, 3)), np.ones((5, 4)), v)
 
 
 def test_jacobi_paths_agree(rng):

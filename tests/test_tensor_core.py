@@ -150,3 +150,77 @@ def test_nabla_xi_formula(rng):
     a = a + a.T
     x = rng.standard_normal(5)
     assert np.allclose(nabla_xi(acs, a, x), acs.phi @ (a @ x), atol=0)
+
+
+def _per_vector_basis(acs, seeds=None, rng=None):
+    """The per-vector modified Gram-Schmidt that build_phi_basis replaced: the reference."""
+    dim, k = acs.dim, acs.n - 1
+    chosen, vs, ws = [acs.xi], [], []
+
+    def candidates():
+        if seeds is not None:
+            for s in seeds:
+                yield np.asarray(s, dtype=float), True
+        if rng is not None:
+            for _ in range(16 * dim):
+                yield rng.standard_normal(dim), False
+        for j in range(dim):
+            yield np.eye(dim)[j], False
+
+    source = candidates()
+    while len(vs) < k:
+        w, explicit = next(source)
+        for b in chosen:
+            w = w - acs.g(w, b) * b
+        nrm = acs.norm(w)
+        if nrm <= 1e-8:
+            if explicit:
+                raise DegenerateSeedError("degenerate seed")
+            continue
+        v = w / nrm
+        vs.append(v)
+        ws.append(acs.phi @ v)
+        chosen.extend([v, ws[-1]])
+    return np.column_stack(vs + ws + [acs.xi])
+
+
+def _orthonormality(acs, m):
+    return float(np.max(np.abs(m.T @ acs.space.gram @ m - np.eye(acs.dim))))
+
+
+def test_block_basis_matches_the_per_vector_loop(rng):
+    # two block passes against one modified Gram-Schmidt sweep: the same
+    # candidates in the same order, so the same rng draws, and columns equal
+    # up to rounding.  Near n = 30 the loop itself drifts from orthonormal by
+    # up to about 1e-12, and the columns cannot agree more closely than that.
+    for n in (2, 3, 5, 10, 20, 30):
+        acs = random_structure(n, rng, gram=random_gram(2 * n - 1, rng))
+        draw = int(rng.integers(2 ** 32))
+        for seeds, source in ((None, None), (None, draw), ([rng.standard_normal(acs.dim)], draw)):
+            block_rng = None if source is None else np.random.default_rng(source)
+            loop_rng = None if source is None else np.random.default_rng(source)
+            block = build_phi_basis(acs, seeds=seeds, rng=block_rng).matrix
+            loop = _per_vector_basis(acs, seeds=seeds, rng=loop_rng)
+            if source is not None:
+                assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+            agree = max(1e-13, 2.0 * _orthonormality(acs, loop))
+            assert np.max(np.abs(block - loop)) <= agree
+            assert _orthonormality(acs, block) <= 1e-13
+
+
+def test_block_basis_reorthogonalises_a_nearly_dependent_seed(rng):
+    # the second seed is 1e-7 off the first: one projection pass leaves V_2
+    # off orthogonal by about u / 1e-7, the second pass removes that
+    acs = random_structure(5, rng, gram=random_gram(9, rng))
+    v1 = rng.standard_normal(9)
+    seeds = [v1, v1 + 1e-7 * np.eye(9)[0]]
+    block = build_phi_basis(acs, seeds=seeds).matrix
+    loop = _per_vector_basis(acs, seeds=seeds)
+    assert _orthonormality(acs, loop) > 1e-10
+    assert _orthonormality(acs, block) <= 1e-13
+    seeded = [0, 1, 4, 5]  # V_1, V_2 and their phi images
+    assert np.max(np.abs(block[:, seeded] - loop[:, seeded])) <= 1e-6
+    with pytest.raises(DegenerateSeedError):
+        build_phi_basis(acs, seeds=[acs.xi])
+    with pytest.raises(DegenerateSeedError):
+        build_phi_basis(acs, seeds=[v1, v1])
