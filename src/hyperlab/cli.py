@@ -19,6 +19,7 @@ import argparse
 import math
 import numbers
 import os
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -223,7 +224,12 @@ def _tolerance(args: argparse.Namespace) -> float:
 # ------------------------------------------------------------------ parser
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as ValueError, which run() reports on one line."""
+    """Raises a usage error as ValueError, which run() reports on one line, and
+    reads -1e50 as a value, as argparse reads -1.5 (its pattern has no exponent)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ValueError(message)

@@ -1,4 +1,5 @@
 """End-to-end CLI contract: report shape, determinism, exit codes, config plumbing."""
+import argparse
 import json
 import math
 import subprocess
@@ -282,6 +283,43 @@ def test_non_finite_flags_are_usage_errors(capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["jet", "--alpha", "-1e50", "--beta", "1", "--c", "4"], "alpha", -1e50),
+    (["jet", "--alpha", "-2.0", "--beta", "0.5", "--c", "-4e0"], "c", -4.0),
+    (["jet", "--alpha", "-1.5E-3", "--beta", "0.5", "--c", "4"], "alpha", -1.5e-3),
+    (["jet", "--alpha=-1e50", "--beta", "1", "--c", "4"], "alpha", -1e50),
+    (["verify", "--ambient", "CH", "--n", "3", "--family", "A1", "--radius", "0.9",
+      "--c", "-4e0"], "c", -4.0),
+    (["verify", "--ambient", "CH", "--n", "3", "--family", "A1", "--radius", "0.9",
+      "--c", "-4.0"], "c", -4.0),
+    (["oracle", "riccati", "--kappa", "-1.5E-3", "--r", "1"], "kappa", -1.5e-3),
+])
+def test_negative_floats_in_exponent_form_are_values(capsys, argv, key, value):
+    code, rep = _report(capsys, argv + ["--deterministic"])
+    assert code == 0
+    assert rep["config"][key] == value
+
+
+def _leaf_parsers(parser):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [parser]
+    return [leaf for a in subs for p in a.choices.values() for leaf in _leaf_parsers(p)]
+
+
+@pytest.mark.parametrize("spelling", ["-1e50", "-4e0", "-1.5E-3"])
+def test_every_float_option_takes_a_negative_exponent(spelling):
+    checked = []
+    for leaf in _leaf_parsers(cli.build_parser()):
+        for action in leaf._actions:
+            if action.type is cli._finite:
+                args = leaf.parse_args([action.option_strings[0], spelling])
+                assert getattr(args, action.dest) == float(spelling)
+                checked.append(action.dest)
+    # --tolerance on each of the five leaves, verify's two, riccati's five, jet's four
+    assert len(checked) == 16
 
 
 @pytest.mark.parametrize("argv", [
