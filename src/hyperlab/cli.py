@@ -51,10 +51,13 @@ VERIFY_CHECKS = ("structure-axioms", "hopf-decomposition", "shape-phi-commute",
 # Caps on the size options.  verify --n: 4x the benchmark's largest n of 60
 # (cost grows about as n^3.7; a run at the cap takes about 10 s on one core);
 # random --dim: the tangent dimension of that model, over 10x the benchmark's
-# 41; --samples of both commands: 10x random's default of 1000.
+# 41; --samples of both commands: 10x random's default of 1000.  random's
+# total work, dim^3 x samples: 10 samples at the dim cap, where one sample of
+# all five properties takes about 1.2 s on one core (about 11 ns per unit).
 MAX_VERIFY_N = 240
 MAX_RANDOM_DIM = 2 * MAX_VERIFY_N - 1
 MAX_SAMPLES = 10_000
+MAX_RANDOM_WORK = 10 * MAX_RANDOM_DIM ** 3
 
 
 # ---------------------------------------------------------------- emitters
@@ -509,6 +512,7 @@ def cmd_random(args: argparse.Namespace) -> tuple[dict, int]:
     _in_range("--samples", samples, 1, MAX_SAMPLES)
     if dim % 2 == 0:
         raise ValueError(f"--dim must be odd, got {dim}")
+    _in_range("--dim^3 x --samples", dim ** 3 * samples, 27, MAX_RANDOM_WORK)
     tol = _tolerance(args)
     props = RANDOM_PROPERTIES if prop == "all" else (prop,)
     config = {"dim": dim, "samples": samples, "seed": seed, "property": prop,

@@ -381,6 +381,10 @@ _VERIFY = ["verify", "--ambient", "CP", "--family", "A1", "--radius", "0.3"]
     ["random", "--dim", str(cli.MAX_RANDOM_DIM + 1)],
     ["random", "--dim", str(cli.MAX_RANDOM_DIM + 2)],  # the first odd dim past the cap
     ["random", "--samples", str(cli.MAX_SAMPLES + 1)],
+    # each option within its cap, their work past MAX_RANDOM_WORK
+    ["random", "--dim", str(cli.MAX_RANDOM_DIM), "--samples", str(cli.MAX_SAMPLES)],
+    ["random", "--dim", str(cli.MAX_RANDOM_DIM),
+     "--samples", str(cli.MAX_RANDOM_WORK // cli.MAX_RANDOM_DIM ** 3 + 1)],
 ])
 def test_size_caps_refuse_before_building(capsys, monkeypatch, argv):
     _refuse_building(monkeypatch)
@@ -397,7 +401,12 @@ def test_size_caps_refuse_before_building(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [
     _VERIFY + ["--n", str(cli.MAX_VERIFY_N), "--samples", str(cli.MAX_SAMPLES)],
-    ["random", "--dim", str(cli.MAX_RANDOM_DIM), "--samples", str(cli.MAX_SAMPLES)],
+    ["random", "--dim", str(cli.MAX_RANDOM_DIM),
+     "--samples", str(cli.MAX_RANDOM_WORK // cli.MAX_RANDOM_DIM ** 3)],
+    ["random", "--dim", str(cli.MAX_RANDOM_DIM), "--samples", "1"],
+    ["random"],  # the defaults, dim 5 and 1000 samples
+    ["random", "--dim", "41", "--samples", "6"],  # the benchmark's largest random op
+    ["random", "--dim", "5", "--samples", str(cli.MAX_SAMPLES)],
 ])
 def test_size_caps_admit_the_cap(monkeypatch, argv):
     _refuse_building(monkeypatch)
