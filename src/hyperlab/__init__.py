@@ -41,7 +41,6 @@ from .sampling import (
     random_gram,
     random_hopf_context,
     random_hopf_shape,
-    random_nonzero_c,
     random_symmetric_shape,
 )
 from .hopf_conditions import (

@@ -26,8 +26,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .curvature_engine import (MissingNablaAError, codazzi_residual, commutator,
-                               gauss_curvature, jacobi_operator)
+from .curvature_engine import (MissingNablaAError, _check_paths, _closed_form, _g, _gauss,
+                               codazzi_residual, commutator)
 from .hopf_conditions import (SPAN_XI, ConditionReport, NotHopfError,
                               VERDICT_HYPOTHESIS_FAILS, VERDICT_INDETERMINATE,
                               VERDICT_TYPE_A, classify, decompose_A_xi, theorem_pipeline)
@@ -36,9 +36,9 @@ from .lemma_lab import (_MAPPING_KEYS, JetError, consistent_jet, contradiction_c
 from .model_catalog import (AMBIENTS, CatalogError, DEFAULT_STEP, FAMILIES, FocalPointError,
                             ModelSpec, OracleMismatchError, ORACLE_TOL, catalog_rows,
                             instantiate, riccati_shape_evolution)
-from .sampling import (random_context, random_gram, random_hopf_context,
-                       random_structure)
-from .tensor_core import (DEFAULT_TOL, DegenerateSeedError, StructuralError,
+from .sampling import _contexts, _grams
+from .tensor_core import (DEFAULT_TOL, DegenerateSeedError, StructuralError, _acs_residuals,
+                          _check_grams, _frame_structures, _haar_frames, _maxabs,
                           validate_acs)
 
 SCHEMA = "hyperlab/1"
@@ -53,7 +53,7 @@ VERIFY_CHECKS = ("structure-axioms", "hopf-decomposition", "shape-phi-commute",
 # random --dim: the tangent dimension of that model, over 10x the benchmark's
 # 41; --samples of both commands: 10x random's default of 1000.  random's
 # total work, dim^3 x samples: 10 samples at the dim cap, where one sample of
-# all five properties takes about 1.2 s on one core (about 11 ns per unit).
+# all five properties takes about 0.8 s on one core (about 7 ns per unit).
 MAX_VERIFY_N = 240
 MAX_RANDOM_DIM = 2 * MAX_VERIFY_N - 1
 MAX_SAMPLES = 10_000
@@ -458,52 +458,64 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     return report, _finalize(report, rows, expected_false, args)
 
 
-def _acs_sample(residual):
-    """Per-sample function: residual of a random structure, every second one
-    on a random Gram matrix."""
-    def sample(rng, n, i):
-        gram = random_gram(2 * n - 1, rng) if i % 2 else None
-        return residual(random_structure(n, rng, gram=gram))
-    return sample
+def _structures(rng, dim, first, size):
+    """Identity residuals of random structures, odd-numbered samples on random Grams."""
+    grams = np.tile(np.eye(dim), (size, 1, 1))
+    odd = np.arange(first, first + size) % 2 == 1
+    grams[odd] = _grams(rng, (int(odd.sum()), dim, dim))
+    _check_grams(grams)
+    return _acs_residuals(grams, *_frame_structures(grams, _haar_frames(rng, grams)))
 
 
-def _hopf_commutator(rng, n, i) -> float:
-    ctx = random_hopf_context(n, rng)
-    ell = jacobi_operator(ctx)
-    phi, a = ctx.acs.phi, ctx.shape_operator
-    lhs = commutator(phi, ell)
-    rhs = ctx.alpha * commutator(phi, a)
-    return max(float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(commutator(ell, a)))))
+def _jacobi_paths(rng, dim, size, hopf):
+    """Random contexts, the definitional l of each and its max-abs gap to the closed form."""
+    gram, phi, xi, eta, a, c = _contexts(rng, (size,), dim, hopf)
+    ell = _gauss(gram, phi, a, c, np.eye(dim), xi, xi)
+    return gram, phi, xi, a, c, ell, _maxabs(ell - _closed_form(gram, xi, eta, a, c))
 
 
-def _gauss_symmetry(rng, n, i) -> float:
-    ctx = random_context(n, rng)
-    x, y, z, w = (rng.standard_normal(ctx.dim) for _ in range(4))
-    r_xyz, r_yzx, r_zxy, r_yxz, r_xyw = gauss_curvature(
-        ctx, np.column_stack([x, y, z, y, x]), np.column_stack([y, z, x, x, y]),
-        np.column_stack([z, x, y, z, w])).T
-    return max(float(np.max(np.abs(r_xyz + r_yxz))),
-               abs(ctx.g(r_xyz, w) + ctx.g(r_xyw, z)),
-               float(np.max(np.abs(r_xyz + r_yzx + r_zxy))))
+def _hopf_commutator(rng, dim, first, size):
+    gram, phi, xi, a, c, ell, gap = _jacobi_paths(rng, dim, size, hopf=True)
+    _check_paths(gap, a, c)
+    return np.maximum(_maxabs(commutator(phi, ell) - _g(gram, a @ xi, xi) * commutator(phi, a)),
+                      _maxabs(commutator(ell, a)))
 
 
-# property -> residual of sample i (complex dimension n) drawn from rng; the
-# order fixes each property's seed offset
+def _gauss_symmetry(rng, dim, first, size):
+    gram, phi, _, _, a, c = _contexts(rng, (size,), dim, hopf=False)
+    x, y, z, w = rng.standard_normal((4, size, dim, 1))
+    r_xyz, r_yzx, r_zxy, r_yxz, r_xyw = np.split(_gauss(
+        gram, phi, a, c, np.concatenate([x, y, z, y, x], -1),
+        np.concatenate([y, z, x, x, y], -1), np.concatenate([z, x, y, z, w], -1)), 5, -1)
+    return np.maximum.reduce([_maxabs(r_xyz + r_yxz),
+                              _maxabs(_g(gram, r_xyz, w) + _g(gram, r_xyw, z)),
+                              _maxabs(r_xyz + r_yzx + r_zxy)])
+
+
+# property -> batch function (rng, dim, first, size) returning the residuals of
+# samples first .. first + size - 1; the order fixes each property's seed offset
 _PROPERTIES = {
-    "acs-axioms": _acs_sample(lambda acs: max(validate_acs(acs).values())),
+    "acs-axioms": lambda *draw: np.max([*_structures(*draw).values()], axis=0),
     "gauss-symmetry": _gauss_symmetry,
     "hopf-commutator": _hopf_commutator,
-    "jacobi-cross-check": lambda rng, n, i: random_context(n, rng).l_path_gap,
-    "phi-skew": _acs_sample(lambda acs: validate_acs(acs)["skew"]),
+    "jacobi-cross-check": lambda rng, dim, first, size: _jacobi_paths(rng, dim, size, False)[-1],
+    "phi-skew": lambda *draw: _structures(*draw)["skew"],
 }
 RANDOM_PROPERTIES = tuple(_PROPERTIES)
+BUDGET = 2048  # doubles per (S, dim, dim) stack: a chunk holds BUDGET // dim^2 samples, or one
+
+
+def _chunks(dim: int, samples: int) -> list[tuple[int, int]]:
+    """(first sample, size) of each chunk of a sweep, in drawing order."""
+    size = max(1, BUDGET // dim ** 2)
+    return [(first, min(size, samples - first)) for first in range(0, samples, size)]
 
 
 def _run_property(prop: str, dim: int, samples: int, seed: int) -> float:
     """Worst residual of the property over the samples of its own stream."""
     rng = np.random.default_rng(seed + RANDOM_PROPERTIES.index(prop))
-    sample = _PROPERTIES[prop]
-    return max(sample(rng, (dim + 1) // 2, i) for i in range(samples))
+    return max(float(np.max(_PROPERTIES[prop](rng, dim, first, size)))
+               for first, size in _chunks(dim, samples))
 
 
 def cmd_random(args: argparse.Namespace) -> tuple[dict, int]:

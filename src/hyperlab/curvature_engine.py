@@ -26,7 +26,10 @@ from .tensor_core import (
     StructuralError,
     _check_matrix,
     _check_vector,
+    _maxabs,
     _read_only,
+    _refuse,
+    _t,
     nabla_xi,
 )
 
@@ -51,13 +54,7 @@ class CurvatureContext:
 
     def __post_init__(self):
         a = _check_matrix(self.shape_operator, self.acs.dim, "shape_operator")
-        if self.c == 0:
-            raise StructuralError("c must be nonzero (non-flat ambient)")
-        gram = self.acs.space.gram
-        sym = np.max(np.abs(gram @ a - a.T @ gram))
-        scale = 1.0 + float(np.linalg.norm(a))
-        if sym > 1e-8 * scale:
-            raise StructuralError(f"shape operator is not g-symmetric (residual {sym:.3e})")
+        _check_shapes(self.acs.space.gram, a, self.c)
         object.__setattr__(self, "shape_operator", _read_only(a))
         object.__setattr__(self, "c", float(self.c))
 
@@ -108,6 +105,48 @@ class CurvatureContext:
         return out
 
 
+def _check_shapes(gram: np.ndarray, a: np.ndarray, c):
+    """Refuse c = 0 and a shape operator that is not g-symmetric to 1e-8 (1 + |A|_F)."""
+    _refuse(np.asarray(c) == 0, 0, "c must be nonzero (non-flat ambient)")
+    sym = _maxabs(gram @ a - _t(a) @ gram)
+    _refuse(sym > 1e-8 * (1.0 + np.linalg.norm(a, axis=(-2, -1))), sym,
+            "shape operator is not g-symmetric (residual {:.3e})")
+
+
+def _g(gram, p, q) -> np.ndarray:
+    """g(P_j, Q_j) for every column j, as a row."""
+    return np.sum(p * (gram @ q), axis=-2, keepdims=True)
+
+
+def _gauss(gram, phi, a, c, x, y, z) -> np.ndarray:
+    """R(X_j, Y_j)Z_j column by column for (d, m) blocks, or stacks of them."""
+    quarter = np.expand_dims(c, (-2, -1)) / 4.0
+    px, py, pz = phi @ x, phi @ y, phi @ z
+    ax, ay = a @ x, a @ y
+    out = (quarter * _g(gram, y, z)) * x
+    out = out - (quarter * _g(gram, x, z)) * y
+    out += (quarter * _g(gram, py, z)) * px
+    out -= (quarter * _g(gram, px, z)) * py
+    out -= (2.0 * quarter * _g(gram, px, y)) * pz
+    out += _g(gram, ay, z) * ax
+    out -= _g(gram, ax, z) * ay
+    return out
+
+
+def _closed_form(gram, xi, eta, a, c) -> np.ndarray:
+    """l = (c/4)(I - xi eta) + alpha A - (A xi) g(A xi, .), alpha = g(A xi, xi); xi, eta columns."""
+    w = a @ xi
+    quarter = np.expand_dims(c, (-2, -1)) / 4.0
+    alpha = _t(w) @ gram @ xi
+    return quarter * (np.eye(a.shape[-1]) - xi * _t(eta)) + alpha * a - w * _t(gram @ w)
+
+
+def _check_paths(gap, a, c):
+    """Refuse a Jacobi path gap above DEFAULT_TOL (1 + |c| + |A|_F^2)."""
+    scale = 1.0 + np.abs(c) + np.sum(a * a, axis=(-2, -1))
+    _refuse(gap > DEFAULT_TOL * scale, gap, "Jacobi operator paths disagree by {:.3e}")
+
+
 NablaAProvider = Callable[[np.ndarray], np.ndarray]
 """W -> matrix of Y -> (nabla_W A)Y, with g((nabla_W A)Y, Z) symmetric in Y, Z."""
 
@@ -122,21 +161,7 @@ def gauss_curvature(ctx: CurvatureContext, x: np.ndarray, y: np.ndarray,
             or len({v.shape[1] for v in args if v.ndim == 2}) > 1):
         raise StructuralError(f"x, y and z must be ({d},) vectors or ({d}, m) blocks of one m")
     x, y, z = (v.reshape(d, -1) for v in args)
-    gram, phi, a = ctx.acs.space.gram, ctx.acs.phi, ctx.shape_operator
-
-    def g(p, q):  # g(P_j, Q_j) for every column j
-        return np.sum(p * (gram @ q), axis=0)
-
-    px, py, pz = phi @ x, phi @ y, phi @ z
-    ax, ay = a @ x, a @ y
-    quarter = ctx.c / 4.0
-    out = (quarter * g(y, z)) * x
-    out = out - (quarter * g(x, z)) * y
-    out = out + (quarter * g(py, z)) * px
-    out = out - (quarter * g(px, z)) * py
-    out = out - (2.0 * quarter * g(px, y)) * pz
-    out = out + g(ay, z) * ax
-    out = out - g(ax, z) * ay
+    out = _gauss(ctx.acs.space.gram, ctx.acs.phi, ctx.shape_operator, ctx.c, x, y, z)
     return out if any(v.ndim == 2 for v in args) else out[:, 0]
 
 
@@ -152,13 +177,9 @@ def jacobi_closed_form(ctx: CurvatureContext) -> np.ndarray:
     l X = (c/4)[X - eta(X) xi] + alpha A X - g(A X, xi) A xi,
     with alpha = g(A xi, xi).  Valid with no Hopf assumption.
     """
-    gram = ctx.acs.space.gram
-    xi, eta = ctx.acs.xi, ctx.acs.eta
-    a = ctx.shape_operator
-    w = a @ xi
-    quarter = ctx.c / 4.0
-    eye = np.eye(ctx.dim)
-    return quarter * (eye - np.outer(xi, eta)) + ctx.alpha * a - np.outer(w, gram @ w)
+    acs = ctx.acs
+    return _closed_form(acs.space.gram, acs.xi[:, None], acs.eta[:, None],
+                        ctx.shape_operator, ctx.c)
 
 
 def jacobi_operator(ctx: CurvatureContext) -> np.ndarray:
@@ -168,9 +189,7 @@ def jacobi_operator(ctx: CurvatureContext) -> np.ndarray:
     on every call; disagreement beyond tolerance means the inputs are
     inconsistent and raises.  The returned matrix is read-only.
     """
-    scale = 1.0 + abs(ctx.c) + float(np.linalg.norm(ctx.shape_operator)) ** 2
-    if ctx.l_path_gap > DEFAULT_TOL * scale:
-        raise StructuralError(f"Jacobi operator paths disagree by {ctx.l_path_gap:.3e}")
+    _check_paths(ctx.l_path_gap, ctx.shape_operator, ctx.c)
     return ctx.l_from_curvature
 
 

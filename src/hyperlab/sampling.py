@@ -1,58 +1,78 @@
 """Seeded random structures, shape operators and contexts for property sweeps.
 
 Everything here is driven by an explicit numpy Generator so that test
-sweeps and the `random` CLI subcommand are reproducible bit for bit.
+sweeps and the `random` CLI subcommand are reproducible bit for bit.  The
+kernels draw a whole stack of samples at once; the public functions draw one.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .curvature_engine import CurvatureContext
-from .tensor_core import AlmostContactStructure, build_phi_basis, random_structure
+from .curvature_engine import CurvatureContext, _check_shapes
+from .tensor_core import (AlmostContactStructure, TangentSpace, _frame_structures,
+                          _haar_frames, _t, build_phi_basis)
+
+
+def _grams(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """I + 0.3 S / |S|_2 for a symmetric Gaussian S: well-conditioned Gram matrices."""
+    s = rng.standard_normal(shape)
+    s = (s + _t(s)) / 2.0
+    s /= np.maximum(np.max(np.abs(np.linalg.eigvalsh(s)), axis=-1), 1e-12)[..., None, None]
+    return np.eye(shape[-1]) + 0.3 * s
 
 
 def random_gram(dim: int, rng: np.random.Generator) -> np.ndarray:
     """A well-conditioned symmetric positive-definite Gram matrix."""
-    s = rng.standard_normal((dim, dim))
-    s = (s + s.T) / 2.0
-    s = s / max(float(np.linalg.norm(s, 2)), 1e-12)
-    return np.eye(dim) + 0.3 * s
+    return _grams(rng, (dim, dim))
 
 
-def random_nonzero_c(rng: np.random.Generator) -> float:
-    c = float(rng.uniform(0.5, 8.0))
-    return c if rng.integers(2) == 0 else -c
+def _shapes(rng: np.random.Generator, frame: np.ndarray, gram: np.ndarray,
+            hopf: bool) -> np.ndarray:
+    """f S f^T G on g-orthonormal frames f ending in xi, S a symmetric Gaussian block;
+    a Hopf S is that block on ker(eta) and alpha uniform in [-2, 2] on xi."""
+    k = frame.shape[-1] - hopf
+    s = np.zeros(frame.shape)
+    blk = rng.standard_normal(frame.shape[:-2] + (k, k))
+    s[..., :k, :k] = (blk + _t(blk)) / 2.0
+    if hopf:
+        s[..., k, k] = rng.uniform(-2.0, 2.0, frame.shape[:-2])
+    return frame @ s @ (_t(frame) @ gram)
 
 
 def random_symmetric_shape(acs: AlmostContactStructure,
                            rng: np.random.Generator) -> np.ndarray:
     """A random g-symmetric endomorphism (no Hopf constraint)."""
-    basis = build_phi_basis(acs, rng=rng)
-    f = basis.matrix
-    s = rng.standard_normal((acs.dim, acs.dim))
-    s = (s + s.T) / 2.0
-    return f @ s @ (f.T @ acs.space.gram)
+    return _shapes(rng, build_phi_basis(acs, rng=rng).matrix, acs.space.gram, False)
 
 
 def random_hopf_shape(acs: AlmostContactStructure, rng: np.random.Generator) -> np.ndarray:
     """A random g-symmetric endomorphism with A xi = alpha xi, alpha uniform in [-2, 2]."""
-    basis = build_phi_basis(acs, rng=rng)
-    f = basis.matrix
-    k = acs.dim - 1
-    s = np.zeros((acs.dim, acs.dim))
-    blk = rng.standard_normal((k, k))
-    s[:k, :k] = (blk + blk.T) / 2.0
-    s[k, k] = float(rng.uniform(-2.0, 2.0))
-    return f @ s @ (f.T @ acs.space.gram)
+    return _shapes(rng, build_phi_basis(acs, rng=rng).matrix, acs.space.gram, True)
+
+
+def _contexts(rng: np.random.Generator, lead: tuple, dim: int, hopf: bool):
+    """(gram, phi, xi, eta, A, c) of random contexts with leading shape lead, in the
+    identity metric: A is built on the Haar frame q the structure is adapted to,
+    c is uniform in +-[0.5, 8], and each sample is checked as CurvatureContext does."""
+    gram = np.eye(dim)
+    q = _haar_frames(rng, np.broadcast_to(gram, lead + gram.shape))
+    phi, xi, eta = _frame_structures(gram, q)
+    a = _shapes(rng, q, gram, hopf)
+    c = rng.uniform(0.5, 8.0, lead)
+    c = np.where(rng.integers(2, size=lead) == 0, c, -c)
+    _check_shapes(gram, a, c)
+    return gram, phi, xi, eta, a, c
+
+
+def _one_context(rng: np.random.Generator, n: int, hopf: bool) -> CurvatureContext:
+    _, phi, xi, eta, a, c = _contexts(rng, (), 2 * n - 1, hopf)
+    return CurvatureContext(AlmostContactStructure(TangentSpace(2 * n - 1), phi, xi[:, 0],
+                                                   eta[:, 0]), a, float(c))
 
 
 def random_context(n: int, rng: np.random.Generator) -> CurvatureContext:
-    acs = random_structure(n, rng)
-    a = random_symmetric_shape(acs, rng)
-    return CurvatureContext(acs, a, random_nonzero_c(rng))
+    return _one_context(rng, n, hopf=False)
 
 
 def random_hopf_context(n: int, rng: np.random.Generator) -> CurvatureContext:
-    acs = random_structure(n, rng)
-    a = random_hopf_shape(acs, rng)
-    return CurvatureContext(acs, a, random_nonzero_c(rng))
+    return _one_context(rng, n, hopf=True)

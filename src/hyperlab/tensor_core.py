@@ -41,6 +41,27 @@ def _check_vector(v, dim: int, name: str) -> np.ndarray:
     return arr
 
 
+# Array kernels (_name) take (d, d) matrices and (d, 1) columns, or stacks of
+# them with a leading sample axis, and check or measure each sample.
+def _t(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2)
+
+
+def _maxabs(m: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(m), axis=(-2, -1))
+
+
+def _refuse(bad, value, message: str):
+    """Raise StructuralError if any sample is bad; {} in message shows its worst value."""
+    if np.any(bad):
+        raise StructuralError(message.format(np.max(np.where(bad, value, -np.inf))))
+
+
+def _check_grams(gram: np.ndarray):
+    _refuse(_maxabs(gram - _t(gram)) > 1e-12, 0, "gram matrix must be symmetric")
+    _refuse(np.linalg.eigvalsh(gram)[..., 0] <= 0, 0, "gram matrix must be positive definite")
+
+
 def _check_matrix(m, dim: int, name: str) -> np.ndarray:
     arr = np.asarray(m, dtype=float)
     if arr.shape != (dim, dim):
@@ -60,10 +81,7 @@ class TangentSpace:
             raise StructuralError(f"dimension must be odd and >= 3, got {self.dim}")
         gram = np.eye(self.dim) if self.gram is None else np.asarray(self.gram, dtype=float)
         gram = _check_matrix(gram, self.dim, "gram")
-        if np.max(np.abs(gram - gram.T)) > 1e-12:
-            raise StructuralError("gram matrix must be symmetric")
-        if np.min(np.linalg.eigvalsh(gram)) <= 0:
-            raise StructuralError("gram matrix must be positive definite")
+        _check_grams(gram)
         object.__setattr__(self, "gram", _read_only(gram))
 
     @property
@@ -143,6 +161,15 @@ def canonical_structure(n: int) -> AlmostContactStructure:
     return AlmostContactStructure(TangentSpace(dim), phi, xi, xi.copy())
 
 
+def _frame_structures(gram: np.ndarray, frame: np.ndarray):
+    """phi, xi and eta (columns) of the structures adapted to g-orthonormal frames."""
+    _refuse(_maxabs(_t(frame) @ gram @ frame - np.eye(frame.shape[-1])) > 1e-6, 0,
+            "frame columns are not g-orthonormal")
+    k = frame.shape[-1] // 2
+    v, w, xi = frame[..., :k], frame[..., k:2 * k], frame[..., -1:]
+    return w @ _t(gram @ v) - v @ _t(gram @ w), xi, gram @ xi
+
+
 def structure_from_frame(space: TangentSpace, frame: np.ndarray) -> AlmostContactStructure:
     """Build the structure whose adapted frame is the given g-orthonormal columns.
 
@@ -150,27 +177,35 @@ def structure_from_frame(space: TangentSpace, frame: np.ndarray) -> AlmostContac
     satisfies the structure identities exactly to the extent that the frame
     is exactly g-orthonormal.
     """
-    frame = _check_matrix(frame, space.dim, "frame")
-    k = space.n - 1
-    gram = space.gram
-    ortho = frame.T @ gram @ frame - np.eye(space.dim)
-    if np.max(np.abs(ortho)) > 1e-6:
-        raise StructuralError("frame columns are not g-orthonormal")
-    v, w, xi = frame[:, :k], frame[:, k:2 * k], frame[:, -1]
-    phi = w @ (gram @ v).T - v @ (gram @ w).T
-    return AlmostContactStructure(space, phi, xi, gram @ xi)
+    phi, xi, eta = _frame_structures(space.gram, _check_matrix(frame, space.dim, "frame"))
+    return AlmostContactStructure(space, phi, xi[:, 0], eta[:, 0])
+
+
+def _haar_frames(rng: np.random.Generator, gram: np.ndarray) -> np.ndarray:
+    """Uniformly random g-orthonormal frames: the Q of a Gaussian QR, times L^-T
+    for G = L L^T (which leaves Q exactly as it is for the identity)."""
+    q, _ = np.linalg.qr(rng.standard_normal(gram.shape))
+    return np.linalg.solve(_t(np.linalg.cholesky(gram)), q)
 
 
 def random_structure(n: int, rng: np.random.Generator,
                      gram: np.ndarray | None = None) -> AlmostContactStructure:
     """A valid structure in a uniformly random g-orthonormal frame."""
-    dim = 2 * n - 1
-    space = TangentSpace(dim, gram)
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    if gram is not None:
-        chol = np.linalg.cholesky(space.gram)
-        q = np.linalg.solve(chol.T, q)
-    return structure_from_frame(space, q)
+    space = TangentSpace(2 * n - 1, gram)
+    return structure_from_frame(space, _haar_frames(rng, space.gram))
+
+
+def _acs_residuals(gram, phi, xi, eta) -> dict[str, np.ndarray]:
+    eta_t = _t(eta)
+    return {
+        "phi-square": _maxabs(phi @ phi + np.eye(phi.shape[-1]) - xi * eta_t),
+        "eta-phi": _maxabs(eta_t @ phi),
+        "phi-xi": _maxabs(phi @ xi),
+        "eta-xi": np.abs(eta_t @ xi - 1.0)[..., 0, 0],
+        "metric-compat": _maxabs(_t(phi) @ gram @ phi - (gram - eta * eta_t)),
+        "skew": _maxabs(gram @ phi + _t(phi) @ gram),
+        "eta-from-metric": _maxabs(eta - gram @ xi),
+    }
 
 
 def validate_acs(acs: AlmostContactStructure) -> dict[str, float]:
@@ -180,22 +215,8 @@ def validate_acs(acs: AlmostContactStructure) -> dict[str, float]:
     the identities comes back with nonzero residuals.  The residual map is
     the zero map exactly when every identity holds exactly.
     """
-    gram = acs.space.gram
-    phi, xi, eta = acs.phi, acs.xi, acs.eta
-    eye = np.eye(acs.dim)
-
-    def maxabs(a) -> float:
-        return float(np.max(np.abs(a))) if np.size(a) else 0.0
-
-    return {
-        "phi-square": maxabs(phi @ phi + eye - np.outer(xi, eta)),
-        "eta-phi": maxabs(eta @ phi),
-        "phi-xi": maxabs(phi @ xi),
-        "eta-xi": abs(float(eta @ xi) - 1.0),
-        "metric-compat": maxabs(phi.T @ gram @ phi - (gram - np.outer(eta, eta))),
-        "skew": maxabs(gram @ phi + phi.T @ gram),
-        "eta-from-metric": maxabs(eta - gram @ xi),
-    }
+    res = _acs_residuals(acs.space.gram, acs.phi, acs.xi[:, None], acs.eta[:, None])
+    return {name: float(value) for name, value in res.items()}
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,23 @@ def test_random_single_property(capsys):
     assert [r["check"] for r in rep["checks"]] == ["phi-skew"]
 
 
+@pytest.mark.parametrize("dim, samples", [("41", "6"), ("5", "60")])
+def test_random_is_byte_identical_in_process_at_the_benchmark_shapes(capsys, dim, samples):
+    argv = ["random", "--dim", dim, "--samples", samples, "--seed", "7105", "--deterministic"]
+    first = _capture(capsys, argv)
+    assert first[0] == 0
+    assert _capture(capsys, argv) == first
+
+
+@pytest.mark.parametrize("dim, samples", [
+    (cli.MAX_RANDOM_DIM, 10), (41, cli.MAX_SAMPLES), (5, cli.MAX_SAMPLES), (5, 1), (41, 6)])
+def test_chunk_plan_covers_each_sample_once_within_the_budget(dim, samples):
+    assert dim ** 3 * samples <= cli.MAX_RANDOM_WORK  # an admitted shape
+    plan = cli._chunks(dim, samples)
+    assert [i for first, size in plan for i in range(first, first + size)] == list(range(samples))
+    assert all(size * dim ** 2 <= cli.BUDGET or size == 1 for _, size in plan)
+
+
 def test_random_rejects_even_dim(capsys):
     code, _ = _capture(capsys, ["random", "--dim", "4"])
     assert code == 2
