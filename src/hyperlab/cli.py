@@ -228,11 +228,13 @@ def _tolerance(args: argparse.Namespace) -> float:
 
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error as ValueError, which run() reports on one line, and
-    reads -1e50 as a value, as argparse reads -1.5 (its pattern has no exponent)."""
+    reads -1e50, -inf and -nan as values, as argparse reads -1.5 (its pattern has
+    neither an exponent nor the non-finite spellings, which _finite then refuses)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise ValueError(message)

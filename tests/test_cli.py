@@ -339,6 +339,35 @@ def test_every_float_option_takes_a_negative_exponent(spelling):
     assert len(checked) == 16
 
 
+@pytest.mark.parametrize("spelling", ["-inf", "-infinity", "-nan", "-INF", "-Infinity", "-NaN"])
+def test_every_float_option_refuses_a_negative_non_finite_value(spelling):
+    # a negative non-finite spelling is a value that _finite refuses, not a
+    # missing argument followed by an unknown option
+    checked = []
+    for leaf in _leaf_parsers(cli.build_parser()):
+        for action in leaf._actions:
+            if action.type is cli._finite:
+                with pytest.raises(ValueError) as err:
+                    leaf.parse_args([action.option_strings[0], spelling])
+                assert str(err.value) == (f"argument {action.option_strings[0]}: "
+                                          f"must be finite, got {spelling!r}")
+                checked.append(action.dest)
+    assert len(checked) == 16
+
+
+@pytest.mark.parametrize("argv, flag, spelling", [
+    (["jet", "--alpha", "-inf", "--beta", "1", "--c", "4"], "--alpha", "-inf"),
+    (["jet", "--alpha", "-nan", "--beta", "1", "--c", "4"], "--alpha", "-nan"),
+    (["random", "--tolerance", "-nan"], "--tolerance", "-nan"),
+])
+def test_negative_non_finite_flags_name_the_value(capsys, argv, flag, spelling):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: argument {flag}: must be finite, got {spelling!r}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "riccati", "--kappa", "1", "--r", "1e300", "--step", "1e-10"],
     ["oracle", "riccati", "--kappa", "1", "--r", "2", "--step", "1e-300"],
