@@ -2,8 +2,10 @@
 
 The kernels take arrays with a leading sample axis; validate_acs and
 CurvatureContext call the same kernels on one sample.  Each sample of a
-stack must agree with the dataclass path on the same arrays, and each check
-the sweep keeps must still refuse a single bad sample inside a stack.
+stack must agree with the dataclass path on the same arrays, and with the
+vector formulas the one-sample code used before the kernels (kept below as
+the reference), and each check the sweep keeps must still refuse a single
+bad sample inside a stack.
 """
 import numpy as np
 import pytest
@@ -18,6 +20,34 @@ from hyperlab.tensor_core import (_acs_residuals, _check_grams, _frame_structure
                                   _haar_frames, _maxabs)
 
 EPS = np.finfo(float).eps
+
+
+def _loop_acs_residuals(gram, phi, xi, eta):
+    eye = np.eye(len(xi))
+    return {
+        "phi-square": np.max(np.abs(phi @ phi + eye - np.outer(xi, eta))),
+        "eta-phi": np.max(np.abs(eta @ phi)),
+        "phi-xi": np.max(np.abs(phi @ xi)),
+        "eta-xi": abs(float(eta @ xi) - 1.0),
+        "metric-compat": np.max(np.abs(phi.T @ gram @ phi - (gram - np.outer(eta, eta)))),
+        "skew": np.max(np.abs(gram @ phi + phi.T @ gram)),
+        "eta-from-metric": np.max(np.abs(eta - gram @ xi)),
+    }
+
+
+def _loop_gauss(gram, phi, a, c, x, y, z):
+    """R(X, Y)Z for three vectors, term by term."""
+    def g(p, q):
+        return float(p @ gram @ q)
+    px, py, pz, ax, ay = phi @ x, phi @ y, phi @ z, a @ x, a @ y
+    return (c / 4.0 * (g(y, z) * x - g(x, z) * y + g(py, z) * px - g(px, z) * py
+                       - 2.0 * g(px, y) * pz) + g(ay, z) * ax - g(ax, z) * ay)
+
+
+def _loop_closed_form(gram, xi, eta, a, c):
+    w = a @ xi
+    return (c / 4.0 * (np.eye(len(xi)) - np.outer(xi, eta)) + float(w @ gram @ xi) * a
+            - np.outer(w, gram @ w))
 
 
 def _context(gram, phi, xi, eta, a, c, i):
@@ -36,27 +66,37 @@ def test_stacked_acs_residuals_match_validate_acs(rng, dim):
     for i in range(6):
         acs = AlmostContactStructure(TangentSpace(dim, grams[i]), phi[i], xi[i, :, 0], eta[i, :, 0])
         scale = (1.0 + np.linalg.norm(grams[i])) * (1.0 + np.linalg.norm(phi[i])) ** 2
+        loop = _loop_acs_residuals(grams[i], phi[i], xi[i, :, 0], eta[i, :, 0])
         for name, value in validate_acs(acs).items():
             assert abs(stacked[name][i] - value) <= 64 * EPS * scale
+            assert abs(stacked[name][i] - loop[name]) <= 64 * EPS * scale
         assert max(validate_acs(acs).values()) <= 1e-12
 
 
 @pytest.mark.parametrize("dim, hopf", [(3, False), (5, True), (9, False), (11, True)])
 def test_stacked_jacobi_gap_and_gauss_columns_match_the_context(rng, dim, hopf):
     stack = gram, phi, xi, eta, a, c = _contexts(rng, (5,), dim, hopf)
-    gap = _maxabs(_gauss(gram, phi, a, c, np.eye(dim), xi, xi) - _closed_form(gram, xi, eta, a, c))
+    ell, closed = _gauss(gram, phi, a, c, np.eye(dim), xi, xi), _closed_form(gram, xi, eta, a, c)
+    gap = _maxabs(ell - closed)
     x, y, z = rng.standard_normal((3, 5, dim, 4))
     block = _gauss(gram, phi, a, c, x, y, z)
     for i in range(5):
         ctx = _context(*stack, i)
         scale = 1.0 + abs(ctx.c) + np.linalg.norm(ctx.shape_operator) ** 2
         assert abs(gap[i] - ctx.l_path_gap) <= 64 * EPS * scale
+        v = (gram, phi[i], a[i], c[i])
+        loop_ell = np.column_stack([_loop_gauss(*v, e, xi[i, :, 0], xi[i, :, 0])
+                                    for e in np.eye(dim)])
+        assert np.max(np.abs(ell[i] - loop_ell)) <= 64 * EPS * scale
+        assert np.max(np.abs(closed[i] - _loop_closed_form(
+            gram, xi[i, :, 0], eta[i, :, 0], a[i], c[i]))) <= 64 * EPS * scale
         if hopf:
             assert np.allclose(ctx.a_xi, ctx.alpha * ctx.acs.xi, atol=1e-12)
         for j in range(4):
-            want = gauss_curvature(ctx, x[i, :, j], y[i, :, j], z[i, :, j])
-            norms = np.prod([np.linalg.norm(v[i, :, j]) for v in (x, y, z)])
-            assert np.max(np.abs(block[i, :, j] - want)) <= 64 * EPS * scale * norms
+            cols = [w[i, :, j] for w in (x, y, z)]
+            norms = np.prod([np.linalg.norm(col) for col in cols])
+            for want in (gauss_curvature(ctx, *cols), _loop_gauss(*v, *cols)):
+                assert np.max(np.abs(block[i, :, j] - want)) <= 64 * EPS * scale * norms
 
 
 def _break(arr, i, how):
