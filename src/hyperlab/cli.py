@@ -466,7 +466,7 @@ def _structures(rng, dim, first, size):
     odd = np.arange(first, first + size) % 2 == 1
     grams[odd] = _grams(rng, (int(odd.sum()), dim, dim))
     _check_grams(grams)
-    return _acs_residuals(grams, *_frame_structures(grams, _haar_frames(rng, grams)))
+    return _acs_residuals(grams, *_frame_structures(grams, _haar_frames(rng, grams.shape, grams)))
 
 
 def _jacobi_paths(rng, dim, size, hopf):

@@ -109,7 +109,7 @@ def _check_shapes(gram: np.ndarray, a: np.ndarray, c):
     """Refuse c = 0 and a shape operator that is not g-symmetric to 1e-8 (1 + |A|_F)."""
     _refuse(np.asarray(c) == 0, 0, "c must be nonzero (non-flat ambient)")
     sym = _maxabs(gram @ a - _t(a) @ gram)
-    _refuse(sym > 1e-8 * (1.0 + np.linalg.norm(a, axis=(-2, -1))), sym,
+    _refuse(sym > 1e-8 * (1.0 + np.sqrt(np.einsum("...ij,...ij->...", a, a))), sym,
             "shape operator is not g-symmetric (residual {:.3e})")
 
 
@@ -143,7 +143,7 @@ def _closed_form(gram, xi, eta, a, c) -> np.ndarray:
 
 def _check_paths(gap, a, c):
     """Refuse a Jacobi path gap above DEFAULT_TOL (1 + |c| + |A|_F^2)."""
-    scale = 1.0 + np.abs(c) + np.sum(a * a, axis=(-2, -1))
+    scale = 1.0 + np.abs(c) + np.einsum("...ij,...ij->...", a, a)
     _refuse(gap > DEFAULT_TOL * scale, gap, "Jacobi operator paths disagree by {:.3e}")
 
 

@@ -55,7 +55,7 @@ def _contexts(rng: np.random.Generator, lead: tuple, dim: int, hopf: bool):
     identity metric: A is built on the Haar frame q the structure is adapted to,
     c is uniform in +-[0.5, 8], and each sample is checked as CurvatureContext does."""
     gram = np.eye(dim)
-    q = _haar_frames(rng, np.broadcast_to(gram, lead + gram.shape))
+    q = _haar_frames(rng, lead + gram.shape)
     phi, xi, eta = _frame_structures(gram, q)
     a = _shapes(rng, q, gram, hopf)
     c = rng.uniform(0.5, 8.0, lead)

@@ -181,18 +181,19 @@ def structure_from_frame(space: TangentSpace, frame: np.ndarray) -> AlmostContac
     return AlmostContactStructure(space, phi, xi[:, 0], eta[:, 0])
 
 
-def _haar_frames(rng: np.random.Generator, gram: np.ndarray) -> np.ndarray:
+def _haar_frames(rng: np.random.Generator, shape: tuple, gram=None) -> np.ndarray:
     """Uniformly random g-orthonormal frames: the Q of a Gaussian QR, times L^-T
-    for G = L L^T (which leaves Q exactly as it is for the identity)."""
-    q, _ = np.linalg.qr(rng.standard_normal(gram.shape))
-    return np.linalg.solve(_t(np.linalg.cholesky(gram)), q)
+    for G = L L^T when Grams are given (L^-T Q is exactly Q for the identity)."""
+    q, _ = np.linalg.qr(rng.standard_normal(shape))
+    return q if gram is None else np.linalg.solve(_t(np.linalg.cholesky(gram)), q)
 
 
 def random_structure(n: int, rng: np.random.Generator,
                      gram: np.ndarray | None = None) -> AlmostContactStructure:
     """A valid structure in a uniformly random g-orthonormal frame."""
     space = TangentSpace(2 * n - 1, gram)
-    return structure_from_frame(space, _haar_frames(rng, space.gram))
+    return structure_from_frame(space, _haar_frames(rng, space.gram.shape,
+                                                    None if gram is None else space.gram))
 
 
 def _acs_residuals(gram, phi, xi, eta) -> dict[str, np.ndarray]:

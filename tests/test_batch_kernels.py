@@ -61,7 +61,7 @@ def test_stacked_acs_residuals_match_validate_acs(rng, dim):
     grams = _grams(rng, (6, dim, dim))
     grams[::2] = np.eye(dim)
     _check_grams(grams)
-    phi, xi, eta = _frame_structures(grams, _haar_frames(rng, grams))
+    phi, xi, eta = _frame_structures(grams, _haar_frames(rng, grams.shape, grams))
     stacked = _acs_residuals(grams, phi, xi, eta)
     for i in range(6):
         acs = AlmostContactStructure(TangentSpace(dim, grams[i]), phi[i], xi[i, :, 0], eta[i, :, 0])
@@ -122,7 +122,7 @@ def test_each_kept_check_refuses_one_bad_sample_in_a_stack(rng):
     with pytest.raises(StructuralError, match="symmetric"):
         _check_grams(_break(grams, 0, lambda m: m.__setitem__((0, 1), m[0, 1] + 1e-9)))
 
-    frames = _haar_frames(rng, grams)
+    frames = _haar_frames(rng, grams.shape, grams)
     _frame_structures(grams, frames)
     with pytest.raises(StructuralError, match="not g-orthonormal"):
         _frame_structures(grams, _break(frames, 1, lambda m: m.__setitem__((..., 0), 2 * m[:, 0])))
@@ -152,8 +152,8 @@ def _bad_grams(original):
 
 
 def _bad_frames(original):
-    def frames(rng, gram):
-        q = original(rng, gram)
+    def frames(rng, shape, gram=None):
+        q = original(rng, shape, gram)
         q[..., -1, :, 0] *= 2.0
         return q
     return frames
