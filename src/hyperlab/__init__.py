@@ -14,7 +14,6 @@ from .tensor_core import (
     DEFAULT_TOL,
     AlmostContactStructure,
     DegenerateSeedError,
-    PhiBasis,
     StructuralError,
     TangentSpace,
     build_phi_basis,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import math
 import numbers
-import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -98,13 +97,7 @@ def to_canonical_json(value, indent: int = 0) -> str:
 
 
 def _md_scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, numbers.Integral):
-        return str(int(v))
-    if isinstance(v, numbers.Real):
-        return _fmt(float(v))
-    return str(v)
+    return v if isinstance(v, str) else to_canonical_json(v)
 
 
 def _md_block(value, indent: int, lines: list[str]):
@@ -115,8 +108,7 @@ def _md_block(value, indent: int, lines: list[str]):
                 lines.append(f"{pad}- {k}:")
                 _md_block(v, indent + 1, lines)
             else:
-                shown = "{}" if isinstance(v, dict) else "[]" if isinstance(v, (list, tuple)) else _md_scalar(v)
-                lines.append(f"{pad}- {k}: {shown}")
+                lines.append(f"{pad}- {k}: {_md_scalar(v)}")
     else:
         for v in value:
             if isinstance(v, (dict, list, tuple)):
@@ -214,14 +206,10 @@ def _required(args: argparse.Namespace, *keys: str):
 
 
 def _tolerance(args: argparse.Namespace) -> float:
-    """Flag, then config file, then the HYPERLAB_TOL variable, then DEFAULT_TOL."""
-    value = args.tolerance
-    if value is None:
-        env = os.environ.get("HYPERLAB_TOL")
-        value = float(env) if env else DEFAULT_TOL
-    if not 0 < value < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {value!r}")
-    return value
+    """The flag, else the config file, else DEFAULT_TOL; _finite has refused inf and nan."""
+    if not args.tolerance > 0:
+        raise ValueError(f"tolerance must be positive and finite, got {args.tolerance!r}")
+    return args.tolerance
 
 
 # ------------------------------------------------------------------ parser
@@ -246,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "markdown"), default="json")
     common.add_argument("--out", help="write the report to a file")
     common.add_argument("--config", help="flat key = value defaults file")
-    common.add_argument("--tolerance", type=_finite,
-                        help="check tolerance (default 1e-9, or HYPERLAB_TOL)")
+    common.add_argument("--tolerance", type=_finite, default=DEFAULT_TOL,
+                        help=f"check tolerance (default {DEFAULT_TOL:g})")
     common.add_argument("--deterministic", action="store_true",
                         help="omit the timestamp for byte-identical reports")
 
@@ -378,13 +366,11 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
                      radius=args.radius, k=args.k, flip_normal=args.flip_normal)
     seed, samples = args.seed, args.samples
     tol = _tolerance(args)
-    if args.checks != "all":
-        names = tuple(w.strip() for w in args.checks.split(",") if w.strip())
-        unknown = sorted(set(names) - set(VERIFY_CHECKS))
-        if unknown:
-            raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    else:
-        names = VERIFY_CHECKS
+    names = (VERIFY_CHECKS if args.checks == "all"
+             else tuple(w.strip() for w in args.checks.split(",") if w.strip()))
+    unknown = sorted(set(names) - set(VERIFY_CHECKS))
+    if unknown:
+        raise ValueError(f"unknown checks: {', '.join(unknown)}")
 
     inst = instantiate(spec, seed=seed)
     ctx, acs = inst.ctx, inst.ctx.acs
@@ -399,36 +385,23 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     report = _skeleton("verify", config)
     report["spectral"] = inst.spectral.to_jsonable()
 
+    # every row is built; --checks selects among them at the end.  The
     # phi-l-commute, l-A-commute and nabla-xi-l rows, and mu-vanishes from the
     # latter, are the classification's own reports, each computed once
     cls = classify(ctx, inst.nabla_a, tol)
-    rows = [rep for rep in cls.reports.values() if rep.name in names]
-    if "mu-vanishes" in names:
-        rows += [ConditionReport("mu-vanishes", rep.subspace, abs(rep.mu), tol)
-                 for rep in cls.reports.values() if rep.name == "nabla-xi-l"]
-    if "structure-axioms" in names:
-        rows.append(ConditionReport("structure-axioms", "all",
-                                    max(validate_acs(acs).values()), tol))
-    if "hopf-decomposition" in names:
-        dec = decompose_A_xi(ctx, tol)
-        rows.append(ConditionReport("hopf-decomposition", SPAN_XI, dec.beta, dec.tolerance,
-                                    {"alpha": dec.alpha}))
-    if "shape-phi-commute" in names:
-        swap = float(np.max(np.abs(commutator(ctx.shape_operator, acs.phi))))
-        rows.append(ConditionReport("shape-phi-commute", "all", swap, tol))
-    if "jacobi-cross-check" in names:
-        rows.append(ConditionReport("jacobi-cross-check", "all", ctx.l_path_gap, tol))
-    if "spectral-oracle" in names and inst.spectral.oracle_deviation is not None:
-        rows.append(ConditionReport("spectral-oracle", "all",
-                                    inst.spectral.oracle_deviation, ORACLE_TOL))
-
-    notes: list[str] = []
-    if inst.nabla_a is None:
-        skipped = [n for n in ("nabla-xi-l", "mu-vanishes", "codazzi") if n in names]
-        if skipped:
-            notes.append(", ".join(skipped) + f" omitted: family {spec.family} "
-                         "ships no derivative provider")
-    elif "codazzi" in names:
+    rows = list(cls.reports.values())
+    rows += [ConditionReport("mu-vanishes", rep.subspace, abs(rep.mu), tol)
+             for rep in cls.reports.values() if rep.name == "nabla-xi-l"]
+    dec = decompose_A_xi(ctx, tol)
+    swap = float(np.max(np.abs(commutator(ctx.shape_operator, acs.phi))))
+    rows += [ConditionReport("structure-axioms", "all", max(validate_acs(acs).values()), tol),
+             ConditionReport("hopf-decomposition", SPAN_XI, dec.beta, dec.tolerance,
+                             {"alpha": dec.alpha}),
+             ConditionReport("shape-phi-commute", "all", swap, tol),
+             ConditionReport("jacobi-cross-check", "all", ctx.l_path_gap, tol),
+             ConditionReport("spectral-oracle", "all", inst.spectral.oracle_deviation,
+                             ORACLE_TOL)]
+    if inst.nabla_a is not None:
         rng = np.random.default_rng(seed + 1)
         worst = 0.0
         for _ in range(samples):
@@ -437,26 +410,27 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
             worst = max(worst, acs.norm(codazzi_residual(ctx, inst.nabla_a, x, y)))
         rows.append(ConditionReport("codazzi", "all", worst, tol))
 
+    verdict = theorem_pipeline(ctx, tol)
+    if negative_control:
+        expected_verdict = VERDICT_HYPOTHESIS_FAILS
+    elif inst.spectral.alpha_is_zero:
+        expected_verdict = VERDICT_INDETERMINATE
+    else:
+        expected_verdict = VERDICT_TYPE_A
+    matches = verdict.verdict == expected_verdict
+    rows.append(ConditionReport("theorem-verdict", "all", 0.0 if matches else 1.0, 0.5))
     if "theorem-verdict" in names:
-        verdict = theorem_pipeline(ctx, tol)
-        if negative_control:
-            expected_verdict = VERDICT_HYPOTHESIS_FAILS
-        elif inst.spectral.alpha_is_zero:
-            expected_verdict = VERDICT_INDETERMINATE
-        else:
-            expected_verdict = VERDICT_TYPE_A
-        matches = verdict.verdict == expected_verdict
-        rows.append(ConditionReport("theorem-verdict", "all", 0.0 if matches else 1.0, 0.5))
-        block = verdict.to_jsonable()
-        block["expected_verdict"] = expected_verdict
-        report["theorem"] = block
+        report["theorem"] = {**verdict.to_jsonable(), "expected_verdict": expected_verdict}
 
     report["classification"] = {"labels": sorted(cls.labels),
                                 "unknown": sorted(cls.unknown)}
-    if notes:
-        report["notes"] = notes
+    skipped = [n for n in ("nabla-xi-l", "mu-vanishes", "codazzi") if n in names]
+    if inst.nabla_a is None and skipped:
+        report["notes"] = [", ".join(skipped) + f" omitted: family {spec.family} "
+                           "ships no derivative provider"]
     if args.emit_structure:
         report["structure"] = ctx.to_jsonable()
+    rows = [rep for rep in rows if rep.name in names]
     return report, _finalize(report, rows, expected_false, args)
 
 

@@ -57,18 +57,15 @@ def alpha_vanishes(alpha: float, c: float) -> bool:
     return abs(alpha) <= 1e-12 * (1.0 + math.sqrt(abs(c)))
 
 
-def decompose_A_xi(ctx: CurvatureContext, tol: float | None = None) -> HopfDecomposition:
+def decompose_A_xi(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> HopfDecomposition:
     """Split A xi into its xi component and its ker(eta) remainder.
 
     The Hopf threshold is relative: beta <= tol * (1 + |A|_F), so scaling
     the shape operator does not flip the verdict.
     """
-    tol = DEFAULT_TOL if tol is None else tol
-    acs = ctx.acs
-    a_xi = ctx.a_xi
-    alpha = acs.g(a_xi, acs.xi)
-    rem = a_xi - alpha * acs.xi
-    beta = acs.norm(rem)
+    alpha = ctx.alpha
+    rem = ctx.a_xi - alpha * ctx.acs.xi
+    beta = ctx.acs.norm(rem)
     threshold = tol * (1.0 + float(np.linalg.norm(ctx.shape_operator)))
     hopf = beta <= threshold
     u = None if hopf else rem / beta
@@ -110,7 +107,7 @@ def _ker_eta_test_basis(ctx: CurvatureContext) -> np.ndarray:
     """
     dec = decompose_A_xi(ctx)
     seeds = [dec.u] if dec.u is not None else None
-    return build_phi_basis(ctx.acs, seeds=seeds).matrix[:, :-1]
+    return build_phi_basis(ctx.acs, seeds=seeds)[:, :-1]
 
 
 def _test_basis(ctx: CurvatureContext, subspace: str) -> np.ndarray:
@@ -127,18 +124,16 @@ def _worst_norm(ctx: CurvatureContext, block: np.ndarray) -> float:
 
 
 def check_phi_l_commute(ctx: CurvatureContext, subspace: str = KER_ETA,
-                        tol: float | None = None) -> ConditionReport:
+                        tol: float = DEFAULT_TOL) -> ConditionReport:
     """Residual of phi l = l phi: max |(phi l - l phi)X| over the subspace basis."""
-    tol = DEFAULT_TOL if tol is None else tol
     comm = commutator(ctx.acs.phi, jacobi_operator(ctx))
     return ConditionReport("phi-l-commute", subspace,
                            _worst_norm(ctx, comm @ _test_basis(ctx, subspace)), tol)
 
 
 def check_l_A_commute(ctx: CurvatureContext, subspace: str = KER_ETA,
-                      tol: float | None = None) -> ConditionReport:
+                      tol: float = DEFAULT_TOL) -> ConditionReport:
     """Residual of lA = Al: max |(lA - Al)X| over the subspace basis."""
-    tol = DEFAULT_TOL if tol is None else tol
     comm = commutator(jacobi_operator(ctx), ctx.shape_operator)
     return ConditionReport("l-A-commute", subspace,
                            _worst_norm(ctx, comm @ _test_basis(ctx, subspace)), tol)
@@ -146,7 +141,7 @@ def check_l_A_commute(ctx: CurvatureContext, subspace: str = KER_ETA,
 
 def check_nabla_xi_l(ctx: CurvatureContext, nabla_a: NablaAProvider,
                      subspace: str = KER_ETA,
-                     tol: float | None = None) -> ConditionReport:
+                     tol: float = DEFAULT_TOL) -> ConditionReport:
     """Residual of (nabla_xi l)X = mu xi with one shared mu over the subspace.
 
     mu is fitted as the mean of mu_X = g((nabla_xi l)X, xi) across the
@@ -155,7 +150,6 @@ def check_nabla_xi_l(ctx: CurvatureContext, nabla_a: NablaAProvider,
     """
     if nabla_a is None:
         raise MissingNablaAError("check_nabla_xi_l needs a nabla-A provider")
-    tol = DEFAULT_TOL if tol is None else tol
     acs = ctx.acs
     block = nabla_l(ctx, nabla_a, acs.xi) @ _test_basis(ctx, subspace)
     mus = acs.xi @ acs.space.gram @ block
@@ -175,7 +169,7 @@ class Classification:
 
 
 def classify(ctx: CurvatureContext, nabla_a: NablaAProvider | None = None,
-             tol: float | None = None) -> Classification:
+             tol: float = DEFAULT_TOL) -> Classification:
     """Run every condition check once and assign the condition classes.
 
     A: phi l = l phi and lA = Al on ker(eta).
@@ -232,7 +226,7 @@ class TheoremVerdict:
         }
 
 
-def theorem_pipeline(ctx: CurvatureContext, tol: float | None = None) -> TheoremVerdict:
+def theorem_pipeline(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> TheoremVerdict:
     """Pointwise forward direction: Hopf + phi l = l phi + alpha != 0 force A phi = phi A.
 
     Non-Hopf input raises NotHopfError (the Hopf property is an input
@@ -242,7 +236,6 @@ def theorem_pipeline(ctx: CurvatureContext, tol: float | None = None) -> Theorem
     Norms reported are spectral, with Frobenius (which dominates) used for
     pass/fail.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     dec = decompose_A_xi(ctx, tol)
     if not dec.is_hopf:
         raise NotHopfError(f"A xi has ker(eta) component beta = {dec.beta:.3e}")

@@ -230,7 +230,7 @@ def consistent_jet(alpha: float, beta: float, c: float,
                     d2_beta_phiU_xi=d2_beta, d2_alpha_phiU_U=d2_alpha)
 
 
-def jet_residuals(jet: LocalJet, tol: float | None = None) -> list[ConditionReport]:
+def jet_residuals(jet: LocalJet, tol: float = DEFAULT_TOL) -> list[ConditionReport]:
     """Residual of every scalar relation the jet is subject to.
 
     Mandatory rows cover the two first-derivative symmetries, the closed
@@ -242,8 +242,6 @@ def jet_residuals(jet: LocalJet, tol: float | None = None) -> list[ConditionRepo
     k1, k2, k3 = jet.kappa1, jet.kappa2, jet.kappa3
     q = c / (4.0 * a)
     da, db = jet.d_alpha, jet.d_beta
-    if tol is None:
-        tol = DEFAULT_TOL
     scale = 1.0 + abs(c) + a * a + b * b
     rows = {
         "dalpha-U-equals-dbeta-xi": da["U"] - db["xi"],
@@ -339,8 +337,7 @@ class ContradictionCertificate:
 
 
 def contradiction_certificate(c: float, alpha: float, beta: float,
-                              w1_norm_sq: float | None = None,
-                              tol: float = DEFAULT_TOL) -> ContradictionCertificate:
+                              w1_norm_sq: float | None = None) -> ContradictionCertificate:
     """Evaluate both branch certificates at one scalar triple."""
     _require_scalars(alpha, beta, c)
     _require(c != 0.0, "c must be nonzero")
@@ -355,14 +352,14 @@ def contradiction_certificate(c: float, alpha: float, beta: float,
     verdict = WITNESSED if disc >= 0.0 else NO_WITNESS
     return ContradictionCertificate(
         c=c, alpha=alpha, beta=beta, factor=factor, sum_sq=sum_sq,
-        degenerate_branch_rejected=sum_sq > tol * (1.0 + alpha ** 2 + beta ** 2),
+        degenerate_branch_rejected=sum_sq > DEFAULT_TOL * (1.0 + alpha ** 2 + beta ** 2),
         discriminant=disc, w1_norm_sq_implied=w1sq, verdict=verdict,
         w1_identity_residual=residual)
 
 
 _MAPPING_KEYS = {
     "alpha": "alpha", "beta": "beta", "c": "c", "gamma": "gamma", "lambda": "lam",
-    "lam": "lam", "kappa1": "kappa1", "kappa2": "kappa2", "kappa3": "kappa3",
+    "kappa1": "kappa1", "kappa2": "kappa2", "kappa3": "kappa3",
     "dalpha_xi": ("d_alpha", "xi"), "dalpha_U": ("d_alpha", "U"),
     "dalpha_phiU": ("d_alpha", "phiU"), "dalpha_phiW2": ("d_alpha", "phiW2"),
     "dalpha_W3": ("d_alpha", "W3"),

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from collections.abc import Callable, Container
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_engine import CurvatureContext, NablaAProvider, commutator
-from .hopf_conditions import alpha_vanishes, decompose_A_xi
+from .curvature_engine import CurvatureContext, NablaAProvider
+from .hopf_conditions import alpha_vanishes
 from .tensor_core import build_phi_basis, canonical_structure
 
 DEFAULT_STEP = 5e-5
@@ -271,7 +270,7 @@ class SpectralTable:
     alpha: float
     entries: tuple[SpectralEntry, ...]
     alpha_is_zero: bool
-    oracle_deviation: float | None
+    oracle_deviation: float
     flipped: bool = False
 
     def multiplicity_total(self) -> int:
@@ -286,9 +285,8 @@ class SpectralTable:
                  "phi_invariant": e.phi_invariant}
                 for e in self.entries
             ],
+            "oracle_deviation": self.oracle_deviation,
         }
-        if self.oracle_deviation is not None:
-            out["oracle_deviation"] = self.oracle_deviation
         if self.flipped:
             out["flipped"] = True
         return out
@@ -303,15 +301,16 @@ def _branches(spec: ModelSpec) -> list[tuple[Callable[[float], float], float, in
     return [(functools.partial(fn, s), kappa, m) for fn, kappa, m in forms]
 
 
-def _oracle_deviation(spec: ModelSpec, branches, step: float) -> float:
+def _oracle_deviation(spec: ModelSpec, branches) -> float:
     """Worst disagreement between the closed forms and the Riccati flow.
 
     Tube branches are anchored at the closed-form value just off the core
     (s r0 = 0.01) and integrated out to the model radius; the radius-free
-    horosphere is checked as a fixed point over a unit interval.
+    horosphere is checked as a fixed point over a unit interval.  The step
+    is DEFAULT_STEP / max(s, 1), with the constant read at call time.
     """
     s = spec.scale
-    h = step / max(s, 1.0)
+    h = DEFAULT_STEP / max(s, 1.0)
     r = spec.radius if spec.radius is not None else 1.0 / s
     r0 = 0.01 / s if spec.radius is not None else 0.0
     worst = 0.0
@@ -321,10 +320,10 @@ def _oracle_deviation(spec: ModelSpec, branches, step: float) -> float:
     return worst
 
 
-def principal_curvatures(spec: ModelSpec, step: float = DEFAULT_STEP) -> SpectralTable:
+def principal_curvatures(spec: ModelSpec) -> SpectralTable:
     """Evaluate the model's spectral table, oracle-checked at construction."""
     branches = _branches(spec)
-    deviation = _oracle_deviation(spec, branches, step)
+    deviation = _oracle_deviation(spec, branches)
     if deviation > ORACLE_TOL:
         raise OracleMismatchError(
             f"spectral table disagrees with the Riccati oracle by {deviation:.3e}")
@@ -370,7 +369,7 @@ def instantiate(spec: ModelSpec, seed: int = 0) -> ModelInstance:
     """
     table = principal_curvatures(spec)
     acs = canonical_structure(spec.n)
-    f = build_phi_basis(acs, rng=np.random.default_rng(seed)).matrix
+    f = build_phi_basis(acs, rng=np.random.default_rng(seed))
     swapped = spec.entry.phi_swapped
     if swapped:
         v_vals, w_vals = ([e.value] * e.multiplicity for e in table.entries)
@@ -379,29 +378,21 @@ def instantiate(spec: ModelSpec, seed: int = 0) -> ModelInstance:
         w_vals = v_vals
     diag = np.array(v_vals + w_vals + [table.alpha])
     ctx = CurvatureContext(acs, (f * diag) @ f.T, spec.c)
-    nabla = None if swapped else type_a_nabla_a(ctx, warn_non_type_a=False)
+    nabla = None if swapped else type_a_nabla_a(ctx)
     return ModelInstance(spec, ctx, table, nabla)
 
 
-def type_a_nabla_a(ctx: CurvatureContext, warn_non_type_a: bool = True) -> NablaAProvider:
+def type_a_nabla_a(ctx: CurvatureContext) -> NablaAProvider:
     """The nabla-A provider of a type-A model.
 
     (nabla_X A)Y = -(c/4)[eta(Y) phiX + g(phiX, Y) xi].  This makes the
-    Codazzi residual vanish identically and gives nabla_xi l = 0.  Attaching
-    it to a context whose shape operator is not type A (non-Hopf, or
-    A phi != phi A) emits a warning: the provider stays Codazzi-consistent
-    but no longer describes that context's geometry.
+    Codazzi residual vanish identically and gives nabla_xi l = 0.  It reads
+    only phi, xi, eta, g and c: on a shape operator that is not type A it
+    stays Codazzi-consistent but no longer describes the context's geometry.
     """
     acs = ctx.acs
     quarter = ctx.c / 4.0
     gram = acs.space.gram
-    if warn_non_type_a:
-        dec = decompose_A_xi(ctx)
-        swap = float(np.max(np.abs(commutator(ctx.shape_operator, acs.phi))))
-        if not dec.is_hopf or swap > dec.tolerance:
-            warnings.warn("shape operator is not type A; the provider is "
-                          "Codazzi-consistent but not this context's geometry",
-                          stacklevel=2)
 
     def endo(w: np.ndarray) -> np.ndarray:
         pw = acs.phi @ w

@@ -42,12 +42,12 @@ def _shapes(rng: np.random.Generator, frame: np.ndarray, gram: np.ndarray,
 def random_symmetric_shape(acs: AlmostContactStructure,
                            rng: np.random.Generator) -> np.ndarray:
     """A random g-symmetric endomorphism (no Hopf constraint)."""
-    return _shapes(rng, build_phi_basis(acs, rng=rng).matrix, acs.space.gram, False)
+    return _shapes(rng, build_phi_basis(acs, rng=rng), acs.space.gram, False)
 
 
 def random_hopf_shape(acs: AlmostContactStructure, rng: np.random.Generator) -> np.ndarray:
     """A random g-symmetric endomorphism with A xi = alpha xi, alpha uniform in [-2, 2]."""
-    return _shapes(rng, build_phi_basis(acs, rng=rng).matrix, acs.space.gram, True)
+    return _shapes(rng, build_phi_basis(acs, rng=rng), acs.space.gram, True)
 
 
 def _contexts(rng: np.random.Generator, lead: tuple, dim: int, hopf: bool):

@@ -220,24 +220,14 @@ def validate_acs(acs: AlmostContactStructure) -> dict[str, float]:
     return {name: float(value) for name, value in res.items()}
 
 
-@dataclass(frozen=True)
-class PhiBasis:
-    """g-orthonormal frame adapted to phi: V_1..V_{n-1}, phiV_1..phiV_{n-1}, xi.
-
-    Column n-1+i is phi applied to column i, exactly as constructed (no
-    re-orthonormalization of the phi images).
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _read_only(self.matrix))
-
-
 def build_phi_basis(acs: AlmostContactStructure,
                     seeds: list[np.ndarray] | None = None,
-                    rng: np.random.Generator | None = None) -> PhiBasis:
-    """Complete xi to a phi-adapted g-orthonormal basis.
+                    rng: np.random.Generator | None = None) -> np.ndarray:
+    """Complete xi to a phi-adapted g-orthonormal frame, returned as columns.
+
+    Column order is V_1..V_{n-1}, phiV_1..phiV_{n-1}, xi, and column n-1+i
+    is phi applied to column i, exactly as constructed (no
+    re-orthonormalization of the phi images).
 
     Each new V_i comes from the next seed, projected g-orthogonally off the
     columns B chosen so far (which lands it in ker(eta)) by the block step
@@ -278,7 +268,7 @@ def build_phi_basis(acs: AlmostContactStructure,
         frame[:, m + 1] = acs.phi @ frame[:, m]
         m += 2
         if m == 2 * k + 1:
-            return PhiBasis(frame[:, [*range(1, m, 2), *range(2, m, 2), 0]])
+            return frame[:, [*range(1, m, 2), *range(2, m, 2), 0]]
     raise DegenerateSeedError("ran out of seed candidates before completing the basis")
 
 

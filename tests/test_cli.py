@@ -262,17 +262,24 @@ def test_config_file_supplies_and_flag_overrides(capsys, tmp_path):
     assert rep["config"]["radius"] == 0.6  # flag wins over file
 
 
-def test_tolerance_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("HYPERLAB_TOL", "1e-3")
-    code, rep = _report(capsys, ["verify", "--ambient", "CP", "--n", "2",
-                                 "--family", "A1", "--radius", "0.5",
-                                 "--deterministic"])
+def test_tolerance_comes_from_flag_then_file_and_must_be_positive(capsys, tmp_path):
+    verify = ["verify", "--ambient", "CP", "--n", "2", "--family", "A1", "--radius", "0.5",
+              "--deterministic"]
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("tolerance = 1e-3\n")
+    code, rep = _report(capsys, verify + ["--config", str(cfg)])
     assert code == 0
     assert rep["config"]["tolerance"] == 1e-3
-    monkeypatch.setenv("HYPERLAB_TOL", "-1.0")
-    code, _ = _capture(capsys, ["verify", "--ambient", "CP", "--n", "2",
-                                "--family", "A1", "--radius", "0.5"])
-    assert code == 2
+    code, rep = _report(capsys, verify + ["--config", str(cfg), "--tolerance", "1e-6"])
+    assert rep["config"]["tolerance"] == 1e-6
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("tolerance = -1.0\n")
+    for extra in (["--tolerance", "0"], ["--tolerance", "-1.0"], ["--config", str(bad)]):
+        code = run(verify + extra)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance must be positive") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_two(capsys):

@@ -140,7 +140,7 @@ def test_block_residuals_match_the_per_vector_loop(rng):
     for n in (2, 3, 5):
         acs = random_structure(n, rng, gram=random_gram(2 * n - 1, rng))
         ctx = CurvatureContext(acs, random_symmetric_shape(acs, rng), 4.0)
-        provider = type_a_nabla_a(ctx, warn_non_type_a=False)
+        provider = type_a_nabla_a(ctx)
         ell, m = jacobi_operator(ctx), nabla_l(ctx, provider, acs.xi)
         for subspace, basis in ((KER_ETA, ctx.ker_eta_basis.T), (SPAN_XI, [acs.xi])):
             for check, op in ((check_phi_l_commute, commutator(acs.phi, ell)),
@@ -174,7 +174,7 @@ def test_classify_settles_on_failed_shared_hypothesis():
     # phi-commutation fails: every class shares that hypothesis, none is open,
     # with or without a provider
     ctx = _diag_context([1.5, 2.5, 0.5, 2.5, 3.0])
-    for provider in (None, type_a_nabla_a(ctx, warn_non_type_a=False)):
+    for provider in (None, type_a_nabla_a(ctx)):
         cls = classify(ctx, provider)
         assert cls.labels == frozenset()
         assert cls.unknown == frozenset()

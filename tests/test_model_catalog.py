@@ -18,9 +18,9 @@ from hyperlab import (
     instantiate,
     principal_curvatures,
     riccati_shape_evolution,
-    type_a_nabla_a,
     validate_acs,
 )
+from hyperlab import model_catalog
 from hyperlab.cli import run
 from hyperlab.model_catalog import MAX_ORACLE_STEPS
 
@@ -163,9 +163,10 @@ def test_every_model_passes_construction_oracle():
         assert t.multiplicity_total() == 2 * spec.n - 2
 
 
-def test_coarse_step_trips_oracle():
+def test_coarse_step_trips_oracle(monkeypatch):
+    monkeypatch.setattr(model_catalog, "DEFAULT_STEP", 1e-2)
     with pytest.raises(OracleMismatchError):
-        principal_curvatures(ModelSpec("CP", 3, "A1", radius=0.9), step=1e-2)
+        principal_curvatures(ModelSpec("CP", 3, "A1", radius=0.9))
 
 
 def test_alpha_zero_radius_is_flagged():
@@ -230,12 +231,6 @@ def test_b_family_ships_no_derivative_provider():
     inst = instantiate(ModelSpec("CH", 3, "B", radius=0.7), seed=0)
     assert inst.nabla_a is None
     assert not check_phi_l_commute(inst.ctx).passed
-
-
-def test_type_a_provider_warns_on_non_commuting_shape():
-    inst = instantiate(ModelSpec("CP", 3, "B", radius=0.6), seed=0)
-    with pytest.warns(UserWarning):
-        type_a_nabla_a(inst.ctx)
 
 
 def test_catalog_rows_cover_all_families(capsys):

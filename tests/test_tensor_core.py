@@ -85,8 +85,7 @@ def test_phi_basis_orthonormal_and_adapted(rng):
     for n in (2, 3, 4):
         gram = random_gram(2 * n - 1, rng)
         acs = random_structure(n, rng, gram=gram)
-        basis = build_phi_basis(acs, rng=rng)
-        m = basis.matrix
+        m = build_phi_basis(acs, rng=rng)
         assert m.shape == (2 * n - 1, 2 * n - 1)
         assert np.max(np.abs(m.T @ acs.space.gram @ m - np.eye(2 * n - 1))) <= 1e-12
         for i in range(n - 1):
@@ -103,7 +102,7 @@ def test_phi_basis_explicit_seed_is_respected():
     basis = build_phi_basis(acs, seeds=[seed])
     expected = np.zeros(5)
     expected[1] = 1.0
-    assert np.allclose(basis.matrix[:, 0], expected, atol=1e-15)
+    assert np.allclose(basis[:, 0], expected, atol=1e-15)
 
 
 def test_phi_basis_degenerate_seed_raises():
@@ -115,7 +114,7 @@ def test_phi_basis_degenerate_seed_raises():
 def test_phi_basis_standard_sweep_skips_degenerate_candidates():
     # xi is the last standard vector; the sweep must skip it silently.
     acs = canonical_structure(4)
-    m = build_phi_basis(acs).matrix
+    m = build_phi_basis(acs)
     assert np.max(np.abs(m.T @ acs.space.gram @ m - np.eye(7))) <= 1e-12
 
 
@@ -199,7 +198,7 @@ def test_block_basis_matches_the_per_vector_loop(rng):
         for seeds, source in ((None, None), (None, draw), ([rng.standard_normal(acs.dim)], draw)):
             block_rng = None if source is None else np.random.default_rng(source)
             loop_rng = None if source is None else np.random.default_rng(source)
-            block = build_phi_basis(acs, seeds=seeds, rng=block_rng).matrix
+            block = build_phi_basis(acs, seeds=seeds, rng=block_rng)
             loop = _per_vector_basis(acs, seeds=seeds, rng=loop_rng)
             if source is not None:
                 assert block_rng.bit_generator.state == loop_rng.bit_generator.state
@@ -214,7 +213,7 @@ def test_block_basis_reorthogonalises_a_nearly_dependent_seed(rng):
     acs = random_structure(5, rng, gram=random_gram(9, rng))
     v1 = rng.standard_normal(9)
     seeds = [v1, v1 + 1e-7 * np.eye(9)[0]]
-    block = build_phi_basis(acs, seeds=seeds).matrix
+    block = build_phi_basis(acs, seeds=seeds)
     loop = _per_vector_basis(acs, seeds=seeds)
     assert _orthonormality(acs, loop) > 1e-10
     assert _orthonormality(acs, block) <= 1e-13
