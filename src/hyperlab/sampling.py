@@ -29,7 +29,9 @@ def random_gram(dim: int, rng: np.random.Generator) -> np.ndarray:
 def _shapes(rng: np.random.Generator, frame: np.ndarray, gram: np.ndarray,
             hopf: bool) -> np.ndarray:
     """f S f^T G on g-orthonormal frames f ending in xi, S a symmetric Gaussian block;
-    a Hopf S is that block on ker(eta) and alpha uniform in [-2, 2] on xi."""
+    a Hopf S is that block on ker(eta) and alpha uniform in [-2, 2] on xi.  The law of
+    S is invariant under orthogonal changes of frame (for a Hopf S, those fixing xi),
+    so the law of A does not depend on which such frame is given."""
     k = frame.shape[-1] - hopf
     s = np.zeros(frame.shape)
     blk = rng.standard_normal(frame.shape[:-2] + (k, k))
@@ -41,13 +43,14 @@ def _shapes(rng: np.random.Generator, frame: np.ndarray, gram: np.ndarray,
 
 def random_symmetric_shape(acs: AlmostContactStructure,
                            rng: np.random.Generator) -> np.ndarray:
-    """A random g-symmetric endomorphism (no Hopf constraint)."""
-    return _shapes(rng, build_phi_basis(acs, rng=rng), acs.space.gram, False)
+    """A random g-symmetric endomorphism (no Hopf constraint), built on the fixed phi basis."""
+    return _shapes(rng, build_phi_basis(acs), acs.space.gram, False)
 
 
 def random_hopf_shape(acs: AlmostContactStructure, rng: np.random.Generator) -> np.ndarray:
-    """A random g-symmetric endomorphism with A xi = alpha xi, alpha uniform in [-2, 2]."""
-    return _shapes(rng, build_phi_basis(acs, rng=rng), acs.space.gram, True)
+    """A random g-symmetric endomorphism with A xi = alpha xi, alpha uniform in [-2, 2],
+    built on the fixed phi basis."""
+    return _shapes(rng, build_phi_basis(acs), acs.space.gram, True)
 
 
 def _contexts(rng: np.random.Generator, lead: tuple, dim: int, hopf: bool):
