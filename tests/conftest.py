@@ -1,8 +1,21 @@
 """Shared fixtures: every test that draws randomness is seeded here."""
+import os
+import pathlib
+
 import numpy as np
 import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def child_env():
+    """Environment for a `python -m hyperlab` child: src/ first on its PYTHONPATH,
+    since pytest's pythonpath option reaches only the test process."""
+    paths = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}

@@ -242,7 +242,7 @@ def test_criterion_10_contradiction_certificate(announce):
                 f"rejected {rejected}")
 
 
-def test_criterion_11_cli_determinism(announce, capsys):
+def test_criterion_11_cli_determinism(announce, capsys, child_env):
     argv = ["verify", "--ambient", "CH", "--n", "3", "--family", "A2",
             "--radius", "1.3", "--k", "1", "--seed", "3", "--deterministic"]
     code_a = run(argv)
@@ -255,7 +255,7 @@ def test_criterion_11_cli_determinism(announce, capsys):
     usage = run(["verify", "--ambient", "CP"])
     capsys.readouterr()
     proc = subprocess.run([sys.executable, "-m", "hyperlab"] + argv,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=child_env)
     ok = (code_a == code_b == 0 and first == second and len(first) > 0
           and focal == 1 and usage == 2
           and proc.returncode == 0 and proc.stdout == first

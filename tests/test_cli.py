@@ -485,10 +485,10 @@ def test_every_row_has_the_record_key_order_and_pass_rule(capsys, argv):
         assert row["pass"] == (row["residual"] <= row["tolerance"])
 
 
-def test_module_entry_point_smoke():
+def test_module_entry_point_smoke(child_env):
     proc = subprocess.run([sys.executable, "-m", "hyperlab", "catalog",
                            "--deterministic"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["schema"] == "hyperlab/1"
