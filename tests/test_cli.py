@@ -88,6 +88,34 @@ def test_verify_check_subset_and_structure_emission(capsys):
     assert len(rep["structure"]["phi"]) == 9
 
 
+_CHECKS_MODELS = {
+    "type-A": ["--ambient", "CP", "--n", "3", "--family", "A2", "--k", "1", "--radius", "0.8"],
+    "family-B": ["--ambient", "CP", "--n", "3", "--family", "B", "--radius", "0.6"],
+}
+_FULL_REPORTS: dict = {}
+
+
+@pytest.mark.parametrize("model", sorted(_CHECKS_MODELS))
+@pytest.mark.parametrize("name", cli.VERIFY_CHECKS)
+def test_checks_reports_exactly_the_full_reports_rows_of_that_name(capsys, model, name):
+    argv = ["verify", *_CHECKS_MODELS[model], "--deterministic"]
+    if model not in _FULL_REPORTS:
+        _FULL_REPORTS[model] = _report(capsys, argv)[1]
+    full = _FULL_REPORTS[model]
+    code, rep = _report(capsys, argv + ["--checks", name])
+    rows = [row for row in full["checks"] if row["check"] == name]
+    assert rep["checks"] == rows
+    assert rep["summary"]["rows"] == len(rows)
+    assert code == (0 if all(row["pass"] == row["expected"] for row in rows) else 1)
+    assert rep["config"] == {**full["config"], "checks": name}
+    assert rep["spectral"] == full["spectral"]
+    assert rep["classification"] == full["classification"]
+    assert rep.get("theorem") == (full["theorem"] if name == "theorem-verdict" else None)
+    omitted = "notes" in full and name in ("nabla-xi-l", "mu-vanishes", "codazzi")
+    assert rep.get("notes") == ([f"{name} omitted: family B ships no derivative provider"]
+                                if omitted else None)
+
+
 def test_verify_unknown_check_is_usage_error(capsys):
     code, out = _capture(capsys, ["verify", "--ambient", "CP", "--n", "2",
                                   "--family", "A1", "--radius", "0.5",
