@@ -8,8 +8,13 @@ NAME ...` (no NAME: every case) and explains the diff.
 """
 import contextlib
 import io
+import os
 import pathlib
 import sys
+
+if __name__ == "__main__":  # regeneration skips conftest.py: pin OpenBLAS as it does
+    assert "numpy" not in sys.modules, "numpy was imported before the OpenBLAS thread pin"
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import pytest
 
