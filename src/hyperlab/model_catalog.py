@@ -12,7 +12,9 @@ fixed-step RK4 integration of the radial Riccati equation
 
     lambda' = -(lambda^2 + kappa),
 
-with kappa = c on the xi line and kappa = c/4 on its complement.  In CH the
+with kappa = c on the xi line and kappa = c/4 on its complement, run on its
+linear form: lambda = u'/u for the Jacobi equation u'' + kappa u = 0, whose
+zeros of u are the focal points (Cecil-Ryan, Geometry of Hypersurfaces).  In CH the
 alpha branch never vanishes; in CP it vanishes exactly at s r = pi/4, which
 is allowed but flagged.  Flipping the unit normal negates the whole table;
 the flip is applied after the oracle check, since the flipped branch solves
@@ -56,10 +58,13 @@ def riccati_shape_evolution(kappa: float, r: float,
                             step: float = DEFAULT_STEP) -> float:
     """Integrate lambda' = -(lambda^2 + kappa) from (r0, value) to r.
 
-    Fixed-step classical RK4; this is the independent oracle the catalog
-    closed forms are checked against, so it deliberately shares no code
-    with them.  |lambda| crossing 1e6 (a focal point) raises, and so, before
-    any step, does an interval that needs more than MAX_ORACLE_STEPS steps.
+    lambda = u'/u for the Jacobi equation u'' + kappa u = 0, which is linear,
+    so one classical RK4 step from (u, u') = (1, lambda) is the fixed matrix
+    [[m, s], [-kappa s, m]] of the RK4 stability polynomial in x = kappa h^2.
+    This is the independent oracle the catalog closed forms are checked
+    against, so it deliberately shares no code with them.  A zero of u (a
+    focal point) raises, and so, before any step, does an interval that needs
+    more than MAX_ORACLE_STEPS steps.
     """
     r0, lam = float(lambda0[0]), float(lambda0[1])
     kappa = float(kappa)
@@ -76,19 +81,19 @@ def riccati_shape_evolution(kappa: float, r: float,
                          f"more than the cap of {MAX_ORACLE_STEPS}")
     nsteps = max(1, math.ceil(ratio))
     h = span / nsteps
-    for _ in range(nsteps):
-        k1 = -(lam * lam + kappa)
-        y = lam + 0.5 * h * k1
-        k2 = -(y * y + kappa)
-        y = lam + 0.5 * h * k2
-        k3 = -(y * y + kappa)
-        y = lam + h * k3
-        k4 = -(y * y + kappa)
-        lam += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not math.isfinite(lam) or abs(lam) > BLOWUP_LIMIT:
-            raise FocalPointError(
-                f"shape curvature passed a focal point near r = {r0 + (_ + 1) * h:.6f}")
-    return lam
+    x = kappa * h * h
+    m = 1.0 - x / 2.0 + x * x / 24.0
+    s = h * (1.0 - x / 6.0)
+    ks = -kappa * s
+    for i in range(1, nsteps + 1):
+        u = m + s * lam
+        if not u > 0.0:  # u changed sign within step i, or is nan
+            break
+        lam = (ks + m * lam) / u
+    else:
+        if math.isfinite(lam):  # a non-finite lambda fails the next u test; the last has none
+            return lam
+    raise FocalPointError(f"shape curvature passed a focal point near r = {r0 + i * h:.6f}")
 
 
 def _cot(x: float) -> float:

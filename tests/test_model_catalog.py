@@ -114,6 +114,58 @@ def test_riccati_rejects_bad_step():
         riccati_shape_evolution(-1.0, (MAX_ORACLE_STEPS + 1) * 1e-3, (0.0, 1.0), step=1e-3)
 
 
+def _riccati_rk4(kappa, r, r0, lam, step=model_catalog.DEFAULT_STEP):
+    """Classical RK4 on lambda' = -(lambda^2 + kappa) itself: the reference."""
+    nsteps = max(1, math.ceil(abs(r - r0) / step))
+    h = (r - r0) / nsteps
+    for _ in range(nsteps):
+        k1 = -(lam * lam + kappa)
+        y = lam + 0.5 * h * k1
+        k2 = -(y * y + kappa)
+        y = lam + 0.5 * h * k2
+        k3 = -(y * y + kappa)
+        y = lam + h * k3
+        k4 = -(y * y + kappa)
+        lam += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return lam
+
+
+@pytest.mark.parametrize("kappa", [-4.0, -1.0, -0.25, 0.25, 1.0, 4.0])
+def test_linear_oracle_matches_the_riccati_loop(kappa):
+    s = math.sqrt(abs(kappa))
+    tube = (lambda r: s / math.tan(s * r)) if kappa > 0 else (lambda r: s / math.tanh(s * r))
+    cases = [(0.01 / s, tube(0.01 / s), 1.2 / s),  # anchored off the core, outward
+             (0.01 / s, tube(0.01 / s), 0.005 / s),  # and toward the core
+             (1.0 / s, tube(1.0 / s), 0.02 / s),
+             (0.3 / s, -0.7 * s, 0.9 / s)]
+    if kappa < 0:
+        cases += [(0.0, s, 3.0 / s), (2.0, s, 2.0 - 1.0 / s)]  # the fixed point sqrt(-kappa)
+    h = model_catalog.DEFAULT_STEP / max(s, 1.0)  # the catalog's step
+    for r0, lam0, r in cases:
+        want = _riccati_rk4(kappa, r, r0, lam0, h)
+        got = riccati_shape_evolution(kappa, r, (r0, lam0), step=h)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (r0, lam0, r)
+
+
+@pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0])
+def test_linear_oracle_reports_the_focal_point(kappa):
+    s = math.sqrt(kappa)
+    with pytest.raises(FocalPointError) as exc:
+        riccati_shape_evolution(kappa, 4.0 / s, (0.01 / s, s / math.tan(0.01)))
+    focal = float(exc.value.args[0].rsplit("r = ", 1)[1])
+    assert abs(focal - math.pi / s) <= model_catalog.DEFAULT_STEP + 5e-7  # 6 printed decimals
+
+
+def test_linear_oracle_guards():
+    with pytest.raises(FocalPointError):
+        riccati_shape_evolution(1.0, 1.0, (0.0, math.nan))
+    with pytest.raises(FocalPointError, match="blow-up guard"):
+        riccati_shape_evolution(1.0, 1.0, (0.0, 1.0000001e6))
+    # the cap refuses before the first step, which would meet the nan as a focal point
+    with pytest.raises(ValueError, match="cap"):
+        riccati_shape_evolution(1.0, (MAX_ORACLE_STEPS + 1) * 1e-3, (0.0, math.nan), step=1e-3)
+
+
 def test_spectral_tables_spot_values():
     t = principal_curvatures(ModelSpec("CP", 2, "A1", radius=0.5))
     assert abs(t.alpha - 2.0 / math.tan(1.0)) <= 1e-12
@@ -164,9 +216,19 @@ def test_every_model_passes_construction_oracle():
 
 
 def test_coarse_step_trips_oracle(monkeypatch):
-    monkeypatch.setattr(model_catalog, "DEFAULT_STEP", 1e-2)
+    monkeypatch.setattr(model_catalog, "DEFAULT_STEP", 0.1)
     with pytest.raises(OracleMismatchError):
         principal_curvatures(ModelSpec("CP", 3, "A1", radius=0.9))
+
+
+@pytest.mark.parametrize("family, k, top", [("A1", None, math.pi / 2.0),
+                                            ("A2", 1, math.pi / 2.0),
+                                            ("B", None, math.pi / 4.0)])
+def test_near_edge_models_pass_the_oracle(family, k, top):
+    # the Riccati loop missed ORACLE_TOL here (2.7e-6) where lambda ~ 1/0.002
+    for r in (0.002, top - 0.002):
+        t = principal_curvatures(ModelSpec("CP", 3, family, radius=r, k=k))
+        assert t.oracle_deviation <= model_catalog.ORACLE_TOL
 
 
 def test_alpha_zero_radius_is_flagged():
