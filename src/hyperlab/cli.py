@@ -298,15 +298,21 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 
     argparse converts a string default with the option's type, so a file
     value passes the same checks as a flag, and a flag still wins over it;
-    store_true keys from a file are read with _as_bool.
+    store_true keys from a file are read with _as_bool.  A file key must be an
+    option of the subcommand, or for jet a raw jet key.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
         config = load_config(args.config)
+        known = set(vars(args)).difference(_PARSER_KEYS)
+        if args.command == "jet":
+            known |= set(_MAPPING_KEYS)
+        unknown = sorted(set(config) - known)
+        if unknown:
+            raise ValueError(f"unknown {args.command} keys in {args.config}: {', '.join(unknown)}")
         args.leaf.set_defaults(**{key: _as_bool(raw) if key in _BOOL_KEYS else raw
-                                  for key, raw in config.items()
-                                  if key not in _PARSER_KEYS})
+                                  for key, raw in config.items()})
         args = parser.parse_args(argv)
     return args
 

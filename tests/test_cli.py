@@ -1,7 +1,9 @@
 """End-to-end CLI contract: report shape, determinism, exit codes, config plumbing."""
 import argparse
+import importlib.util
 import json
 import math
+import pathlib
 import subprocess
 import sys
 import time
@@ -279,15 +281,54 @@ def test_out_file_writes_report(capsys, tmp_path):
 def test_config_file_supplies_and_flag_overrides(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("ambient = CP\nn = 2\nfamily = A1\nradius = 0.5\n"
-                   "deterministic = true\ncommand = catalog\n")
+                   "deterministic = true\n")
     code, rep = _report(capsys, ["verify", "--config", str(cfg)])
     assert code == 0
-    assert rep["command"] == "verify"  # the subcommand comes from argv only
+    assert rep["command"] == "verify"
     assert rep["config"]["radius"] == 0.5
     assert "timestamp" not in rep
     code, rep = _report(capsys, ["verify", "--config", str(cfg),
                                  "--radius", "0.6"])
     assert rep["config"]["radius"] == 0.6  # flag wins over file
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["jet", "--alpha", "1", "--beta", "1", "--c", "4"], "lamda = 0.5"),
+    (["jet", "--alpha", "1", "--beta", "1", "--c", "4"], "lam = 0.5"),
+    (["verify", "--ambient", "CP", "--n", "2", "--family", "A1"], "radus = 0.5"),
+    (["verify", "--ambient", "CP", "--n", "2", "--family", "A1", "--radius", "0.5"],
+     "command = catalog"),
+    (["catalog"], "leaf = 1"),
+    (["oracle", "riccati", "--kappa", "1", "--r", "1"], "oracle_command = riccati"),
+    (["jet", "--alpha", "1", "--beta", "1", "--c", "4"], "flip_normal = true"),
+])
+def test_config_refuses_unknown_keys(capsys, tmp_path, argv, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code = run(argv + ["--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    key = line.split(" = ")[0]
+    assert err.startswith("error: unknown ") and err.count("\n") == 1 and key in err
+
+
+@pytest.mark.parametrize("level", [0.1, 0.5, 0.9])
+def test_config_accepts_the_benchmark_jet_keys(capsys, tmp_path, level):
+    # the cli-cold workload's jet --config file: kappa3, dalpha_*, dbeta_*, d2*, w1_norm_sq
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    flags, text = workloads._jet_config(lambda kind, name: level)
+    cfg = tmp_path / "jet.cfg"
+    cfg.write_text(text)
+    code = run(["jet"] + flags + ["--config", str(cfg), "--deterministic"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    values = dict(line.split(" = ") for line in text.splitlines())
+    assert json.loads(out)["jet"]["d_beta"]["phiW1"] == float(values["dbeta_phiW1"])
 
 
 def test_tolerance_comes_from_flag_then_file_and_must_be_positive(capsys, tmp_path):
