@@ -8,13 +8,11 @@ two ker(eta) branches sit on V and phi V respectively (phi-swapped), so
 A phi != phi A.
 
 Every spectral value is validated at construction against an independent
-fixed-step RK4 integration of the radial Riccati equation
+fixed-step RK4 integration of the radial Riccati equation in its Jacobi form:
 
-    lambda' = -(lambda^2 + kappa),
+    lambda' = -(lambda^2 + kappa),   lambda = u'/u,   u'' + kappa u = 0,
 
-with kappa = c on the xi line and kappa = c/4 on its complement, run on its
-linear form: lambda = u'/u for the Jacobi equation u'' + kappa u = 0, whose
-zeros of u are the focal points (Cecil-Ryan, Geometry of Hypersurfaces).  In CH the
+with kappa = c on the xi line and kappa = c/4 on its complement.  In CH the
 alpha branch never vanishes; in CP it vanishes exactly at s r = pi/4, which
 is allowed but flagged.  Flipping the unit normal negates the whole table;
 the flip is applied after the oracle check, since the flipped branch solves
@@ -58,13 +56,10 @@ def riccati_shape_evolution(kappa: float, r: float,
                             step: float = DEFAULT_STEP) -> float:
     """Integrate lambda' = -(lambda^2 + kappa) from (r0, value) to r.
 
-    lambda = u'/u for the Jacobi equation u'' + kappa u = 0, which is linear,
-    so one classical RK4 step from (u, u') = (1, lambda) is the fixed matrix
-    [[m, s], [-kappa s, m]] of the RK4 stability polynomial in x = kappa h^2.
-    This is the independent oracle the catalog closed forms are checked
-    against, so it deliberately shares no code with them.  A zero of u (a
-    focal point) raises, and so, before any step, does an interval that needs
-    more than MAX_ORACLE_STEPS steps.
+    Classical RK4 on lambda = u'/u, u'' + kappa u = 0: from (u, u') = (1, lambda)
+    a step is the fixed matrix [[m, s], [-kappa s, m]].  This independent oracle
+    shares no code with the closed forms.  A zero of u (a focal point) raises,
+    and so, before any step, does an interval of over MAX_ORACLE_STEPS steps.
     """
     r0, lam = float(lambda0[0]), float(lambda0[1])
     kappa = float(kappa)
