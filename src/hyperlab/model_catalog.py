@@ -44,7 +44,7 @@ class CatalogError(ValueError):
 
 
 class FocalPointError(RuntimeError):
-    """The Riccati flow blew up inside the requested interval."""
+    """The Riccati flow passed a focal point (a zero of u) inside the interval."""
 
 
 class OracleMismatchError(RuntimeError):

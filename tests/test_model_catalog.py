@@ -114,7 +114,7 @@ def test_riccati_rejects_bad_step():
         riccati_shape_evolution(-1.0, (MAX_ORACLE_STEPS + 1) * 1e-3, (0.0, 1.0), step=1e-3)
 
 
-def _riccati_rk4(kappa, r, r0, lam, step=model_catalog.DEFAULT_STEP):
+def _riccati_rk4(kappa, r, r0, lam, step):
     """Classical RK4 on lambda' = -(lambda^2 + kappa) itself: the reference."""
     nsteps = max(1, math.ceil(abs(r - r0) / step))
     h = (r - r0) / nsteps
