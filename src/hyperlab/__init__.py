@@ -83,7 +83,6 @@ from .lemma_lab import (
     ContradictionCertificate,
     JetError,
     LocalJet,
-    ShapeConnectionTable,
     alpha_zero_commutator_norm,
     consistent_jet,
     contradiction_certificate,
@@ -91,7 +90,6 @@ from .lemma_lab import (
     jet_from_mapping,
     jet_residuals,
     rotation_coefficients,
-    shape_connection_rows,
     w1_norm_identity,
 )
 

@@ -2,10 +2,10 @@
 
 On the open set where A xi = alpha xi + beta U with beta > 0 and U a unit
 field in ker(eta), the commutation hypothesis pins the shape operator down
-to three scalars on span{xi, U, phiU}, forces a nine-row Levi-Civita
-connection table in terms of auxiliary fields W1, W2, W3 (all orthogonal to
-xi and U), and fixes the rotation coefficients k1 = g(W1, phiU) and
-k2 = g(W2, phiU) in closed form.  The first derivatives of alpha and beta
+to beta, gamma = g(AU, U) and lambda = g(A phiU, phiU) on span{xi, U, phiU},
+forces a nine-row Levi-Civita connection table in terms of auxiliary fields
+W1, W2, W3 (all orthogonal to xi and U), and fixes the rotation coefficients
+k1 = g(W1, phiU) and k2 = g(W2, phiU) in closed form.  The first derivatives of alpha and beta
 are then proportional to k3 = g(W3, phiU), and commuting second derivatives
 collapses everything to the dichotomy
 
@@ -16,8 +16,10 @@ The k3 != 0 branch dies because the xi-derivative of the factor forces
 norm identity for W1 makes f(w) = 64 w^2 + 60 c w + 12 c beta^2 (w =
 alpha^2) obligated to stay positive, yet its discriminant 3600 c^2 -
 3072 c beta^2 is nonnegative for every c < 0 and for c > 0 whenever
-beta^2 <= 75 c / 64.  This module holds the whole scalar chain as data:
-a jet container, residual rows for every relation, and the certificate.
+beta^2 <= 75 c / 64.  Every closed form of the chain is written once, in
+_tilted_forms; it, _jet_rows and w1_norm_identity are plain arithmetic (no
+math calls, no comparisons), so sympy symbols work as well as floats.  The
+public entry points check their inputs and call them with floats.
 """
 from __future__ import annotations
 
@@ -49,33 +51,116 @@ def _require(cond: bool, msg: str):
         raise JetError(msg)
 
 
-def _require_scalars(alpha: float, beta: float, c: float):
-    """alpha, beta and c within JET_SCALAR_MAX in magnitude (NaN fails too)."""
+def _require_tilted(alpha: float, beta: float, c: float, what: str):
+    """alpha, beta and c within JET_SCALAR_MAX in magnitude (NaN fails too), and
+    none of c, alpha**2 and alpha beta zero: the tilted-set formulas divide by each."""
     for name, value in (("alpha", alpha), ("beta", beta), ("c", c)):
         _require(abs(value) <= JET_SCALAR_MAX,
                  f"jet scalar {name} = {value!r} exceeds {JET_SCALAR_MAX:g} in magnitude")
-
-
-def _require_alpha(alpha: float, what: str):
-    """alpha != 0, and alpha**2 must not underflow: every formula divides by it."""
+    _require(c != 0.0, "c must be nonzero")
     _require(alpha * alpha != 0.0, f"{what} needs alpha**2 > 0, got alpha = {alpha!r}")
+    _require(alpha * beta != 0.0,
+             f"{what} needs alpha beta != 0, got alpha = {alpha!r}, beta = {beta!r}")
+
+
+def _tilted_forms(alpha, beta, c, kappa3=0, kappa1=None) -> dict:
+    """Every closed form of the tilted set, keyed as in _MAPPING_KEYS where it is a jet value.
+
+    gamma and lambda are the pinned shape scalars, kappa1 and kappa2 the
+    rotation coefficients, the dalpha_/dbeta_/d2 keys the derivative forms
+    (proportional to kappa3 but for the two along phiU) and w1_norm_sq the
+    |W1|^2 the norm identity implies on the k3 = 0 branch; factor, sum_sq and
+    discriminant are the certificate's.  The phiU forms hold for any k1, so
+    a given kappa1 stands in for its closed form there.
+    """
+    a, b, k3 = alpha, beta, kappa3
+    q = c / (4 * a)
+    gamma = b ** 2 / a - q
+    k1 = -4 * a
+    jet_k1 = k1 if kappa1 is None else kappa1
+    xi_beta = 4 * a * b ** 2 * k3 / c
+    u_beta_per_k3 = b + 4 * b ** 3 / c
+    return {
+        "gamma": gamma, "lambda": -q,
+        "kappa1": k1, "kappa2": -4 * b - c / (4 * a * b) * gamma,
+        "dalpha_xi": 4 * a ** 2 * b * k3 / c,
+        "dalpha_U": xi_beta,
+        "dalpha_phiU": 3 * b * q + a * b + jet_k1 * b,
+        "dalpha_phiW2": k3 * (16 * a * b ** 3 / c + b * gamma),
+        "dalpha_W3": 3 * b * (q - a) * k3,
+        "dbeta_xi": xi_beta,
+        "dbeta_U": u_beta_per_k3 * k3,
+        "dbeta_phiU": q * gamma + b ** 2 + jet_k1 * b ** 2 / a,
+        "dbeta_phiW1": 4 * a * k3 * u_beta_per_k3,
+        "d2beta_phiU_xi": b * k3 * (3 * q + b ** 2 / a - 4 * a - 36 * a * b ** 2 / c),
+        "d2alpha_phiU_U": b * k3 * (7 * q - 8 * a - 36 * a * b ** 2 / c - b ** 2 / a),
+        "w1_norm_sq": w1_norm_identity(c, a, b, 0) / (16 * a ** 2),
+        "factor": c - 4 * a ** 2 - 2 * b ** 2,
+        "sum_sq": 2 * a ** 2 + b ** 2,
+        "discriminant": 3600 * c ** 2 - 3072 * c * b ** 2,
+    }
+
+
+# pinned jet key -> the row that checks it against its closed form
+_FORM_ROWS = {
+    "gamma": "gamma-closed-form", "lambda": "lambda-closed-form",
+    "dalpha_xi": "dalpha-xi-k3", "dalpha_U": "dalpha-U-k3",
+    "dalpha_phiU": "dalpha-phiU-closed-form", "dalpha_phiW2": "dalpha-phiW2-k3",
+    "dalpha_W3": "dalpha-W3-k3", "dbeta_xi": "dbeta-xi-k3", "dbeta_U": "dbeta-U-k3",
+    "dbeta_phiU": "dbeta-phiU-closed-form", "dbeta_phiW1": "dbeta-phiW1-k3",
+    "d2beta_phiU_xi": "ddbeta-phiU-xi", "d2alpha_phiU_U": "ddalpha-phiU-U",
+}
+
+
+def _jet_rows(v: dict) -> dict:
+    """Residual of every relation on jet values v keyed as in _MAPPING_KEYS.
+
+    One closed-form row, value - form, per pinned key v carries; the two
+    first-derivative symmetries, the phiU balance identity and the dichotomy
+    among the values; the W1 norm identity when v carries |W1|^2.
+    """
+    a, b, c, k3 = v["alpha"], v["beta"], v["c"], v["kappa3"]
+    forms = _tilted_forms(a, b, c, k3, v["kappa1"])
+    rows = {row: v[key] - forms[key] for key, row in _FORM_ROWS.items() if key in v}
+    rows["dalpha-U-equals-dbeta-xi"] = v["dalpha_U"] - v["dbeta_xi"]
+    rows["dbeta-U-chain"] = v["dbeta_U"] - ((2 * b / a) * v["dbeta_xi"]
+                                            + ((c / 4 - b * b) / a ** 2) * v["dalpha_xi"])
+    rows["phiU-derivative-balance"] = (-2 * b * v["dalpha_phiU"] + 3 * b * b * c / (2 * a)
+                                       + a * b * b + a * b * v["kappa2"] + a * v["dbeta_phiU"])
+    rows["k3-dichotomy"] = (b / a) * forms["factor"] * k3
+    if "w1_norm_sq" in v:
+        rows["w1-norm-identity"] = w1_norm_identity(c, a, b, v["w1_norm_sq"])
+    return rows
+
+
+def w1_norm_identity(c: float, alpha: float, beta: float, w1_norm_sq: float) -> float:
+    """Left side of the norm identity for W1 on the k3 = 0 branch; zero when it holds.
+
+    12 (5 alpha^2 + beta^2) c + 64 alpha^4 - 3 c^2 - 48 alpha^2 beta^2
+    - 16 alpha^2 |W1|^2; at |W1|^2 = 0 it is exactly the numerator of
+    implied_w1_norm_sq.
+    """
+    return (12 * (5 * alpha ** 2 + beta ** 2) * c + 64 * alpha ** 4
+            - 3 * c ** 2 - 48 * alpha ** 2 * beta ** 2 - 16 * alpha ** 2 * w1_norm_sq)
 
 
 @dataclass(frozen=True)
 class LocalJet:
     """First-order scalar data of a tilted configuration at one point.
 
-    d_alpha / d_beta map direction names to directional derivatives.  The
-    mandatory directions are xi, U, phiU; phiW2 and W3 (for alpha) and
-    phiW1 (for beta) unlock the corresponding optional rows, as do the two
-    mixed second derivatives and the squared norm of W1.
+    gamma, lam, kappa1 and kappa2 default to their closed forms.  d_alpha /
+    d_beta map direction names to directional derivatives; the jet keeps
+    copies of the dicts it is given.  The mandatory directions are xi, U,
+    phiU (zero when absent); phiW2 and W3 (for alpha) and phiW1 (for beta)
+    unlock the corresponding optional rows, as do the two mixed second
+    derivatives and the squared norm of W1.
     """
 
     alpha: float
     beta: float
     c: float
-    gamma: float = 0.0
-    lam: float = 0.0
+    gamma: float | None = None
+    lam: float | None = None
     kappa1: float | None = None
     kappa2: float | None = None
     kappa3: float = 0.0
@@ -86,22 +171,27 @@ class LocalJet:
     d2_alpha_phiU_U: float | None = None
 
     def __post_init__(self):
-        _require(self.c != 0.0, "c must be nonzero")
-        _require_alpha(self.alpha, "the tilted set")
+        _require_tilted(self.alpha, self.beta, self.c, "the tilted set")
         _require(self.beta > 0.0, "beta must be positive on the tilted set")
-        k1, k2 = rotation_coefficients(self.alpha, self.beta, self.c)
-        if self.kappa1 is None:
-            object.__setattr__(self, "kappa1", k1)
-        if self.kappa2 is None:
-            object.__setattr__(self, "kappa2", k2)
-        for direction in FIRST_ORDER_DIRECTIONS:
-            self.d_alpha.setdefault(direction, 0.0)
-            self.d_beta.setdefault(direction, 0.0)
+        forms = _tilted_forms(self.alpha, self.beta, self.c)
+        for key in ("gamma", "lambda", "kappa1", "kappa2"):
+            if getattr(self, _MAPPING_KEYS[key]) is None:
+                object.__setattr__(self, _MAPPING_KEYS[key], forms[key])
+        for name in ("d_alpha", "d_beta"):
+            object.__setattr__(self, name, {**dict.fromkeys(FIRST_ORDER_DIRECTIONS, 0.0),
+                                            **getattr(self, name)})
+        for key, value in self._keyed().items():
+            _require(math.isfinite(value), f"jet value {key} = {value!r} is not finite")
+
+    def _keyed(self) -> dict[str, float]:
+        """The jet's values keyed as in _MAPPING_KEYS; absent optional data is left out."""
+        out = {}
         for key, target in _MAPPING_KEYS.items():
             value = (getattr(self, target[0]).get(target[1]) if isinstance(target, tuple)
                      else getattr(self, target))
-            _require(value is None or math.isfinite(value),
-                     f"jet value {key} = {value!r} is not finite")
+            if value is not None:
+                out[key] = value
+        return out
 
     def to_jsonable(self) -> dict:
         out = {
@@ -120,60 +210,9 @@ class LocalJet:
 
 def rotation_coefficients(alpha: float, beta: float, c: float) -> tuple[float, float]:
     """Closed forms of k1 = g(nabla_xi U, phiU) and k2 = g(nabla_U U, phiU)."""
-    _require_scalars(alpha, beta, c)
-    _require(alpha * beta != 0.0 and c != 0.0,
-             "rotation coefficients need alpha, beta, c nonzero (alpha beta must not underflow)")
-    k1 = -4.0 * alpha
-    k2 = -4.0 * beta + (c / (4.0 * alpha * beta)) * (c / (4.0 * alpha) - beta ** 2 / alpha)
-    return k1, k2
-
-
-@dataclass(frozen=True)
-class ShapeConnectionTable:
-    """Shape-operator scalars and the nine covariant-derivative rows.
-
-    connection maps (direction, field) over {xi, U, phiU} to coefficient
-    dictionaries on the frame extended by W1, W2, W3, phiW1, phiW2, phiW3.
-    """
-
-    shape: dict[str, float]
-    connection: dict[tuple[str, str], dict[str, float]]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "shape": dict(sorted(self.shape.items())),
-            "connection": {
-                f"nabla[{d}]{f_}": dict(sorted(coeffs.items()))
-                for (d, f_), coeffs in sorted(self.connection.items())
-            },
-        }
-
-
-def shape_connection_rows(alpha: float, beta: float, c: float) -> ShapeConnectionTable:
-    """The pinned shape scalars and connection table of a tilted configuration.
-
-    AU has no phiU component and A phiU is an eigenvector; covariant
-    derivatives of the adapted frame then carry only the auxiliary fields
-    W1 = nabla_xi U, W2 = nabla_U U and the ker(eta) part W3 of
-    nabla_phiU U, plus frame terms with the coefficients below.
-    """
-    _require_scalars(alpha, beta, c)
-    _require(alpha != 0.0, "the tilted shape table needs alpha != 0")
-    q = c / (4.0 * alpha)
-    a_uu = beta ** 2 / alpha - q
-    shape = {"A-U-U": a_uu, "A-U-xi": beta, "A-phiU-phiU": -q}
-    connection = {
-        ("xi", "xi"): {"phiU": beta},
-        ("U", "xi"): {"phiU": a_uu},
-        ("phiU", "xi"): {"U": q},
-        ("xi", "U"): {"W1": 1.0},
-        ("U", "U"): {"W2": 1.0},
-        ("phiU", "U"): {"W3": 1.0, "xi": -q},
-        ("xi", "phiU"): {"phiW1": 1.0, "xi": -beta},
-        ("U", "phiU"): {"phiW2": 1.0, "xi": q - beta ** 2 / alpha},
-        ("phiU", "phiU"): {"phiW3": 1.0},
-    }
-    return ShapeConnectionTable(shape, connection)
+    _require_tilted(alpha, beta, c, "the rotation coefficients")
+    forms = _tilted_forms(alpha, beta, c)
+    return forms["kappa1"], forms["kappa2"]
 
 
 def alpha_zero_commutator_norm(c: float, beta: float) -> float:
@@ -202,91 +241,14 @@ def consistent_jet(alpha: float, beta: float, c: float,
     still satisfies every derivative row; only the dichotomy row survives,
     with residual |beta/alpha| |c - 4 alpha^2 - 2 beta^2| |kappa3|, which is
     the point: that row is the contradiction detector, not a consistency
-    check on the jet itself.
+    check on the jet itself.  |W1|^2 is carried only where it is nonnegative.
     """
-    k1, _ = rotation_coefficients(alpha, beta, c)
-    q = c / (4.0 * alpha)
-    d_alpha = {
-        "xi": 4.0 * alpha ** 2 * beta * kappa3 / c,
-        "U": 4.0 * alpha * beta ** 2 * kappa3 / c,
-        "phiU": 3.0 * beta * q + alpha * beta + k1 * beta,
-        "phiW2": kappa3 * (16.0 * alpha * beta ** 3 / c + beta * (beta ** 2 / alpha - q)),
-        "W3": 3.0 * beta * (q - alpha) * kappa3,
-    }
-    d_beta = {
-        "xi": 4.0 * alpha * beta ** 2 * kappa3 / c,
-        "U": (beta + 4.0 * beta ** 3 / c) * kappa3,
-        "phiU": q * (beta ** 2 / alpha - q) + beta ** 2 + k1 * beta ** 2 / alpha,
-        "phiW1": 4.0 * alpha * kappa3 * (beta + 4.0 * beta ** 3 / c),
-    }
-    d2_beta = beta * kappa3 * (3.0 * q + beta ** 2 / alpha
-                               - 4.0 * alpha - 36.0 * alpha * beta ** 2 / c)
-    d2_alpha = beta * kappa3 * (7.0 * q - 8.0 * alpha
-                                - 36.0 * alpha * beta ** 2 / c - beta ** 2 / alpha)
-    w1sq = implied_w1_norm_sq(c, alpha, beta)
-    return LocalJet(alpha=alpha, beta=beta, c=c, kappa3=kappa3,
-                    d_alpha=d_alpha, d_beta=d_beta,
-                    w1_norm_sq=w1sq if w1sq >= 0.0 else None,
-                    d2_beta_phiU_xi=d2_beta, d2_alpha_phiU_U=d2_alpha)
-
-
-def jet_residuals(jet: LocalJet, tol: float = DEFAULT_TOL) -> list[ConditionReport]:
-    """Residual of every scalar relation the jet is subject to.
-
-    Mandatory rows cover the two first-derivative symmetries, the closed
-    forms along phiU, the phiU balance identity, the four k3
-    proportionalities and the dichotomy.  Rows for optional data appear
-    only when the jet carries it.  Returned sorted by row name.
-    """
-    a, b, c = jet.alpha, jet.beta, jet.c
-    k1, k2, k3 = jet.kappa1, jet.kappa2, jet.kappa3
-    q = c / (4.0 * a)
-    da, db = jet.d_alpha, jet.d_beta
-    scale = 1.0 + abs(c) + a * a + b * b
-    rows = {
-        "dalpha-U-equals-dbeta-xi": da["U"] - db["xi"],
-        "dbeta-U-chain": db["U"] - ((2.0 * b / a) * db["xi"]
-                                    + ((c / 4.0 - b * b) / a ** 2) * da["xi"]),
-        "dalpha-phiU-closed-form": da["phiU"] - (3.0 * b * q + a * b + k1 * b),
-        "dbeta-phiU-closed-form": db["phiU"] - (q * (b * b / a - q)
-                                                + b * b + k1 * b * b / a),
-        "phiU-derivative-balance": (-2.0 * b * da["phiU"] + 3.0 * b * b * c / (2.0 * a)
-                                    + a * b * b + a * b * k2 + a * db["phiU"]),
-        "dalpha-xi-k3": da["xi"] - 4.0 * a * a * b * k3 / c,
-        "dalpha-U-k3": da["U"] - 4.0 * a * b * b * k3 / c,
-        "dbeta-xi-k3": db["xi"] - 4.0 * a * b * b * k3 / c,
-        "dbeta-U-k3": db["U"] - (b + 4.0 * b ** 3 / c) * k3,
-        "k3-dichotomy": (b / a) * (c - 4.0 * a * a - 2.0 * b * b) * k3,
-    }
-    if "phiW2" in da:
-        rows["dalpha-phiW2-k3"] = da["phiW2"] - k3 * (16.0 * a * b ** 3 / c
-                                                      + b * (b * b / a - q))
-    if "W3" in da:
-        rows["dalpha-W3-k3"] = da["W3"] - 3.0 * b * (q - a) * k3
-    if "phiW1" in db:
-        rows["dbeta-phiW1-k3"] = db["phiW1"] - 4.0 * a * k3 * (b + 4.0 * b ** 3 / c)
-    if jet.d2_beta_phiU_xi is not None:
-        rows["ddbeta-phiU-xi"] = jet.d2_beta_phiU_xi - b * k3 * (
-            3.0 * q + b * b / a - 4.0 * a - 36.0 * a * b * b / c)
-    if jet.d2_alpha_phiU_U is not None:
-        rows["ddalpha-phiU-U"] = jet.d2_alpha_phiU_U - b * k3 * (
-            7.0 * q - 8.0 * a - 36.0 * a * b * b / c - b * b / a)
-    if jet.w1_norm_sq is not None:
-        rows["w1-norm-identity"] = w1_norm_identity(c, a, b, jet.w1_norm_sq)
-    cutoff = tol * scale
-    return [ConditionReport(name, "scalar", abs(res), cutoff)
-            for name, res in sorted(rows.items())]
-
-
-def w1_norm_identity(c: float, alpha: float, beta: float, w1_norm_sq: float) -> float:
-    """Left side of the norm identity for W1 on the k3 = 0 branch; zero when it holds.
-
-    12 (5 alpha^2 + beta^2) c + 64 alpha^4 - 3 c^2 - 48 alpha^2 beta^2
-    - 16 alpha^2 |W1|^2; at |W1|^2 = 0 it is exactly the numerator of
-    implied_w1_norm_sq.
-    """
-    return (12.0 * (5.0 * alpha ** 2 + beta ** 2) * c + 64.0 * alpha ** 4
-            - 3.0 * c ** 2 - 48.0 * alpha ** 2 * beta ** 2 - 16.0 * alpha ** 2 * w1_norm_sq)
+    _require_tilted(alpha, beta, c, "the tilted set")
+    forms = _tilted_forms(alpha, beta, c, kappa3)
+    values = {key: forms[key] for key in _MAPPING_KEYS if key in forms}
+    if not values["w1_norm_sq"] >= 0.0:
+        del values["w1_norm_sq"]
+    return jet_from_mapping(dict(values, alpha=alpha, beta=beta, c=c, kappa3=kappa3))
 
 
 def implied_w1_norm_sq(c: float, alpha: float, beta: float) -> float:
@@ -295,9 +257,21 @@ def implied_w1_norm_sq(c: float, alpha: float, beta: float) -> float:
     A negative return is already a contradiction: no real field W1 can
     close the identity at these scalars.
     """
-    _require_scalars(alpha, beta, c)
-    _require_alpha(alpha, "the norm identity")
-    return w1_norm_identity(c, alpha, beta, 0.0) / (16.0 * alpha ** 2)
+    _require_tilted(alpha, beta, c, "the norm identity")
+    return _tilted_forms(alpha, beta, c)["w1_norm_sq"]
+
+
+def jet_residuals(jet: LocalJet, tol: float = DEFAULT_TOL) -> list[ConditionReport]:
+    """Residual of every scalar relation the jet is subject to.
+
+    Closed-form rows compare gamma, lambda and each derivative with its
+    closed form; relation rows cover the two first-derivative symmetries,
+    the phiU balance identity and the dichotomy.  Rows for optional data
+    appear only when the jet carries it.  Returned sorted by row name.
+    """
+    cutoff = tol * (1.0 + abs(jet.c) + jet.alpha * jet.alpha + jet.beta * jet.beta)
+    return [ConditionReport(name, "scalar", abs(res), cutoff)
+            for name, res in sorted(_jet_rows(jet._keyed()).items())]
 
 
 @dataclass(frozen=True)
@@ -323,37 +297,21 @@ class ContradictionCertificate:
     w1_identity_residual: float | None = None
 
     def to_jsonable(self) -> dict:
-        out = {
-            "c": self.c, "alpha": self.alpha, "beta": self.beta,
-            "factor": self.factor, "sum_sq": self.sum_sq,
-            "degenerate_branch_rejected": self.degenerate_branch_rejected,
-            "discriminant": self.discriminant,
-            "w1_norm_sq_implied": self.w1_norm_sq_implied,
-            "verdict": self.verdict,
-        }
-        if self.w1_identity_residual is not None:
-            out["w1_identity_residual"] = self.w1_identity_residual
-        return out
+        """The fields in declaration order, w1_identity_residual only when set."""
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
 def contradiction_certificate(c: float, alpha: float, beta: float,
                               w1_norm_sq: float | None = None) -> ContradictionCertificate:
     """Evaluate both branch certificates at one scalar triple."""
-    _require_scalars(alpha, beta, c)
-    _require(c != 0.0, "c must be nonzero")
-    _require_alpha(alpha, "the certificate (it lives on the tilted set)")
-    factor = c - 4.0 * alpha ** 2 - 2.0 * beta ** 2
-    sum_sq = 2.0 * alpha ** 2 + beta ** 2
-    disc = 3600.0 * c ** 2 - 3072.0 * c * beta ** 2
-    w1sq = implied_w1_norm_sq(c, alpha, beta)
-    residual = None
-    if w1_norm_sq is not None:
-        residual = abs(w1_norm_identity(c, alpha, beta, w1_norm_sq))
-    verdict = WITNESSED if disc >= 0.0 else NO_WITNESS
+    _require_tilted(alpha, beta, c, "the certificate (it lives on the tilted set)")
+    forms = _tilted_forms(alpha, beta, c)
+    residual = None if w1_norm_sq is None else abs(w1_norm_identity(c, alpha, beta, w1_norm_sq))
     return ContradictionCertificate(
-        c=c, alpha=alpha, beta=beta, factor=factor, sum_sq=sum_sq,
-        degenerate_branch_rejected=sum_sq > DEFAULT_TOL * (1.0 + alpha ** 2 + beta ** 2),
-        discriminant=disc, w1_norm_sq_implied=w1sq, verdict=verdict,
+        c=c, alpha=alpha, beta=beta, factor=forms["factor"], sum_sq=forms["sum_sq"],
+        degenerate_branch_rejected=forms["sum_sq"] > DEFAULT_TOL * (1.0 + alpha ** 2 + beta ** 2),
+        discriminant=forms["discriminant"], w1_norm_sq_implied=forms["w1_norm_sq"],
+        verdict=WITNESSED if forms["discriminant"] >= 0.0 else NO_WITNESS,
         w1_identity_residual=residual)
 
 
@@ -373,9 +331,9 @@ _MAPPING_KEYS = {
 def jet_from_mapping(mapping: dict) -> LocalJet:
     """Build a jet from a flat scalar mapping (the CLI's input format).
 
-    alpha, beta, c are required; kappa1/kappa2 default to their closed
-    forms, every other scalar to zero or absent.  Unknown keys, values
-    that are not numbers and non-finite values raise, naming the key.
+    alpha, beta, c are required; gamma, lambda, kappa1 and kappa2 default to
+    their closed forms, every other scalar to zero or absent.  Unknown keys,
+    values that are not numbers and non-finite values raise, naming the key.
     """
     unknown = sorted(set(mapping) - set(_MAPPING_KEYS))
     if unknown:
@@ -389,7 +347,7 @@ def jet_from_mapping(mapping: dict) -> LocalJet:
             value = float(raw)
         except (TypeError, ValueError):
             raise JetError(f"jet value {key} = {raw!r} is not a number") from None
-        _require(math.isfinite(value), f"jet value {key} = {raw!r} must be finite")
+        _require(math.isfinite(value), f"jet value {key} = {raw!r} is not finite")
         target = _MAPPING_KEYS[key]
         if isinstance(target, tuple):
             kwargs[target[0]][target[1]] = value

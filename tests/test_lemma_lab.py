@@ -19,9 +19,8 @@ from hyperlab import (
     jet_from_mapping,
     jet_residuals,
     rotation_coefficients,
-    shape_connection_rows,
 )
-from hyperlab.lemma_lab import JET_SCALAR_MAX
+from hyperlab.lemma_lab import _MAPPING_KEYS, JET_SCALAR_MAX
 
 
 def test_jet_preconditions():
@@ -40,8 +39,21 @@ def test_jet_defaults_fill_closed_forms():
     k1, k2 = rotation_coefficients(1.0, 2.0, 4.0)
     assert jet.kappa1 == k1 == -4.0
     assert jet.kappa2 == k2
+    # gamma = beta^2/alpha - c/(4 alpha), lambda = -c/(4 alpha)
+    assert jet.gamma == 3.0
+    assert jet.lam == -1.0
     assert jet.d_alpha == {"xi": 0.0, "U": 0.0, "phiU": 0.0}
     assert jet.d_beta == {"xi": 0.0, "U": 0.0, "phiU": 0.0}
+
+
+def test_jet_copies_the_dicts_it_is_given():
+    d_alpha, d_beta = {"U": 0.5}, {}
+    first = LocalJet(alpha=1, beta=2, c=4, d_alpha=d_alpha, d_beta=d_beta)
+    second = LocalJet(alpha=1, beta=2, c=4, d_alpha=d_alpha, d_beta=d_beta)
+    assert d_alpha == {"U": 0.5} and d_beta == {}
+    assert first.d_alpha == {"xi": 0.0, "U": 0.5, "phiU": 0.0}
+    assert first.d_alpha is not second.d_alpha and first.d_alpha is not d_alpha
+    assert first.d_beta is not second.d_beta and first.d_beta is not d_beta
 
 
 def test_rotation_coefficients_spot():
@@ -51,19 +63,6 @@ def test_rotation_coefficients_spot():
     assert k2 == -4.0
     with pytest.raises(JetError):
         rotation_coefficients(0.0, 1.0, 4.0)
-
-
-def test_shape_connection_rows():
-    table = shape_connection_rows(0.5, 1.0, 4.0)
-    assert table.shape == {"A-U-U": 0.0, "A-U-xi": 1.0, "A-phiU-phiU": -2.0}
-    assert len(table.connection) == 9
-    assert table.connection[("xi", "xi")] == {"phiU": 1.0}
-    assert table.connection[("xi", "U")] == {"W1": 1.0}
-    assert table.connection[("phiU", "U")] == {"W3": 1.0, "xi": -2.0}
-    block = table.to_jsonable()
-    assert "nabla[xi]U" in block["connection"]
-    with pytest.raises(JetError):
-        shape_connection_rows(0.0, 1.0, 4.0)
 
 
 def test_alpha_zero_commutator_is_beta_squared():
@@ -126,11 +125,11 @@ def test_tilted_shape_context_kills_u():
     # cross-module: realizing the pinned shape values on an actual tangent
     # space makes the Jacobi operator annihilate U (so g(lU, U) = 0)
     for alpha, beta, c in ((1.0, 0.5, 4.0), (-0.8, 1.2, -4.0), (2.0, 0.3, 6.0)):
-        table = shape_connection_rows(alpha, beta, c)
+        jet = LocalJet(alpha=alpha, beta=beta, c=c)
         a = np.zeros((5, 5))
-        a[0, 0] = table.shape["A-U-U"]
-        a[0, 4] = a[4, 0] = table.shape["A-U-xi"]
-        a[2, 2] = table.shape["A-phiU-phiU"]
+        a[0, 0] = jet.gamma
+        a[0, 4] = a[4, 0] = beta
+        a[2, 2] = jet.lam
         a[4, 4] = alpha
         ctx = CurvatureContext(canonical_structure(3), a, c)
         ell = jacobi_operator(ctx)  # both computation paths agree
@@ -161,6 +160,89 @@ def test_derivative_row_residual_is_the_discrepancy():
                    d_beta=dict(jet.d_beta))
     rows = {r.name: r for r in jet_residuals(off, tol=1e-12)}
     assert rows["dalpha-xi-k3"].residual == 0.25
+
+
+def test_gamma_and_lambda_are_checked_against_their_closed_forms():
+    # alpha = 2, beta = 0.5, c = 4: gamma = 0.125 - 0.5 = -0.375, lambda = -0.5
+    jet = consistent_jet(2.0, 0.5, 4.0)
+    assert (jet.gamma, jet.lam) == (-0.375, -0.5)
+    off = LocalJet(alpha=2.0, beta=0.5, c=4.0, gamma=123.0, lam=0.0,
+                   d_alpha=dict(jet.d_alpha), d_beta=dict(jet.d_beta))
+    rows = {r.name: r for r in jet_residuals(off, tol=1e-12)}
+    assert rows["gamma-closed-form"].residual == 123.375
+    assert rows["lambda-closed-form"].residual == 0.5
+    assert {name for name, r in rows.items() if not r.passed} == {
+        "gamma-closed-form", "lambda-closed-form"}
+
+
+def test_kappa1_is_read_by_the_phiU_rows():
+    # the phiU forms hold for any k1, so a kappa1 off its closed form shows there
+    jet = consistent_jet(1.0, 1.0, 4.0)
+    off = LocalJet(alpha=1.0, beta=1.0, c=4.0, kappa1=-3.0,
+                   d_alpha=dict(jet.d_alpha), d_beta=dict(jet.d_beta))
+    rows = {r.name: r for r in jet_residuals(off, tol=1e-12)}
+    assert {name for name, r in rows.items() if not r.passed} == {
+        "dalpha-phiU-closed-form", "dbeta-phiU-closed-form"}
+
+
+def _reference_jet(alpha, beta, c, kappa3):
+    """The closed forms as consistent_jet and the shape table wrote them before
+    lemma_lab gave them one home, kept as an independent reference."""
+    k1 = -4.0 * alpha
+    k2 = -4.0 * beta + (c / (4.0 * alpha * beta)) * (c / (4.0 * alpha) - beta ** 2 / alpha)
+    q = c / (4.0 * alpha)
+    return {
+        "gamma": beta ** 2 / alpha - q, "lambda": -q, "kappa1": k1, "kappa2": k2,
+        "dalpha_xi": 4.0 * alpha ** 2 * beta * kappa3 / c,
+        "dalpha_U": 4.0 * alpha * beta ** 2 * kappa3 / c,
+        "dalpha_phiU": 3.0 * beta * q + alpha * beta + k1 * beta,
+        "dalpha_phiW2": kappa3 * (16.0 * alpha * beta ** 3 / c + beta * (beta ** 2 / alpha - q)),
+        "dalpha_W3": 3.0 * beta * (q - alpha) * kappa3,
+        "dbeta_xi": 4.0 * alpha * beta ** 2 * kappa3 / c,
+        "dbeta_U": (beta + 4.0 * beta ** 3 / c) * kappa3,
+        "dbeta_phiU": q * (beta ** 2 / alpha - q) + beta ** 2 + k1 * beta ** 2 / alpha,
+        "dbeta_phiW1": 4.0 * alpha * kappa3 * (beta + 4.0 * beta ** 3 / c),
+        "d2beta_phiU_xi": beta * kappa3 * (3.0 * q + beta ** 2 / alpha
+                                           - 4.0 * alpha - 36.0 * alpha * beta ** 2 / c),
+        "d2alpha_phiU_U": beta * kappa3 * (7.0 * q - 8.0 * alpha
+                                           - 36.0 * alpha * beta ** 2 / c - beta ** 2 / alpha),
+        "w1_norm_sq": (12.0 * (5.0 * alpha ** 2 + beta ** 2) * c + 64.0 * alpha ** 4
+                       - 3.0 * c ** 2 - 48.0 * alpha ** 2 * beta ** 2) / (16.0 * alpha ** 2),
+    }
+
+
+def test_consistent_jet_matches_the_reference_formulas(rng):
+    for i in range(300):
+        alpha = float(rng.uniform(0.2, 3.0)) * (1 if i % 2 else -1)
+        beta = float(rng.uniform(0.1, 3.0))
+        c = float(rng.uniform(0.5, 8.0)) * (1 if i % 4 < 2 else -1)
+        kappa3 = 0.0 if i % 5 == 0 else float(rng.uniform(-2.0, 2.0))
+        jet = consistent_jet(alpha, beta, c, kappa3=kappa3)
+        got = {key: value for key, value in jet.to_jsonable().items()
+               if not isinstance(value, dict)}
+        got |= {f"dalpha_{d}": v for d, v in jet.d_alpha.items()}
+        got |= {f"dbeta_{d}": v for d, v in jet.d_beta.items()}
+        got["d2beta_phiU_xi"], got["d2alpha_phiU_U"] = jet.d2_beta_phiU_xi, jet.d2_alpha_phiU_U
+        for key, want in _reference_jet(alpha, beta, c, kappa3).items():
+            if key == "w1_norm_sq" and want < 0.0:
+                assert jet.w1_norm_sq is None
+                continue
+            assert abs(got[key] - want) <= 4.0 * math.ulp(want), (key, alpha, beta, c, kappa3)
+
+
+def test_hand_written_jet_passes_every_row():
+    # alpha = 1, beta = 2 on the locus c = 4 alpha^2 + 2 beta^2 = 12, where
+    # k3 = 3 is consistent: q = c / (4 alpha) = 3, gamma = beta^2/alpha - q = 1,
+    # k2 = -4 beta - c gamma / (4 alpha beta) = -9.5, |W1|^2 = 736 / 16 = 46
+    mapping = {"alpha": 1, "beta": 2, "c": 12, "kappa3": 3, "gamma": 1, "lambda": -3,
+               "kappa1": -4, "kappa2": -9.5, "dalpha_xi": 2, "dalpha_U": 4,
+               "dalpha_phiU": 12, "dalpha_phiW2": 38, "dalpha_W3": 36, "dbeta_xi": 4,
+               "dbeta_U": 14, "dbeta_phiU": -9, "dbeta_phiW1": 56,
+               "d2beta_phiU_xi": -18, "d2alpha_phiU_U": -18, "w1_norm_sq": 46}
+    assert set(mapping) == set(_MAPPING_KEYS)
+    rows = jet_residuals(jet_from_mapping(mapping))
+    assert len(rows) == 18
+    assert [r.name for r in rows if not r.passed] == []
 
 
 def test_implied_w1_norm_spot():
@@ -220,7 +302,6 @@ def test_jet_scalars_are_capped_where_they_enter():
         for entry in (lambda: consistent_jet(alpha, beta, c),
                       lambda: LocalJet(alpha=alpha, beta=beta, c=c),
                       lambda: contradiction_certificate(c, alpha, beta),
-                      lambda: shape_connection_rows(alpha, beta, c),
                       lambda: implied_w1_norm_sq(c, alpha, beta)):
             with pytest.raises(JetError, match="exceeds"):
                 entry()
