@@ -184,6 +184,17 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _seed(raw: str) -> int:
+    """The type of --seed: numpy's generators take only non-negative integers."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {raw!r}")
+    return value
+
+
 def load_config(path: str) -> dict[str, str]:
     """Flat `key = value` file; blank lines and # comments skipped."""
     out: dict[str, str] = {}
@@ -255,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--radius", type=_finite)
     ver.add_argument("--k", type=int, help="core complex dimension")
     ver.add_argument("--flip-normal", dest="flip_normal", action="store_true")
-    ver.add_argument("--seed", type=int, default=0, help="frame seed (default 0)")
+    ver.add_argument("--seed", type=_seed, default=0, help="frame seed (default 0)")
     ver.add_argument("--samples", type=int, default=25,
                      help="sampled pairs for the codazzi row (default 25)")
     ver.add_argument("--checks", default="all", help="comma-separated row names, or 'all'")
@@ -266,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="property sweeps over randomized structures")
     rnd.add_argument("--dim", type=int, default=5, help="odd tangent dimension >= 3")
     rnd.add_argument("--samples", type=int, default=1000, help="default 1000")
-    rnd.add_argument("--seed", type=int, default=0, help="default 0")
+    rnd.add_argument("--seed", type=_seed, default=0, help="default 0")
     rnd.add_argument("--property", default="all", choices=RANDOM_PROPERTIES + ("all",))
 
     orc = sub.add_parser("oracle", help="numerical oracles")
@@ -374,6 +385,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     tol = _tolerance(args)
     names = (VERIFY_CHECKS if args.checks == "all"
              else tuple(w.strip() for w in args.checks.split(",") if w.strip()))
+    if not names:
+        raise ValueError(f"--checks selects no row, got {args.checks!r}; name one or give 'all'")
     unknown = sorted(set(names) - set(VERIFY_CHECKS))
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")

@@ -126,6 +126,33 @@ def test_verify_unknown_check_is_usage_error(capsys):
     assert out == ""
 
 
+_VERIFY_CP2 = ["verify", "--ambient", "CP", "--n", "2", "--family", "A1", "--radius", "0.5"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["random", "--seed", "-1", "--property", "phi-skew", "--samples", "5"], "--seed"),
+    (["random", "--seed", "-1"], "--seed"),
+    (_VERIFY_CP2 + ["--seed", "-1"], "--seed"),
+    (_VERIFY_CP2 + ["--checks", ","], "--checks"),
+    (_VERIFY_CP2 + ["--checks", ""], "--checks"),
+])
+def test_vacuous_inputs_are_refused_naming_the_flag(capsys, argv, flag):
+    # a negative seed would alias another stream, an empty --checks report all_ok on no row
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+
+def test_config_file_seed_is_refused_naming_the_flag(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -3\n")
+    assert run(["random", "--samples", "5", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: argument --seed: must be a non-negative integer, got '-3'\n")
+
+
 def test_verify_bad_radius_is_usage_error(capsys):
     code, _ = _capture(capsys, ["verify", "--ambient", "CP", "--n", "2",
                                 "--family", "A1", "--radius", "2.0"])
@@ -228,6 +255,18 @@ def test_jet_config_mapping_path(capsys, tmp_path):
     rows = {r["check"]: r for r in rep["checks"]}
     assert not rows["dalpha-U-equals-dbeta-xi"]["pass"]
     assert rep["jet"]["d_alpha"]["U"] == 0.25
+
+
+def test_jet_config_gamma_is_checked(capsys, tmp_path):
+    cfg = tmp_path / "jet.cfg"
+    cfg.write_text("gamma = 123\n")
+    code, rep = _report(capsys, ["jet", "--alpha", "2", "--beta", "0.5", "--c", "4",
+                                 "--config", str(cfg), "--deterministic"])
+    assert code == 1
+    assert rep["jet"]["gamma"] == 123 and rep["jet"]["lambda"] == -0.5
+    rows = {r["check"]: r for r in rep["checks"]}
+    assert rows["gamma-closed-form"]["residual"] == 123.375
+    assert not rows["gamma-closed-form"]["pass"] and rows["lambda-closed-form"]["pass"]
 
 
 def test_jet_config_non_finite_value_is_usage_error(capsys, tmp_path):
