@@ -68,10 +68,10 @@ def _tilted_forms(alpha, beta, c, kappa3=0, kappa1=None) -> dict:
 
     gamma and lambda are the pinned shape scalars, kappa1 and kappa2 the
     rotation coefficients, the dalpha_/dbeta_/d2 keys the derivative forms
-    (proportional to kappa3 but for the two along phiU) and w1_norm_sq the
+    (all proportional to kappa3 except the two along phiU) and w1_norm_sq the
     |W1|^2 the norm identity implies on the k3 = 0 branch; factor, sum_sq and
     discriminant are the certificate's.  The phiU forms hold for any k1, so
-    a given kappa1 stands in for its closed form there.
+    a given kappa1 (the jet's own) stands in for its closed form there.
     """
     a, b, k3 = alpha, beta, kappa3
     q = c / (4 * a)

@@ -217,15 +217,10 @@ def test_consistent_jet_matches_the_reference_formulas(rng):
         beta = float(rng.uniform(0.1, 3.0))
         c = float(rng.uniform(0.5, 8.0)) * (1 if i % 4 < 2 else -1)
         kappa3 = 0.0 if i % 5 == 0 else float(rng.uniform(-2.0, 2.0))
-        jet = consistent_jet(alpha, beta, c, kappa3=kappa3)
-        got = {key: value for key, value in jet.to_jsonable().items()
-               if not isinstance(value, dict)}
-        got |= {f"dalpha_{d}": v for d, v in jet.d_alpha.items()}
-        got |= {f"dbeta_{d}": v for d, v in jet.d_beta.items()}
-        got["d2beta_phiU_xi"], got["d2alpha_phiU_U"] = jet.d2_beta_phiU_xi, jet.d2_alpha_phiU_U
+        got = consistent_jet(alpha, beta, c, kappa3=kappa3)._keyed()
         for key, want in _reference_jet(alpha, beta, c, kappa3).items():
             if key == "w1_norm_sq" and want < 0.0:
-                assert jet.w1_norm_sq is None
+                assert key not in got
                 continue
             assert abs(got[key] - want) <= 4.0 * math.ulp(want), (key, alpha, beta, c, kappa3)
 
