@@ -1,46 +1,26 @@
-"""Command-line front door with bit-stable JSON and markdown reports.
+"""The array commands, verify and random, and the batched kernels behind random.
 
-Subcommands: catalog (model listing), verify (run every condition check on
-one catalog model), random (property sweeps on randomized structures),
-oracle riccati (query the radial integrator), jet (scalar residual rows for
-a tilted local jet).  Reports carry a versioned schema key; floats are
-printed with 17 significant digits so parsing them back is exact.  With
---deterministic the timestamp is omitted and identical configs produce
-byte-identical output.
-
-Exit codes: 0 every check row matched its expectation, 1 at least one row
-did not (or the oracle hit a focal point), 2 usage or configuration error.
-Negative-control rows (family B) carry "expected": false, so a B run that
-fails exactly where it must still exits 0.
+hyperlab.entry parses argv and runs catalog, oracle riccati and jet without
+numpy; its run() comes here for the other two.  Importing this module loads
+the whole array engine.  It re-exports the entry points (run, main,
+build_parser and the two emitters) for callers that import them from here.
 """
 from __future__ import annotations
 
 import argparse
-import math
-import numbers
-import re
-import sys
-from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__
-from .curvature_engine import (MissingNablaAError, _check_paths, _closed_form, _g, _gauss,
-                               codazzi_residual, commutator)
-from .hopf_conditions import (SPAN_XI, ConditionReport, NotHopfError,
-                              VERDICT_HYPOTHESIS_FAILS, VERDICT_INDETERMINATE,
+from .checks import ConditionReport
+from .curvature_engine import _check_paths, _closed_form, _g, _gauss, codazzi_residual, commutator
+from .entry import RANDOM_PROPERTIES, _finalize, _required, _skeleton, _tolerance
+from .entry import build_parser, main, run, to_canonical_json, to_markdown  # noqa: F401
+from .hopf_conditions import (SPAN_XI, VERDICT_HYPOTHESIS_FAILS, VERDICT_INDETERMINATE,
                               VERDICT_TYPE_A, classify, decompose_A_xi, theorem_pipeline)
-from .lemma_lab import (_MAPPING_KEYS, JetError, consistent_jet, contradiction_certificate,
-                        jet_from_mapping, jet_residuals)
-from .model_catalog import (AMBIENTS, CatalogError, DEFAULT_STEP, FAMILIES, FocalPointError,
-                            ModelSpec, OracleMismatchError, ORACLE_TOL, catalog_rows,
-                            instantiate, riccati_shape_evolution)
+from .model_catalog import ModelSpec, ORACLE_TOL, instantiate
 from .sampling import _contexts, _grams
-from .tensor_core import (DEFAULT_TOL, DegenerateSeedError, StructuralError, _acs_residuals,
-                          _check_grams, _frame_structures, _haar_frames, _maxabs,
-                          validate_acs)
-
-SCHEMA = "hyperlab/1"
+from .tensor_core import (_acs_residuals, _check_grams, _frame_structures, _haar_frames,
+                          _maxabs, validate_acs)
 
 VERIFY_CHECKS = ("structure-axioms", "hopf-decomposition", "shape-phi-commute",
                  "phi-l-commute", "l-A-commute", "nabla-xi-l", "mu-vanishes",
@@ -59,315 +39,7 @@ MAX_SAMPLES = 10_000
 MAX_RANDOM_WORK = 10 * MAX_RANDOM_DIM ** 3
 
 
-# ---------------------------------------------------------------- emitters
-
-def _fmt(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value in report: {x!r}")
-    return f"{x:.17g}"
-
-
-def to_canonical_json(value, indent: int = 0) -> str:
-    """Hand-rolled JSON with %.17g floats; dict order is emission order."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    if isinstance(value, numbers.Real):
-        return _fmt(float(value))
-    if isinstance(value, str):
-        import json as _json
-        return _json.dumps(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [f'{inner}{to_canonical_json(str(k))}: {to_canonical_json(v, indent + 1)}'
-                for k, v in value.items()]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not len(value):
-            return "[]"
-        rows = [f"{inner}{to_canonical_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _md_scalar(v) -> str:
-    return v if isinstance(v, str) else to_canonical_json(v)
-
-
-def _md_block(value, indent: int, lines: list[str]):
-    pad = "  " * indent
-    if isinstance(value, dict):
-        for k, v in value.items():
-            if isinstance(v, (dict, list, tuple)) and len(v):
-                lines.append(f"{pad}- {k}:")
-                _md_block(v, indent + 1, lines)
-            else:
-                lines.append(f"{pad}- {k}: {_md_scalar(v)}")
-    else:
-        for v in value:
-            if isinstance(v, (dict, list, tuple)):
-                lines.append(f"{pad}-")
-                _md_block(v, indent + 1, lines)
-            else:
-                lines.append(f"{pad}- {_md_scalar(v)}")
-
-
-def _md_table(rows: list[dict], lines: list[str]):
-    cols: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in cols:
-                cols.append(key)
-    lines.append("| " + " | ".join(cols) + " |")
-    lines.append("|" + "|".join(" --- " for _ in cols) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(
-            _md_scalar(row[k]) if k in row else "" for k in cols) + " |")
-
-
-def to_markdown(report: dict) -> str:
-    lines = [f"# hyperlab report: {report['command']}", ""]
-    for key in ("schema", "version", "timestamp"):
-        if key in report:
-            lines.append(f"- {key}: {report[key]}")
-    lines.append("")
-    for key, value in report.items():
-        if key in ("schema", "version", "timestamp", "command"):
-            continue
-        if isinstance(value, list) and value and all(isinstance(r, dict) for r in value):
-            lines.append(f"## {key}")
-            lines.append("")
-            _md_table(value, lines)
-            lines.append("")
-        elif isinstance(value, (dict, list)):
-            lines.append(f"## {key}")
-            lines.append("")
-            _md_block(value, 0, lines)
-            lines.append("")
-        else:
-            lines.append(f"- {key}: {_md_scalar(value)}")
-    while lines and lines[-1] == "":
-        lines.pop()
-    return "\n".join(lines)
-
-
-# ------------------------------------------------------------ config layer
-
-_BOOL_KEYS = ("deterministic", "flip_normal", "emit_structure")
-# Namespace entries the parser itself sets; a file must not override them.
-_PARSER_KEYS = ("command", "oracle_command", "leaf")
-
-
-def _as_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
-def _finite(raw: str) -> float:
-    """The type of every float option, from a flag or from a config file."""
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {raw!r}")
-    return value
-
-
-def _seed(raw: str) -> int:
-    """The type of --seed: numpy's generators take only non-negative integers."""
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {raw!r}")
-    return value
-
-
-def load_config(path: str) -> dict[str, str]:
-    """Flat `key = value` file; blank lines and # comments skipped."""
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, raw = line.partition("=")
-            out[key.strip()] = raw.strip()
-    return out
-
-
-def _required(args: argparse.Namespace, *keys: str):
-    for key in keys:
-        if getattr(args, key) is None:
-            raise ValueError(f"missing required option --{key.replace('_', '-')}")
-
-
-def _tolerance(args: argparse.Namespace) -> float:
-    """The flag, else the config file, else DEFAULT_TOL; _finite has refused inf and nan."""
-    if not args.tolerance > 0:
-        raise ValueError(f"tolerance must be positive and finite, got {args.tolerance!r}")
-    return args.tolerance
-
-
-# ------------------------------------------------------------------ parser
-
-class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as ValueError, which run() reports on one line, and
-    reads -1e50, -inf and -nan as values, as argparse reads -1.5 (its pattern has
-    neither an exponent nor the non-finite spellings, which _finite then refuses)."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
-
-    def error(self, message):
-        raise ValueError(message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The hyperlab parser; each subcommand's namespace carries its own parser as `leaf`."""
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("json", "markdown"), default="json")
-    common.add_argument("--out", help="write the report to a file")
-    common.add_argument("--config", help="flat key = value defaults file")
-    common.add_argument("--tolerance", type=_finite, default=DEFAULT_TOL,
-                        help=f"check tolerance (default {DEFAULT_TOL:g})")
-    common.add_argument("--deterministic", action="store_true",
-                        help="omit the timestamp for byte-identical reports")
-
-    parser = _Parser(
-        prog="hyperlab",
-        description="verification engine for real hypersurfaces in complex space forms")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    cat = sub.add_parser("catalog", parents=[common], help="list the model catalog")
-
-    ver = sub.add_parser("verify", parents=[common],
-                         help="run condition checks on one catalog model")
-    ver.add_argument("--ambient", choices=AMBIENTS)
-    ver.add_argument("--n", type=int, help="complex dimension, >= 2")
-    ver.add_argument("--family", choices=FAMILIES)
-    ver.add_argument("--c", type=_finite, help="holomorphic curvature (default +4 CP / -4 CH)")
-    ver.add_argument("--radius", type=_finite)
-    ver.add_argument("--k", type=int, help="core complex dimension")
-    ver.add_argument("--flip-normal", dest="flip_normal", action="store_true")
-    ver.add_argument("--seed", type=_seed, default=0, help="frame seed (default 0)")
-    ver.add_argument("--samples", type=int, default=25,
-                     help="sampled pairs for the codazzi row (default 25)")
-    ver.add_argument("--checks", default="all", help="comma-separated row names, or 'all'")
-    ver.add_argument("--emit-structure", dest="emit_structure", action="store_true",
-                     help="embed the realized tensors in the report")
-
-    rnd = sub.add_parser("random", parents=[common],
-                         help="property sweeps over randomized structures")
-    rnd.add_argument("--dim", type=int, default=5, help="odd tangent dimension >= 3")
-    rnd.add_argument("--samples", type=int, default=1000, help="default 1000")
-    rnd.add_argument("--seed", type=_seed, default=0, help="default 0")
-    rnd.add_argument("--property", default="all", choices=RANDOM_PROPERTIES + ("all",))
-
-    orc = sub.add_parser("oracle", help="numerical oracles")
-    orc_sub = orc.add_subparsers(dest="oracle_command", required=True)
-    ric = orc_sub.add_parser("riccati", parents=[common],
-                             help="integrate the radial shape equation")
-    ric.add_argument("--kappa", type=_finite, help="normal curvature of the branch (c or c/4)")
-    ric.add_argument("--r", type=_finite, help="target radius")
-    ric.add_argument("--r0", type=_finite, default=0.01, help="anchor radius (default 0.01)")
-    ric.add_argument("--lambda0", type=_finite,
-                     help="anchor value (default: tube asymptote at r0)")
-    ric.add_argument("--step", type=_finite, default=DEFAULT_STEP,
-                     help=f"integration step (default {DEFAULT_STEP:g})")
-
-    jet = sub.add_parser("jet", parents=[common],
-                         help="scalar residual rows for a tilted local jet")
-    jet.add_argument("--alpha", type=_finite)
-    jet.add_argument("--beta", type=_finite)
-    jet.add_argument("--c", type=_finite)
-    jet.add_argument("--kappa3", type=_finite, default=0.0)
-
-    for leaf in (cat, ver, rnd, ric, jet):
-        leaf.set_defaults(leaf=leaf)
-    return parser
-
-
-def _parse(argv: list[str] | None) -> argparse.Namespace:
-    """Parse argv; with --config, the file's values become the subcommand's defaults.
-
-    argparse converts a string default with the option's type, so a file
-    value passes the same checks as a flag, and a flag still wins over it;
-    store_true keys from a file are read with _as_bool.  A file key must be an
-    option of the subcommand, or for jet a raw jet key.
-    """
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        config = load_config(args.config)
-        known = set(vars(args)).difference(_PARSER_KEYS)
-        if args.command == "jet":
-            known |= set(_MAPPING_KEYS)
-        unknown = sorted(set(config) - known)
-        if unknown:
-            raise ValueError(f"unknown {args.command} keys in {args.config}: {', '.join(unknown)}")
-        args.leaf.set_defaults(**{key: _as_bool(raw) if key in _BOOL_KEYS else raw
-                                  for key, raw in config.items()})
-        args = parser.parse_args(argv)
-    return args
-
-
-# ------------------------------------------------------------- assembly
-
-def _skeleton(command: str, config: dict) -> dict:
-    return {"schema": SCHEMA, "version": __version__, "command": command,
-            "config": config}
-
-
-def _finalize(report: dict, reports: list[ConditionReport], failing: set,
-              args: argparse.Namespace) -> int:
-    """Serialise the check rows sorted by (check, subspace); a row expected to
-    fail is one whose (check, subspace) is in failing."""
-    rows = [{**rep.to_jsonable(), "expected": (rep.name, rep.subspace) not in failing}
-            for rep in sorted(reports, key=lambda r: (r.name, r.subspace))]
-    report["checks"] = rows
-    unexpected = sum(1 for r in rows if r["pass"] != r["expected"])
-    report["summary"] = {"rows": len(rows), "unexpected": unexpected,
-                         "all_ok": unexpected == 0}
-    if not args.deterministic:
-        report["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return 0 if unexpected == 0 else 1
-
-
-def _emit(report: dict, args: argparse.Namespace):
-    text = (to_canonical_json(report) if args.format == "json"
-            else to_markdown(report)) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ------------------------------------------------------------- commands
-
-def cmd_catalog(args: argparse.Namespace) -> tuple[dict, int]:
-    report = _skeleton("catalog", {"format": args.format,
-                                   "deterministic": args.deterministic})
-    report["catalog"] = catalog_rows()
-    return report, _finalize(report, [], set(), args)
-
 
 def _in_range(flag: str, value: int, low: int, cap: int):
     """Refuse a size option outside [low, cap] before anything is built."""
@@ -488,15 +160,14 @@ def _gauss_symmetry(rng, dim, first, size):
 
 
 # property -> batch function (rng, dim, first, size) returning the residuals of
-# samples first .. first + size - 1; the order fixes each property's seed offset
-_PROPERTIES = {
-    "acs-axioms": lambda *draw: np.max([*_structures(*draw).values()], axis=0),
-    "gauss-symmetry": _gauss_symmetry,
-    "hopf-commutator": _hopf_commutator,
-    "jacobi-cross-check": lambda rng, dim, first, size: _jacobi_paths(rng, dim, size, False)[-1],
-    "phi-skew": lambda *draw: _structures(*draw)["skew"],
-}
-RANDOM_PROPERTIES = tuple(_PROPERTIES)
+# samples first .. first + size - 1, keyed in RANDOM_PROPERTIES order
+_PROPERTIES = dict(zip(RANDOM_PROPERTIES, (
+    lambda *draw: np.max([*_structures(*draw).values()], axis=0),
+    _gauss_symmetry,
+    _hopf_commutator,
+    lambda rng, dim, first, size: _jacobi_paths(rng, dim, size, False)[-1],
+    lambda *draw: _structures(*draw)["skew"],
+)))
 BUDGET = 2048  # doubles per (S, dim, dim) stack: a chunk holds BUDGET // dim^2 samples, or one
 
 
@@ -531,80 +202,3 @@ def cmd_random(args: argparse.Namespace) -> tuple[dict, int]:
     return report, _finalize(report, rows, set(), args)
 
 
-def _default_anchor(kappa: float, r0: float) -> float:
-    """Small-radius tube asymptote: 1/r - kappa r/3 - kappa^2 r^3/45."""
-    try:
-        value = 1.0 / r0 - kappa * r0 / 3.0 - kappa * kappa * r0 ** 3 / 45.0
-    except (OverflowError, ZeroDivisionError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"the default anchor 1/r0 - kappa r0/3 - kappa^2 r0^3/45 is not finite "
-                         f"at --kappa {kappa!r}, --r0 {r0!r}; give --lambda0")
-    return value
-
-
-def cmd_oracle_riccati(args: argparse.Namespace) -> tuple[dict, int]:
-    _required(args, "kappa", "r")
-    kappa, r, r0, step = args.kappa, args.r, args.r0, args.step
-    lambda0 = args.lambda0
-    if lambda0 is None:
-        lambda0 = _default_anchor(kappa, r0)
-    config = {"kappa": kappa, "r": r, "r0": r0, "lambda0": lambda0, "step": step,
-              "format": args.format, "deterministic": args.deterministic}
-    report = _skeleton("oracle riccati", config)
-    try:
-        value = riccati_shape_evolution(kappa, r, (r0, lambda0), step=step)
-    except FocalPointError as exc:
-        report["oracle"] = {"error": str(exc)}
-        _finalize(report, [], set(), args)
-        report["summary"]["all_ok"] = False
-        return report, 1
-    report["oracle"] = {"value": value}
-    return report, _finalize(report, [], set(), args)
-
-
-def cmd_jet(args: argparse.Namespace) -> tuple[dict, int]:
-    """The self-consistent jet, or the jet a config file's raw jet keys describe."""
-    _required(args, "alpha", "beta", "c")
-    alpha, beta, c, kappa3 = args.alpha, args.beta, args.c, args.kappa3
-    tol = _tolerance(args)
-    mapping = {key: value for key, value in vars(args).items() if key in _MAPPING_KEYS}
-    if set(mapping) - {"alpha", "beta", "c", "kappa3"}:
-        jet = jet_from_mapping(mapping)
-    else:
-        jet = consistent_jet(alpha, beta, c, kappa3=kappa3)
-    config = {"alpha": alpha, "beta": beta, "c": c, "kappa3": kappa3,
-              "tolerance": tol, "format": args.format,
-              "deterministic": args.deterministic}
-    report = _skeleton("jet", config)
-    report["jet"] = jet.to_jsonable()
-    report["certificate"] = contradiction_certificate(
-        c, alpha, beta, w1_norm_sq=jet.w1_norm_sq).to_jsonable()
-    return report, _finalize(report, jet_residuals(jet, tol), set(), args)
-
-
-# ------------------------------------------------------------- entry points
-
-_COMMANDS = {"catalog": cmd_catalog, "verify": cmd_verify, "random": cmd_random,
-             "oracle": cmd_oracle_riccati, "jet": cmd_jet}
-
-
-def run(argv: list[str] | None = None) -> int:
-    try:
-        args = _parse(argv)
-        report, code = _COMMANDS[args.command](args)
-        _emit(report, args)
-    except SystemExit as exc:  # --help
-        return 0 if exc.code in (0, None) else 2
-    except (OracleMismatchError, FocalPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CatalogError, JetError, StructuralError, DegenerateSeedError,
-            NotHopfError, MissingNablaAError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return code
-
-
-def main() -> None:
-    raise SystemExit(run())

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .checks import DEFAULT_TOL
 from .tensor_core import (
-    DEFAULT_TOL,
     AlmostContactStructure,
     StructuralError,
     _check_matrix,
@@ -34,7 +34,7 @@ from .tensor_core import (
 )
 
 
-class MissingNablaAError(RuntimeError):
+class MissingNablaAError(ValueError):
     """The operation needs a covariant-derivative provider for A and none was given."""
 
 

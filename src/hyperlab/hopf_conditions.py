@@ -13,11 +13,11 @@ mu is smooth in any neighbourhood is out of reach by construction.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import DEFAULT_TOL, ConditionReport, alpha_vanishes
 from .curvature_engine import (
     CurvatureContext,
     MissingNablaAError,
@@ -26,7 +26,7 @@ from .curvature_engine import (
     jacobi_operator,
     nabla_l,
 )
-from .tensor_core import DEFAULT_TOL, build_phi_basis
+from .tensor_core import build_phi_basis
 
 KER_ETA = "ker-eta"
 SPAN_XI = "span-xi"
@@ -47,16 +47,6 @@ class HopfDecomposition:
     tolerance: float
 
 
-def alpha_vanishes(alpha: float, c: float) -> bool:
-    """Whether alpha = eta(A xi) counts as zero: |alpha| <= 1e-12 (1 + sqrt|c|).
-
-    The one threshold for the catalog's zero-alpha flag and the verdict
-    pipeline, so both always agree on which models are indeterminate.  It
-    scales with the ambient curvature, as alpha does on the catalog.
-    """
-    return abs(alpha) <= 1e-12 * (1.0 + math.sqrt(abs(c)))
-
-
 def decompose_A_xi(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> HopfDecomposition:
     """Split A xi into its xi component and its ker(eta) remainder.
 
@@ -70,32 +60,6 @@ def decompose_A_xi(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> HopfDecom
     hopf = beta <= threshold
     u = None if hopf else rem / beta
     return HopfDecomposition(alpha, beta, u, hopf, threshold)
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Every check row hyperlab reports; row-specific values (mu, alpha) go in extras."""
-
-    name: str
-    subspace: str
-    residual: float
-    tolerance: float
-    extras: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not math.isfinite(self.residual):
-            raise ValueError(f"check {self.name} on {self.subspace}: residual is {self.residual!r}")
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.residual <= self.tolerance)
-
-    mu = property(lambda self: self.extras.get("mu"))
-    mu_spread = property(lambda self: self.extras.get("mu_spread"))
-
-    def to_jsonable(self) -> dict:
-        return {"check": self.name, "subspace": self.subspace, "residual": self.residual,
-                "tolerance": self.tolerance, "pass": self.passed, **self.extras}
 
 
 def _ker_eta_test_basis(ctx: CurvatureContext) -> np.ndarray:

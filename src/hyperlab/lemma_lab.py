@@ -26,11 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .curvature_engine import CurvatureContext, jacobi_operator
-from .hopf_conditions import ConditionReport
-from .tensor_core import DEFAULT_TOL, canonical_structure
+from .checks import DEFAULT_TOL, ConditionReport
 
 WITNESSED = "contradiction-witnessed"
 NO_WITNESS = "no-witness-at-this-beta"
@@ -137,8 +133,8 @@ def w1_norm_identity(c: float, alpha: float, beta: float, w1_norm_sq: float) -> 
     """Left side of the norm identity for W1 on the k3 = 0 branch; zero when it holds.
 
     12 (5 alpha^2 + beta^2) c + 64 alpha^4 - 3 c^2 - 48 alpha^2 beta^2
-    - 16 alpha^2 |W1|^2; at |W1|^2 = 0 it is exactly the numerator of
-    implied_w1_norm_sq.
+    - 16 alpha^2 |W1|^2; at |W1|^2 = 0 it is 16 alpha^2 times the |W1|^2 it
+    forces, _tilted_forms' w1_norm_sq.
     """
     return (12 * (5 * alpha ** 2 + beta ** 2) * c + 64 * alpha ** 4
             - 3 * c ** 2 - 48 * alpha ** 2 * beta ** 2 - 16 * alpha ** 2 * w1_norm_sq)
@@ -208,13 +204,6 @@ class LocalJet:
         return out
 
 
-def rotation_coefficients(alpha: float, beta: float, c: float) -> tuple[float, float]:
-    """Closed forms of k1 = g(nabla_xi U, phiU) and k2 = g(nabla_U U, phiU)."""
-    _require_tilted(alpha, beta, c, "the rotation coefficients")
-    forms = _tilted_forms(alpha, beta, c)
-    return forms["kappa1"], forms["kappa2"]
-
-
 def alpha_zero_commutator_norm(c: float, beta: float) -> float:
     """Measured |(phi l - l phi)U| for the flat-tilt configuration.
 
@@ -224,6 +213,11 @@ def alpha_zero_commutator_norm(c: float, beta: float) -> float:
     with alpha = 0 cannot satisfy the commutation hypothesis unless it
     degenerates to beta = 0.
     """
+    import numpy as np
+
+    from .curvature_engine import CurvatureContext, jacobi_operator
+    from .tensor_core import canonical_structure
+
     acs = canonical_structure(2)
     a = np.zeros((3, 3))
     a[0, 2] = a[2, 0] = float(beta)
@@ -249,16 +243,6 @@ def consistent_jet(alpha: float, beta: float, c: float,
     if not values["w1_norm_sq"] >= 0.0:
         del values["w1_norm_sq"]
     return jet_from_mapping(dict(values, alpha=alpha, beta=beta, c=c, kappa3=kappa3))
-
-
-def implied_w1_norm_sq(c: float, alpha: float, beta: float) -> float:
-    """|W1|^2 forced by the norm identity on the k3 = 0 branch.
-
-    A negative return is already a contradiction: no real field W1 can
-    close the identity at these scalars.
-    """
-    _require_tilted(alpha, beta, c, "the norm identity")
-    return _tilted_forms(alpha, beta, c)["w1_norm_sq"]
 
 
 def jet_residuals(jet: LocalJet, tol: float = DEFAULT_TOL) -> list[ConditionReport]:

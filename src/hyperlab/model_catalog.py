@@ -16,7 +16,9 @@ with kappa = c on the xi line and kappa = c/4 on its complement.  In CH the
 alpha branch never vanishes; in CP it vanishes exactly at s r = pi/4, which
 is allowed but flagged.  Flipping the unit normal negates the whole table;
 the flip is applied after the oracle check, since the flipped branch solves
-the radial equation only under reversed traversal.
+the radial equation only under reversed traversal.  The table, ModelSpec
+and the oracle are float code; instantiate and type_a_nabla_a load the
+array engine (numpy) only when called.
 """
 from __future__ import annotations
 
@@ -24,12 +26,12 @@ import functools
 import math
 from collections.abc import Callable, Container
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .checks import alpha_vanishes
 
-from .curvature_engine import CurvatureContext, NablaAProvider
-from .hopf_conditions import alpha_vanishes
-from .tensor_core import build_phi_basis, canonical_structure
+if TYPE_CHECKING:
+    from .curvature_engine import CurvatureContext, NablaAProvider
 
 DEFAULT_STEP = 5e-5
 ORACLE_TOL = 1e-6
@@ -367,6 +369,11 @@ def instantiate(spec: ModelSpec, seed: int = 0) -> ModelInstance:
     and phi V respectively, so A phi != phi A, and ships without a nabla-A
     provider (its derivative data is not type A).
     """
+    import numpy as np
+
+    from .curvature_engine import CurvatureContext
+    from .tensor_core import build_phi_basis, canonical_structure
+
     table = principal_curvatures(spec)
     acs = canonical_structure(spec.n)
     f = build_phi_basis(acs, rng=np.random.default_rng(seed))
@@ -390,6 +397,8 @@ def type_a_nabla_a(ctx: CurvatureContext) -> NablaAProvider:
     only phi, xi, eta, g and c: on a shape operator that is not type A it
     stays Codazzi-consistent but no longer describes the context's geometry.
     """
+    import numpy as np
+
     acs = ctx.acs
     quarter = ctx.c / 4.0
     gram = acs.space.gram

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
-
 
 class StructuralError(ValueError):
     """Malformed input (wrong shapes, bad Gram matrix) as opposed to a failed identity."""

@@ -10,7 +10,9 @@ import time
 
 import pytest
 
-from hyperlab import cli
+from hyperlab import (CatalogError, DegenerateSeedError, FocalPointError, JetError,
+                      MissingNablaAError, NotHopfError, OracleMismatchError, StructuralError,
+                      cli, entry)
 from hyperlab.cli import run, to_canonical_json, to_markdown
 
 
@@ -398,6 +400,20 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("error, code", [
+    (OracleMismatchError, 1), (FocalPointError, 1),
+    (CatalogError, 2), (JetError, 2), (StructuralError, 2), (DegenerateSeedError, 2),
+    (NotHopfError, 2), (MissingNablaAError, 2), (OSError, 2), (ValueError, 2)])
+def test_run_maps_each_error_class_to_its_exit_code(capsys, monkeypatch, error, code):
+    # exit 1 means a check failed; every input or configuration error exits 2
+    def command(args):
+        raise error("bad input")
+
+    monkeypatch.setitem(entry._COMMANDS, "catalog", command)
+    assert run(["catalog"]) == code
+    assert capsys.readouterr().err == "error: bad input\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--ambient", "CP", "--n", "3", "--family", "A2", "--k", "1",
      "--radius", "0.8", "--tolerance", "inf"],
@@ -446,7 +462,7 @@ def test_every_float_option_takes_a_negative_exponent(spelling):
     checked = []
     for leaf in _leaf_parsers(cli.build_parser()):
         for action in leaf._actions:
-            if action.type is cli._finite:
+            if action.type is entry._finite:
                 args = leaf.parse_args([action.option_strings[0], spelling])
                 assert getattr(args, action.dest) == float(spelling)
                 checked.append(action.dest)
@@ -461,7 +477,7 @@ def test_every_float_option_refuses_a_negative_non_finite_value(spelling):
     checked = []
     for leaf in _leaf_parsers(cli.build_parser()):
         for action in leaf._actions:
-            if action.type is cli._finite:
+            if action.type is entry._finite:
                 with pytest.raises(ValueError) as err:
                     leaf.parse_args([action.option_strings[0], spelling])
                 assert str(err.value) == (f"argument {action.option_strings[0]}: "

@@ -15,12 +15,10 @@ from hyperlab import (
     alpha_zero_commutator_norm,
     consistent_jet,
     contradiction_certificate,
-    implied_w1_norm_sq,
     jet_from_mapping,
     jet_residuals,
-    rotation_coefficients,
 )
-from hyperlab.lemma_lab import _MAPPING_KEYS, JET_SCALAR_MAX
+from hyperlab.lemma_lab import _MAPPING_KEYS, JET_SCALAR_MAX, _tilted_forms
 
 
 def test_jet_preconditions():
@@ -36,9 +34,9 @@ def test_jet_preconditions():
 
 def test_jet_defaults_fill_closed_forms():
     jet = LocalJet(alpha=1.0, beta=2.0, c=4.0)
-    k1, k2 = rotation_coefficients(1.0, 2.0, 4.0)
-    assert jet.kappa1 == k1 == -4.0
-    assert jet.kappa2 == k2
+    forms = _tilted_forms(1.0, 2.0, 4.0)
+    assert jet.kappa1 == forms["kappa1"] == -4.0
+    assert jet.kappa2 == forms["kappa2"]
     # gamma = beta^2/alpha - c/(4 alpha), lambda = -c/(4 alpha)
     assert jet.gamma == 3.0
     assert jet.lam == -1.0
@@ -56,13 +54,14 @@ def test_jet_copies_the_dicts_it_is_given():
     assert first.d_beta is not second.d_beta and first.d_beta is not d_beta
 
 
-def test_rotation_coefficients_spot():
-    k1, k2 = rotation_coefficients(0.5, 1.0, 4.0)
-    assert k1 == -2.0
-    # -4b + (c/4ab)(c/4a - b^2/a) at a=.5, b=1, c=4: -4 + 2*(2 - 2) = -4
-    assert k2 == -4.0
+def test_tilted_forms_rotation_coefficients_spot():
+    forms = _tilted_forms(0.5, 1.0, 4.0)
+    assert forms["kappa1"] == -2.0
+    # -4b - (c/4ab)(b^2/a - c/4a) at a=.5, b=1, c=4: -4 - 2*(2 - 2) = -4
+    assert forms["kappa2"] == -4.0
+    # the forms divide by alpha; the entry points that read them refuse alpha = 0
     with pytest.raises(JetError):
-        rotation_coefficients(0.0, 1.0, 4.0)
+        consistent_jet(0.0, 1.0, 4.0)
 
 
 def test_alpha_zero_commutator_is_beta_squared():
@@ -240,11 +239,13 @@ def test_hand_written_jet_passes_every_row():
     assert [r.name for r in rows if not r.passed] == []
 
 
-def test_implied_w1_norm_spot():
+def test_tilted_forms_w1_norm_spot():
     # (12(5a^2+b^2)c + 64a^4 - 3c^2 - 48a^2 b^2) / (16a^2) at a=1, b=1, c=4
-    assert implied_w1_norm_sq(4.0, 1.0, 1.0) == (288.0 + 64.0 - 48.0 - 48.0) / 16.0
+    w1 = (288.0 + 64.0 - 48.0 - 48.0) / 16.0
+    assert _tilted_forms(1.0, 1.0, 4.0)["w1_norm_sq"] == w1
+    assert contradiction_certificate(4.0, 1.0, 1.0).w1_norm_sq_implied == w1
     with pytest.raises(JetError):
-        implied_w1_norm_sq(4.0, 0.0, 1.0)
+        contradiction_certificate(4.0, 0.0, 1.0)
 
 
 def test_certificate_spot_values():
@@ -272,7 +273,7 @@ def test_certificate_verdict_split_positive_curvature():
 
 
 def test_certificate_carries_identity_residual():
-    w1 = implied_w1_norm_sq(4.0, 2.0, 0.5)
+    w1 = _tilted_forms(2.0, 0.5, 4.0)["w1_norm_sq"]
     cert = contradiction_certificate(4.0, 2.0, 0.5, w1_norm_sq=w1)
     assert cert.w1_identity_residual == 0.0
     cert = contradiction_certificate(4.0, 2.0, 0.5, w1_norm_sq=w1 + 1.0)
@@ -296,8 +297,7 @@ def test_jet_scalars_are_capped_where_they_enter():
     for alpha, beta, c in ((big, 1.0, 4.0), (1.0, big, 4.0), (1.0, 1.0, -big)):
         for entry in (lambda: consistent_jet(alpha, beta, c),
                       lambda: LocalJet(alpha=alpha, beta=beta, c=c),
-                      lambda: contradiction_certificate(c, alpha, beta),
-                      lambda: implied_w1_norm_sq(c, alpha, beta)):
+                      lambda: contradiction_certificate(c, alpha, beta)):
             with pytest.raises(JetError, match="exceeds"):
                 entry()
 
