@@ -13,7 +13,7 @@ import numpy as np
 
 from .checks import ConditionReport
 from .curvature_engine import _check_paths, _closed_form, _g, _gauss, codazzi_residual, commutator
-from .entry import RANDOM_PROPERTIES, _finalize, _required, _skeleton, _tolerance
+from .entry import RANDOM_PROPERTIES, _finalize, _required, _skeleton
 from .entry import build_parser, main, run, to_canonical_json, to_markdown  # noqa: F401
 from .hopf_conditions import (SPAN_XI, VERDICT_HYPOTHESIS_FAILS, VERDICT_INDETERMINATE,
                               VERDICT_TYPE_A, classify, decompose_A_xi, theorem_pipeline)
@@ -53,8 +53,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     _in_range("--samples", args.samples, 1, MAX_SAMPLES)
     spec = ModelSpec(ambient=args.ambient, n=args.n, family=args.family, c=args.c,
                      radius=args.radius, k=args.k, flip_normal=args.flip_normal)
-    seed, samples = args.seed, args.samples
-    tol = _tolerance(args)
+    seed, samples, tol = args.seed, args.samples, args.tolerance
     names = (VERIFY_CHECKS if args.checks == "all"
              else tuple(w.strip() for w in args.checks.split(",") if w.strip()))
     if not names:
@@ -71,9 +70,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
 
     config = spec.to_jsonable()
     config.update({"seed": seed, "samples": samples, "tolerance": tol,
-                   "checks": ",".join(names) if names != VERIFY_CHECKS else "all",
-                   "format": args.format, "deterministic": args.deterministic})
-    report = _skeleton("verify", config)
+                   "checks": ",".join(names) if names != VERIFY_CHECKS else "all"})
+    report = _skeleton("verify", config, args)
     report["spectral"] = inst.spectral.to_jsonable()
 
     # every row is built; --checks selects among them at the end.  The
@@ -84,7 +82,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     rows += [ConditionReport("mu-vanishes", rep.subspace, abs(rep.mu), tol)
              for rep in cls.reports.values() if rep.name == "nabla-xi-l"]
     dec = decompose_A_xi(ctx, tol)
-    swap = float(np.max(np.abs(commutator(ctx.shape_operator, acs.phi))))
+    swap = float(np.max(np.abs(ctx.a_phi_commutator)))
     rows += [ConditionReport("structure-axioms", "all", max(validate_acs(acs).values()), tol),
              ConditionReport("hopf-decomposition", SPAN_XI, dec.beta, dec.tolerance,
                              {"alpha": dec.alpha}),
@@ -191,12 +189,9 @@ def cmd_random(args: argparse.Namespace) -> tuple[dict, int]:
     if dim % 2 == 0:
         raise ValueError(f"--dim must be odd, got {dim}")
     _in_range("--dim^3 x --samples", dim ** 3 * samples, 27, MAX_RANDOM_WORK)
-    tol = _tolerance(args)
-    props = RANDOM_PROPERTIES if prop == "all" else (prop,)
-    config = {"dim": dim, "samples": samples, "seed": seed, "property": prop,
-              "tolerance": tol, "format": args.format,
-              "deterministic": args.deterministic}
-    report = _skeleton("random", config)
+    props, tol = RANDOM_PROPERTIES if prop == "all" else (prop,), args.tolerance
+    config = {"dim": dim, "samples": samples, "seed": seed, "property": prop, "tolerance": tol}
+    report = _skeleton("random", config, args)
     rows = [ConditionReport(name, "all", _run_property(name, dim, samples, seed), tol)
             for name in props]
     return report, _finalize(report, rows, set(), args)

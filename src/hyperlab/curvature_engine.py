@@ -30,6 +30,7 @@ from .tensor_core import (
     _read_only,
     _refuse,
     _t,
+    build_phi_basis,
     nabla_xi,
 )
 
@@ -44,8 +45,8 @@ class CurvatureContext:
 
     The context is immutable, so the tensors every check reads are derived
     once per context and stored read-only: both Jacobi paths (each still
-    computed independently of the other), their gap, and the ker(eta) test
-    basis.
+    computed independently of the other), their gap, the three condition
+    commutators and the ker(eta) test basis.
     """
 
     acs: AlmostContactStructure
@@ -70,9 +71,6 @@ class CurvatureContext:
     def alpha(self) -> float:
         return self.acs.g(self.a_xi, self.acs.xi)
 
-    def g(self, x, y) -> float:
-        return self.acs.g(x, y)
-
     @cached_property
     def l_from_curvature(self) -> np.ndarray:
         """`jacobi_from_curvature` of this context, read-only."""
@@ -89,20 +87,64 @@ class CurvatureContext:
         return float(np.max(np.abs(self.l_from_curvature - self.l_closed_form)))
 
     @cached_property
+    def phi_l_commutator(self) -> np.ndarray:
+        """phi l - l phi, with l from `jacobi_operator`, read-only."""
+        return _read_only(commutator(self.acs.phi, jacobi_operator(self)))
+
+    @cached_property
+    def l_a_commutator(self) -> np.ndarray:
+        """lA - Al, with l from `jacobi_operator`, read-only."""
+        return _read_only(commutator(jacobi_operator(self), self.shape_operator))
+
+    @cached_property
+    def a_phi_commutator(self) -> np.ndarray:
+        """A phi - phi A, read-only."""
+        return _read_only(commutator(self.shape_operator, self.acs.phi))
+
+    @cached_property
     def ker_eta_basis(self) -> np.ndarray:
         """The g-orthonormal ker(eta) test vectors of the condition checks, as columns.
 
-        The seeding policy belongs to hopf_conditions, which imports this
-        module; hence the import at call time.
+        phi-adapted and, off Hopf, seeded with the U of `decompose_A_xi`, so
+        that residual magnitudes hit the adapted-frame values exactly (U and
+        phi U are both in the basis).  The split is taken at DEFAULT_TOL: the
+        basis is cached per context, so it cannot depend on one run's tolerance.
         """
-        from .hopf_conditions import _ker_eta_test_basis
-        return _read_only(_ker_eta_test_basis(self))
+        dec = decompose_A_xi(self)
+        seeds = [dec.u] if dec.u is not None else None
+        return _read_only(build_phi_basis(self.acs, seeds=seeds)[:, :-1])
 
     def to_jsonable(self) -> dict:
         out = self.acs.to_jsonable()
         out["shape_operator"] = [float(v) for v in self.shape_operator.ravel()]
         out["c"] = float(self.c)
         return out
+
+
+@dataclass(frozen=True)
+class HopfDecomposition:
+    """A xi = alpha xi + beta U with U a g-unit vector in ker(eta)."""
+
+    alpha: float
+    beta: float
+    u: np.ndarray | None
+    is_hopf: bool
+    tolerance: float
+
+
+def decompose_A_xi(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> HopfDecomposition:
+    """Split A xi into its xi component and its ker(eta) remainder.
+
+    The Hopf threshold is relative: beta <= tol * (1 + |A|_F), so scaling
+    the shape operator does not flip the verdict.
+    """
+    alpha = ctx.alpha
+    rem = ctx.a_xi - alpha * ctx.acs.xi
+    beta = ctx.acs.norm(rem)
+    threshold = tol * (1.0 + float(np.linalg.norm(ctx.shape_operator)))
+    hopf = beta <= threshold
+    u = None if hopf else rem / beta
+    return HopfDecomposition(alpha, beta, u, hopf, threshold)
 
 
 def _check_shapes(gram: np.ndarray, a: np.ndarray, c):

@@ -163,6 +163,14 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _tolerance(raw: str) -> float:
+    """The type of --tolerance: a finite value above zero."""
+    value = _finite(raw)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw!r}")
+    return value
+
+
 def _seed(raw: str) -> int:
     """The type of --seed: numpy's generators take only non-negative integers."""
     try:
@@ -195,13 +203,6 @@ def _required(args: argparse.Namespace, *keys: str):
             raise ValueError(f"missing required option --{key.replace('_', '-')}")
 
 
-def _tolerance(args: argparse.Namespace) -> float:
-    """The flag, else the config file, else DEFAULT_TOL; _finite has refused inf and nan."""
-    if not args.tolerance > 0:
-        raise ValueError(f"tolerance must be positive and finite, got {args.tolerance!r}")
-    return args.tolerance
-
-
 # ------------------------------------------------------------------ parser
 
 class _Parser(argparse.ArgumentParser):
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "markdown"), default="json")
     common.add_argument("--out", help="write the report to a file")
     common.add_argument("--config", help="flat key = value defaults file")
-    common.add_argument("--tolerance", type=_finite, default=DEFAULT_TOL,
+    common.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL,
                         help=f"check tolerance (default {DEFAULT_TOL:g})")
     common.add_argument("--deterministic", action="store_true",
                         help="omit the timestamp for byte-identical reports")
@@ -309,7 +310,9 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 
 # ------------------------------------------------------------- assembly
 
-def _skeleton(command: str, config: dict) -> dict:
+def _skeleton(command: str, config: dict, args: argparse.Namespace) -> dict:
+    """The report head; format and deterministic close every command's config."""
+    config.update(format=args.format, deterministic=args.deterministic)
     return {"schema": SCHEMA, "version": __version__, "command": command,
             "config": config}
 
@@ -342,8 +345,7 @@ def _emit(report: dict, args: argparse.Namespace):
 # ------------------------------------------------------------- commands
 
 def cmd_catalog(args: argparse.Namespace) -> tuple[dict, int]:
-    report = _skeleton("catalog", {"format": args.format,
-                                   "deterministic": args.deterministic})
+    report = _skeleton("catalog", {}, args)
     report["catalog"] = catalog_rows()
     return report, _finalize(report, [], set(), args)
 
@@ -366,9 +368,8 @@ def cmd_oracle_riccati(args: argparse.Namespace) -> tuple[dict, int]:
     lambda0 = args.lambda0
     if lambda0 is None:
         lambda0 = _default_anchor(kappa, r0)
-    config = {"kappa": kappa, "r": r, "r0": r0, "lambda0": lambda0, "step": step,
-              "format": args.format, "deterministic": args.deterministic}
-    report = _skeleton("oracle riccati", config)
+    config = {"kappa": kappa, "r": r, "r0": r0, "lambda0": lambda0, "step": step}
+    report = _skeleton("oracle riccati", config, args)
     try:
         value = riccati_shape_evolution(kappa, r, (r0, lambda0), step=step)
     except FocalPointError as exc:
@@ -383,17 +384,14 @@ def cmd_oracle_riccati(args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_jet(args: argparse.Namespace) -> tuple[dict, int]:
     """The self-consistent jet, or the jet a config file's raw jet keys describe."""
     _required(args, "alpha", "beta", "c")
-    alpha, beta, c, kappa3 = args.alpha, args.beta, args.c, args.kappa3
-    tol = _tolerance(args)
+    alpha, beta, c, kappa3, tol = args.alpha, args.beta, args.c, args.kappa3, args.tolerance
     mapping = {key: value for key, value in vars(args).items() if key in _MAPPING_KEYS}
     if set(mapping) - {"alpha", "beta", "c", "kappa3"}:
         jet = jet_from_mapping(mapping)
     else:
         jet = consistent_jet(alpha, beta, c, kappa3=kappa3)
-    config = {"alpha": alpha, "beta": beta, "c": c, "kappa3": kappa3,
-              "tolerance": tol, "format": args.format,
-              "deterministic": args.deterministic}
-    report = _skeleton("jet", config)
+    config = {"alpha": alpha, "beta": beta, "c": c, "kappa3": kappa3, "tolerance": tol}
+    report = _skeleton("jet", config, args)
     report["jet"] = jet.to_jsonable()
     report["certificate"] = contradiction_certificate(
         c, alpha, beta, w1_norm_sq=jet.w1_norm_sq).to_jsonable()

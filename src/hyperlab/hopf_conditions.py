@@ -18,15 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import DEFAULT_TOL, ConditionReport, alpha_vanishes
-from .curvature_engine import (
+from .curvature_engine import (  # noqa: F401  (HopfDecomposition: re-exported)
     CurvatureContext,
+    HopfDecomposition,
     MissingNablaAError,
     NablaAProvider,
-    commutator,
-    jacobi_operator,
+    decompose_A_xi,
     nabla_l,
 )
-from .tensor_core import build_phi_basis
 
 KER_ETA = "ker-eta"
 SPAN_XI = "span-xi"
@@ -34,44 +33,6 @@ SPAN_XI = "span-xi"
 
 class NotHopfError(ValueError):
     """The operation requires Hopf input (A xi proportional to xi)."""
-
-
-@dataclass(frozen=True)
-class HopfDecomposition:
-    """A xi = alpha xi + beta U with U a g-unit vector in ker(eta)."""
-
-    alpha: float
-    beta: float
-    u: np.ndarray | None
-    is_hopf: bool
-    tolerance: float
-
-
-def decompose_A_xi(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> HopfDecomposition:
-    """Split A xi into its xi component and its ker(eta) remainder.
-
-    The Hopf threshold is relative: beta <= tol * (1 + |A|_F), so scaling
-    the shape operator does not flip the verdict.
-    """
-    alpha = ctx.alpha
-    rem = ctx.a_xi - alpha * ctx.acs.xi
-    beta = ctx.acs.norm(rem)
-    threshold = tol * (1.0 + float(np.linalg.norm(ctx.shape_operator)))
-    hopf = beta <= threshold
-    u = None if hopf else rem / beta
-    return HopfDecomposition(alpha, beta, u, hopf, threshold)
-
-
-def _ker_eta_test_basis(ctx: CurvatureContext) -> np.ndarray:
-    """Columns spanning ker(eta): phi-adapted and, off Hopf, seeded with U.
-
-    Seeding with the decomposition's U makes residual magnitudes hit the
-    adapted-frame values exactly (U and phi U are both in the basis).  The
-    context memoises the result as `ctx.ker_eta_basis`.
-    """
-    dec = decompose_A_xi(ctx)
-    seeds = [dec.u] if dec.u is not None else None
-    return build_phi_basis(ctx.acs, seeds=seeds)[:, :-1]
 
 
 def _test_basis(ctx: CurvatureContext, subspace: str) -> np.ndarray:
@@ -90,17 +51,15 @@ def _worst_norm(ctx: CurvatureContext, block: np.ndarray) -> float:
 def check_phi_l_commute(ctx: CurvatureContext, subspace: str = KER_ETA,
                         tol: float = DEFAULT_TOL) -> ConditionReport:
     """Residual of phi l = l phi: max |(phi l - l phi)X| over the subspace basis."""
-    comm = commutator(ctx.acs.phi, jacobi_operator(ctx))
-    return ConditionReport("phi-l-commute", subspace,
-                           _worst_norm(ctx, comm @ _test_basis(ctx, subspace)), tol)
+    block = ctx.phi_l_commutator @ _test_basis(ctx, subspace)
+    return ConditionReport("phi-l-commute", subspace, _worst_norm(ctx, block), tol)
 
 
 def check_l_A_commute(ctx: CurvatureContext, subspace: str = KER_ETA,
                       tol: float = DEFAULT_TOL) -> ConditionReport:
     """Residual of lA = Al: max |(lA - Al)X| over the subspace basis."""
-    comm = commutator(jacobi_operator(ctx), ctx.shape_operator)
-    return ConditionReport("l-A-commute", subspace,
-                           _worst_norm(ctx, comm @ _test_basis(ctx, subspace)), tol)
+    block = ctx.l_a_commutator @ _test_basis(ctx, subspace)
+    return ConditionReport("l-A-commute", subspace, _worst_norm(ctx, block), tol)
 
 
 def check_nabla_xi_l(ctx: CurvatureContext, nabla_a: NablaAProvider,
@@ -176,18 +135,12 @@ class TheoremVerdict:
     alpha: float
     beta_residual: float
     phi_l_commutator_norm: float
-    commutator_a_phi_norm: float
+    commutator_A_phi_norm: float
     verdict: str
 
     def to_jsonable(self) -> dict:
-        return {
-            "hopf": self.hopf,
-            "alpha": self.alpha,
-            "beta_residual": self.beta_residual,
-            "phi_l_commutator_norm": self.phi_l_commutator_norm,
-            "commutator_A_phi_norm": self.commutator_a_phi_norm,
-            "verdict": self.verdict,
-        }
+        """The fields in declaration order."""
+        return dict(vars(self))
 
 
 def theorem_pipeline(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> TheoremVerdict:
@@ -203,21 +156,14 @@ def theorem_pipeline(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> Theorem
     dec = decompose_A_xi(ctx, tol)
     if not dec.is_hopf:
         raise NotHopfError(f"A xi has ker(eta) component beta = {dec.beta:.3e}")
-    phi, a = ctx.acs.phi, ctx.shape_operator
-    c_phi_l = commutator(phi, jacobi_operator(ctx))
-    c_a_phi = commutator(a, phi)
-    scale = 1.0 + float(np.linalg.norm(a)) ** 2 + abs(ctx.c)
-    if float(np.linalg.norm(c_phi_l)) > tol * scale:
+    scale = 1.0 + float(np.linalg.norm(ctx.shape_operator)) ** 2 + abs(ctx.c)
+    if float(np.linalg.norm(ctx.phi_l_commutator)) > tol * scale:
         verdict = VERDICT_HYPOTHESIS_FAILS
     elif alpha_vanishes(dec.alpha, ctx.c):
         verdict = VERDICT_INDETERMINATE
     else:
         verdict = VERDICT_TYPE_A
-    return TheoremVerdict(
-        hopf=True,
-        alpha=dec.alpha,
-        beta_residual=dec.beta,
-        phi_l_commutator_norm=float(np.linalg.norm(c_phi_l, 2)),
-        commutator_a_phi_norm=float(np.linalg.norm(c_a_phi, 2)),
-        verdict=verdict,
-    )
+    return TheoremVerdict(hopf=True, alpha=dec.alpha, beta_residual=dec.beta,
+                          phi_l_commutator_norm=float(np.linalg.norm(ctx.phi_l_commutator, 2)),
+                          commutator_A_phi_norm=float(np.linalg.norm(ctx.a_phi_commutator, 2)),
+                          verdict=verdict)

@@ -248,14 +248,10 @@ class ModelSpec:
         return 2 * self.n - 1
 
     def to_jsonable(self) -> dict:
-        out = {"ambient": self.ambient, "n": self.n, "family": self.family, "c": self.c}
-        if self.radius is not None:
-            out["radius"] = self.radius
-        if self.k is not None:
-            out["k"] = self.k
-        if self.flip_normal:
-            out["flip_normal"] = True
-        return out
+        """The fields in declaration order, less None and False, tested by identity
+        so that k = 0 (the CH A1 sphere), which equals False, stays."""
+        return {key: value for key, value in vars(self).items()
+                if value is not None and value is not False}
 
 
 @dataclass(frozen=True)

@@ -372,24 +372,37 @@ def test_config_accepts_the_benchmark_jet_keys(capsys, tmp_path, level):
     assert json.loads(out)["jet"]["d_beta"]["phiW1"] == float(values["dbeta_phiW1"])
 
 
+# one working argv of each leaf command
+LEAF_ARGVS = {
+    "catalog": ["catalog"],
+    "verify": ["verify", "--ambient", "CP", "--n", "2", "--family", "A1", "--radius", "0.5"],
+    "random": ["random", "--samples", "10"],
+    "oracle riccati": ["oracle", "riccati", "--kappa", "1", "--r", "0.5"],
+    "jet": ["jet", "--alpha", "1", "--beta", "0.5", "--c", "4"],
+}
+
+
 def test_tolerance_comes_from_flag_then_file_and_must_be_positive(capsys, tmp_path):
-    verify = ["verify", "--ambient", "CP", "--n", "2", "--family", "A1", "--radius", "0.5",
-              "--deterministic"]
     cfg = tmp_path / "tol.cfg"
     cfg.write_text("tolerance = 1e-3\n")
-    code, rep = _report(capsys, verify + ["--config", str(cfg)])
-    assert code == 0
-    assert rep["config"]["tolerance"] == 1e-3
-    code, rep = _report(capsys, verify + ["--config", str(cfg), "--tolerance", "1e-6"])
-    assert rep["config"]["tolerance"] == 1e-6
+    for name in ("verify", "random", "jet"):  # the commands whose config reports it
+        argv = LEAF_ARGVS[name] + ["--deterministic"]
+        code, rep = _report(capsys, argv + ["--config", str(cfg)])
+        assert code == 0
+        assert rep["config"]["tolerance"] == 1e-3
+        code, rep = _report(capsys, argv + ["--config", str(cfg), "--tolerance", "1e-6"])
+        assert rep["config"]["tolerance"] == 1e-6
     bad = tmp_path / "bad.cfg"
     bad.write_text("tolerance = -1.0\n")
-    for extra in (["--tolerance", "0"], ["--tolerance", "-1.0"], ["--config", str(bad)]):
-        code = run(verify + extra)
-        out, err = capsys.readouterr()
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: tolerance must be positive") and err.count("\n") == 1
+    # every leaf refuses a tolerance that is not positive while parsing, flag or file
+    for argv in LEAF_ARGVS.values():
+        for extra, raw in ((["--tolerance", "0"], "0"), (["--tolerance", "-1.0"], "-1.0"),
+                           (["--config", str(bad)], "-1.0")):
+            code = run(argv + extra)
+            out, err = capsys.readouterr()
+            assert code == 2
+            assert out == ""
+            assert err == f"error: argument --tolerance: must be positive and finite, got {raw!r}\n"
 
 
 def test_usage_errors_exit_two(capsys):
@@ -466,6 +479,10 @@ def test_every_float_option_takes_a_negative_exponent(spelling):
                 args = leaf.parse_args([action.option_strings[0], spelling])
                 assert getattr(args, action.dest) == float(spelling)
                 checked.append(action.dest)
+            elif action.type is entry._tolerance:  # a value, refused as not positive
+                with pytest.raises(ValueError, match="must be positive and finite"):
+                    leaf.parse_args([action.option_strings[0], spelling])
+                checked.append(action.dest)
     # --tolerance on each of the five leaves, verify's two, riccati's five, jet's four
     assert len(checked) == 16
 
@@ -477,7 +494,7 @@ def test_every_float_option_refuses_a_negative_non_finite_value(spelling):
     checked = []
     for leaf in _leaf_parsers(cli.build_parser()):
         for action in leaf._actions:
-            if action.type is entry._finite:
+            if action.type in (entry._finite, entry._tolerance):
                 with pytest.raises(ValueError) as err:
                     leaf.parse_args([action.option_strings[0], spelling])
                 assert str(err.value) == (f"argument {action.option_strings[0]}: "

@@ -77,7 +77,7 @@ def test_space_form_sectional_curvatures(rng):
 
 def test_gauss_tensor_symmetries(rng):
     ctx = random_context(3, rng)
-    g = ctx.g
+    g = ctx.acs.g
     for _ in range(10):
         x, y, z, w = (rng.standard_normal(5) for _ in range(4))
         rxyz = gauss_curvature(ctx, x, y, z)
@@ -238,3 +238,15 @@ def test_commutator():
     q = p.T
     assert np.array_equal(commutator(p, q), np.diag([1.0, -1.0]))
     assert np.array_equal(commutator(np.eye(2), q), np.zeros((2, 2)))
+
+
+def test_condition_commutators_are_cached_read_only(rng):
+    ctx = random_context(3, rng)
+    phi, a, ell = ctx.acs.phi, ctx.shape_operator, jacobi_operator(ctx)
+    for name, expected in (("phi_l_commutator", commutator(phi, ell)),
+                           ("l_a_commutator", commutator(ell, a)),
+                           ("a_phi_commutator", commutator(a, phi))):
+        first = getattr(ctx, name)
+        assert getattr(ctx, name) is first
+        assert not first.flags.writeable
+        assert np.array_equal(first, expected)

@@ -54,3 +54,18 @@ def test_package_exports_every_public_name():
     assert hyperlab.ModelSpec is hyperlab.model_catalog.ModelSpec
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(hyperlab, "no_such_name")
+
+
+def test_ker_eta_basis_needs_no_condition_layer(child_env):
+    # the Hopf split that seeds the basis lives in curvature_engine itself
+    probe = ("import sys, numpy as np\n"
+             "from hyperlab.curvature_engine import CurvatureContext\n"
+             "from hyperlab.tensor_core import canonical_structure\n"
+             "a = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])\n"
+             "a[0, 4] = a[4, 0] = 0.5\n"
+             "basis = CurvatureContext(canonical_structure(3), a, 4.0).ker_eta_basis\n"
+             "print(basis.shape, 'hyperlab.hopf_conditions' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["(5,", "4)", "False"]

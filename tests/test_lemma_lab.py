@@ -135,7 +135,7 @@ def test_tilted_shape_context_kills_u():
         u = np.zeros(5)
         u[0] = 1.0
         assert np.linalg.norm(ell @ u) <= 1e-12
-        assert abs(ctx.g(ell @ u, u)) <= 1e-12
+        assert abs(ctx.acs.g(ell @ u, u)) <= 1e-12
         assert np.linalg.norm(ell @ (ctx.acs.phi @ u)) <= 1e-12
 
 

@@ -42,3 +42,21 @@ def test_importing_cli_loads_numpy_and_every_traced_module(child_env):
                             timeout=120, env=child_env, check=True).stdout.split()
     expected = {"numpy"} | {f"hyperlab.{mod}" for mod in _load_tracer().LAYERS}
     assert expected <= set(loaded)
+
+
+def test_one_verify_builds_the_jacobi_operator_once_per_commutator(capsys):
+    # phi l - l phi and lA - Al are cached on the context, so every check row
+    # and the theorem block read the same two products
+    import hyperlab.cli
+
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = hyperlab.cli.run(["verify", "--ambient", "CP", "--n", "3", "--family", "A2",
+                                 "--k", "1", "--radius", "0.8", "--deterministic"])
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.stats["curvature_engine.jacobi_operator"][0] == 2
+    assert tracer.stats["cli.run"][0] == 1
