@@ -166,7 +166,7 @@ _PROPERTIES = dict(zip(RANDOM_PROPERTIES, (
     lambda rng, dim, first, size: _jacobi_paths(rng, dim, size, False)[-1],
     lambda *draw: _structures(*draw)["skew"],
 )))
-BUDGET = 2048  # doubles per (S, dim, dim) stack: a chunk holds BUDGET // dim^2 samples, or one
+BUDGET = 2 ** 16  # doubles per (S, dim, dim) stack: a chunk holds BUDGET // dim^2 samples, or one
 
 
 def _chunks(dim: int, samples: int) -> list[tuple[int, int]]:

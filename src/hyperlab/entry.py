@@ -19,6 +19,8 @@ and run() imports hyperlab.cli, the array engine, only for verify and random.
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import math
 import numbers
 import re
@@ -50,17 +52,16 @@ def to_canonical_json(value, indent: int = 0) -> str:
     """Hand-rolled JSON with %.17g floats; dict order is emission order."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if type(value) is float:  # builtins first; only numpy scalars reach the numbers ABCs
+        return _fmt(value)
+    if type(value) is int:
+        return str(value)
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    if isinstance(value, numbers.Real):
-        return _fmt(float(value))
     if isinstance(value, str):
-        import json as _json
-        return _json.dumps(value)
+        return json.dumps(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -72,6 +73,10 @@ def to_canonical_json(value, indent: int = 0) -> str:
             return "[]"
         rows = [f"{inner}{to_canonical_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, numbers.Real):
+        return _fmt(float(value))
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -140,7 +145,7 @@ def to_markdown(report: dict) -> str:
 
 _BOOL_KEYS = ("deterministic", "flip_normal", "emit_structure")
 # Namespace entries the parser itself sets; a file must not override them.
-_PARSER_KEYS = ("command", "oracle_command", "leaf")
+_PARSER_KEYS = ("command", "oracle_command")
 
 
 def _as_bool(raw: str) -> bool:
@@ -220,7 +225,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The hyperlab parser; each subcommand's namespace carries its own parser as `leaf`."""
+    """A fresh hyperlab parser."""
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "markdown"), default="json")
     common.add_argument("--out", help="write the report to a file")
@@ -235,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification engine for real hypersurfaces in complex space forms")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cat = sub.add_parser("catalog", parents=[common], help="list the model catalog")
+    sub.add_parser("catalog", parents=[common], help="list the model catalog")
 
     ver = sub.add_parser("verify", parents=[common],
                          help="run condition checks on one catalog model")
@@ -278,33 +283,37 @@ def build_parser() -> argparse.ArgumentParser:
     jet.add_argument("--beta", type=_finite)
     jet.add_argument("--c", type=_finite)
     jet.add_argument("--kappa3", type=_finite, default=0.0)
-
-    for leaf in (cat, ver, rnd, ric, jet):
-        leaf.set_defaults(leaf=leaf)
     return parser
 
 
-def _parse(argv: list[str] | None) -> argparse.Namespace:
-    """Parse argv; with --config, the file's values become the subcommand's defaults.
+# the parser every run() in a process reuses, built on first use; nothing changes it
+_shared_parser = functools.cache(build_parser)
 
-    argparse converts a string default with the option's type, so a file
-    value passes the same checks as a flag, and a flag still wins over it;
-    store_true keys from a file are read with _as_bool.  A file key must be an
-    option of the subcommand, or for jet a raw jet key.
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """Parse argv; with --config, the file's values are parsed as flags given first.
+
+    Each file value becomes `--key=raw` (a switch read with _as_bool: the bare
+    flag when true, nothing when false) between the subcommand words and the
+    user's flags, so it passes the same type, finiteness and choices checks as
+    a flag, and a flag, read later, still wins.  A file key must be an option
+    of the subcommand, or for jet a raw jet key, set on the namespace as read.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _shared_parser().parse_args(argv)
     if args.config:
         config = load_config(args.config)
-        known = set(vars(args)).difference(_PARSER_KEYS)
-        if args.command == "jet":
-            known |= set(_MAPPING_KEYS)
+        options = set(vars(args)).difference(_PARSER_KEYS)
+        known = options | (set(_MAPPING_KEYS) if args.command == "jet" else set())
         unknown = sorted(set(config) - known)
         if unknown:
             raise ValueError(f"unknown {args.command} keys in {args.config}: {', '.join(unknown)}")
-        args.leaf.set_defaults(**{key: _as_bool(raw) if key in _BOOL_KEYS else raw
-                                  for key, raw in config.items()})
-        args = parser.parse_args(argv)
+        flags = [f"--{key.replace('_', '-')}" + ("" if key in _BOOL_KEYS else f"={raw}")
+                 for key, raw in config.items()
+                 if key in options and (key not in _BOOL_KEYS or _as_bool(raw))]
+        head = 2 if args.command == "oracle" else 1
+        args = _shared_parser().parse_args(argv[:head] + flags + argv[head:])
+        vars(args).update({key: raw for key, raw in config.items() if key not in options})
     return args
 
 

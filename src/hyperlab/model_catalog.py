@@ -215,7 +215,12 @@ class ModelSpec:
             raise CatalogError("CH requires c < 0")
         object.__setattr__(self, "c", c)
         self._validate_radius()
-        if not (self.k is None or isinstance(self.k, int)) or self.k not in self.entry.ks(self.n):
+        ks = self.entry.ks(self.n)
+        if self.k is None and None not in ks:
+            none = "" if ks else f", but no k is admissible at n = {self.n}"
+            raise CatalogError(f"{self.ambient} {self.family} requires --k{none} "
+                               f"({self.entry.radius_domain})")
+        if not (self.k is None or isinstance(self.k, int)) or self.k not in ks:
             raise CatalogError(f"{self.ambient} {self.family} does not take k = {self.k!r} "
                                f"at n = {self.n} ({self.entry.core}; {self.entry.radius_domain})")
 
@@ -231,7 +236,7 @@ class ModelSpec:
         bound = sr_max / self.scale
         if not 0 < r < bound:
             raise CatalogError(f"{self.ambient} family {self.family} requires "
-                               f"0 < r < {bound:.6f} for c = {self.c}")
+                               f"0 < r < {bound:.7g} for c = {self.c}")
         object.__setattr__(self, "radius", r)
 
     @property

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from hyperlab import (CatalogError, DegenerateSeedError, FocalPointError, JetError,
@@ -155,10 +156,81 @@ def test_config_file_seed_is_refused_naming_the_flag(capsys, tmp_path):
         "error: argument --seed: must be a non-negative integer, got '-3'\n")
 
 
+@pytest.mark.parametrize("argv, line, message", [
+    (["catalog", "--deterministic"], "format = xml",
+     "argument --format: invalid choice: 'xml' (choose from 'json', 'markdown')"),
+    (["random", "--samples", "5"], "property = nope",
+     "argument --property: invalid choice: 'nope' (choose from "
+     + ", ".join(repr(p) for p in entry.RANDOM_PROPERTIES + ("all",)) + ")"),
+])
+def test_config_values_pass_the_choices_check(capsys, tmp_path, argv, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _fresh_process(argv, child_env):
+    proc = subprocess.run([sys.executable, "-m", "hyperlab", *argv], capture_output=True,
+                          text=True, timeout=120, env=child_env)
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["verify", "--ambient", "CP", "--n", "3", "--family", "A1", "--radius", "0.5",
+      "--deterministic"], "seed = 4\nformat = markdown\nflip_normal = true\n"),
+    (["jet", "--alpha", "1", "--beta", "0.5", "--c", "4", "--deterministic"],
+     "kappa3 = 0.5\ndalpha_U = 0.25\ndbeta_xi = 0.125\n"),
+])
+def test_a_config_run_leaves_no_state_for_the_next_run(capsys, tmp_path, child_env, argv, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with_file = _capture(capsys, argv + ["--config", str(cfg)])
+    after = _capture(capsys, argv)
+    assert with_file != after
+    assert after == _fresh_process(argv, child_env)
+
+
+def test_one_parser_serves_every_run_in_a_process(child_env):
+    script = (
+        "import argparse, io, contextlib\n"
+        "calls = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *a, **k):\n"
+        "    calls.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "from hyperlab.entry import run\n"
+        "counts = []\n"
+        "for _ in range(3):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert run(['catalog', '--deterministic']) == 0\n"
+        "    counts.append(len(calls))\n"
+        "print(counts)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    first, *rest = json.loads(proc.stdout)
+    assert first > 0 and rest == [first, first]
+
+
 def test_verify_bad_radius_is_usage_error(capsys):
-    code, _ = _capture(capsys, ["verify", "--ambient", "CP", "--n", "2",
-                                "--family", "A1", "--radius", "2.0"])
-    assert code == 2
+    assert run(["verify", "--ambient", "CP", "--n", "2", "--family", "A1", "--radius", "2.0"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: CP family A1 requires 0 < r < 1.570796 for c = 4.0\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "3", "--family", "A1", "--radius", "0.5", "--c", "1e300"],
+     "CP family A1 requires 0 < r < 3.141593e-150 for c = 1e+300"),
+    (["--n", "2", "--family", "A2", "--radius", "0.5"],
+     "CP A2 requires --k, but no k is admissible at n = 2 (0 < s r < pi/2, 1 <= k <= n-2)"),
+    (["--n", "3", "--family", "A2", "--radius", "0.5"],
+     "CP A2 requires --k (0 < s r < pi/2, 1 <= k <= n-2)"),
+])
+def test_model_refusals_state_the_bound_and_the_missing_k(capsys, argv, message):
+    assert run(["verify", "--ambient", "CP"] + argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_catalog_lists_models(capsys):
@@ -199,6 +271,15 @@ def test_chunk_plan_covers_each_sample_once_within_the_budget(dim, samples):
     plan = cli._chunks(dim, samples)
     assert [i for first, size in plan for i in range(first, first + size)] == list(range(samples))
     assert all(size * dim ** 2 <= cli.BUDGET or size == 1 for _, size in plan)
+
+
+@pytest.mark.parametrize("dim, samples, plan", [
+    (41, 6, [(0, 6)]),  # the benchmark's dim-41 sweeps are one stack
+    (5, 1000, [(0, 1000)]),  # the default sweep is one stack
+    (201, 10, [(i, 1) for i in range(10)]),  # stacking measured slower from dim 183 on
+])
+def test_chunk_plan_at_the_budget(dim, samples, plan):
+    assert cli._chunks(dim, samples) == plan
 
 
 def test_random_rejects_even_dim(capsys):
@@ -644,6 +725,19 @@ def test_canonical_json_formatting():
     assert parsed["nested"]["x"] == [1.0, 2.5]
     with pytest.raises(ValueError):
         to_canonical_json({"bad": float("nan")})
+
+
+@pytest.mark.parametrize("value, text", [
+    (np.float64(0.1), "0.10000000000000001"),
+    (np.int64(3), "3"),
+    (True, "true"),
+    (None, "null"),
+    ({"a": [1, {"b": None, "c": "x\"y"}], "d": (), "e": {}, "f": [2.5, False]},
+     '{\n  "a": [\n    1,\n    {\n      "b": null,\n      "c": "x\\"y"\n    }\n  ],\n'
+     '  "d": [],\n  "e": {},\n  "f": [\n    2.5,\n    false\n  ]\n}'),
+])
+def test_canonical_json_of_numpy_scalars_and_nested_blocks(value, text):
+    assert to_canonical_json(value) == text
 
 
 def test_markdown_renderer_handles_report_blocks():
