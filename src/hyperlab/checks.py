@@ -40,7 +40,6 @@ class ConditionReport:
         return bool(self.residual <= self.tolerance)
 
     mu = property(lambda self: self.extras.get("mu"))
-    mu_spread = property(lambda self: self.extras.get("mu_spread"))
 
     def to_jsonable(self) -> dict:
         return {"check": self.name, "subspace": self.subspace, "residual": self.residual,

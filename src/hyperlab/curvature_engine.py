@@ -24,9 +24,8 @@ from .checks import DEFAULT_TOL
 from .tensor_core import (
     AlmostContactStructure,
     StructuralError,
-    _check_matrix,
-    _check_vector,
     _maxabs,
+    _of_shape,
     _read_only,
     _refuse,
     _t,
@@ -54,7 +53,7 @@ class CurvatureContext:
     c: float
 
     def __post_init__(self):
-        a = _check_matrix(self.shape_operator, self.acs.dim, "shape_operator")
+        a = _of_shape(self.shape_operator, self.acs.phi.shape, "shape_operator")
         _check_shapes(self.acs.space.gram, a, self.c)
         object.__setattr__(self, "shape_operator", _read_only(a))
         object.__setattr__(self, "c", float(self.c))
@@ -84,7 +83,7 @@ class CurvatureContext:
     @cached_property
     def l_path_gap(self) -> float:
         """max |l_def - l_closed| over the matrix entries: the standing self-test."""
-        return float(np.max(np.abs(self.l_from_curvature - self.l_closed_form)))
+        return float(_maxabs(self.l_from_curvature - self.l_closed_form))
 
     @cached_property
     def phi_l_commutator(self) -> np.ndarray:
@@ -244,10 +243,9 @@ def codazzi_residual(ctx: CurvatureContext, nabla_a: NablaAProvider,
     """
     if nabla_a is None:
         raise MissingNablaAError("codazzi_residual needs a nabla-A provider")
-    d = ctx.dim
-    x = _check_vector(x, d, "x")
-    y = _check_vector(y, d, "y")
     acs = ctx.acs
+    x = _of_shape(x, acs.xi.shape, "x")
+    y = _of_shape(y, acs.xi.shape, "y")
     px, py = acs.phi @ x, acs.phi @ y
     skew = nabla_a(x) @ y - nabla_a(y) @ x
     rhs = (ctx.c / 4.0) * (acs.eta_of(x) * py - acs.eta_of(y) * px
@@ -265,7 +263,7 @@ def nabla_l(ctx: CurvatureContext, nabla_a: NablaAProvider,
     """
     if nabla_a is None:
         raise MissingNablaAError("nabla_l needs a nabla-A provider")
-    w = _check_vector(w, ctx.dim, "w")
+    w = _of_shape(w, ctx.acs.xi.shape, "w")
     acs = ctx.acs
     gram = acs.space.gram
     a = ctx.shape_operator

@@ -143,9 +143,8 @@ def to_markdown(report: dict) -> str:
 
 # ------------------------------------------------------------ config layer
 
-_BOOL_KEYS = ("deterministic", "flip_normal", "emit_structure")
-# Namespace entries the parser itself sets; a file must not override them.
-_PARSER_KEYS = ("command", "oracle_command")
+# Namespace entries a file must not set: the parser's own, and config, read only from argv.
+_PARSER_KEYS = ("command", "oracle_command", "config")
 
 
 def _as_bool(raw: str) -> bool:
@@ -293,11 +292,12 @@ _shared_parser = functools.cache(build_parser)
 def _parse(argv: list[str] | None) -> argparse.Namespace:
     """Parse argv; with --config, the file's values are parsed as flags given first.
 
-    Each file value becomes `--key=raw` (a switch read with _as_bool: the bare
-    flag when true, nothing when false) between the subcommand words and the
-    user's flags, so it passes the same type, finiteness and choices checks as
-    a flag, and a flag, read later, still wins.  A file key must be an option
-    of the subcommand, or for jet a raw jet key, set on the namespace as read.
+    Each file value becomes `--key=raw` (a switch, an option the first parse
+    read as a bool, is read with _as_bool: the bare flag when true, nothing
+    when false) between the subcommand words and the user's flags, so it passes
+    the same type, finiteness and choices checks as a flag, and a flag, read
+    later, still wins.  A file key must be an option of the subcommand other
+    than config, or for jet a raw jet key, set on the namespace as read.
     """
     argv = sys.argv[1:] if argv is None else argv
     args = _shared_parser().parse_args(argv)
@@ -308,9 +308,10 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
         unknown = sorted(set(config) - known)
         if unknown:
             raise ValueError(f"unknown {args.command} keys in {args.config}: {', '.join(unknown)}")
-        flags = [f"--{key.replace('_', '-')}" + ("" if key in _BOOL_KEYS else f"={raw}")
+        switches = {key for key in options if isinstance(getattr(args, key), bool)}
+        flags = [f"--{key.replace('_', '-')}" + ("" if key in switches else f"={raw}")
                  for key, raw in config.items()
-                 if key in options and (key not in _BOOL_KEYS or _as_bool(raw))]
+                 if key in options and (key not in switches or _as_bool(raw))]
         head = 2 if args.command == "oracle" else 1
         args = _shared_parser().parse_args(argv[:head] + flags + argv[head:])
         vars(args).update({key: raw for key, raw in config.items() if key not in options})

@@ -190,18 +190,11 @@ class LocalJet:
         return out
 
     def to_jsonable(self) -> dict:
-        out = {
-            "alpha": self.alpha, "beta": self.beta, "c": self.c,
-            "gamma": self.gamma, "lambda": self.lam,
-            "kappa1": self.kappa1, "kappa2": self.kappa2, "kappa3": self.kappa3,
-            "d_alpha": dict(sorted(self.d_alpha.items())),
-            "d_beta": dict(sorted(self.d_beta.items())),
-        }
-        for key in ("w1_norm_sq", "d2_beta_phiU_xi", "d2_alpha_phiU_U"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        """The fields in declaration order, lam as lambda, the direction dicts
+        sorted and absent optional data left out."""
+        return {"lambda" if key == "lam" else key:
+                dict(sorted(value.items())) if isinstance(value, dict) else value
+                for key, value in vars(self).items() if value is not None}
 
 
 def alpha_zero_commutator_norm(c: float, beta: float) -> float:
@@ -215,16 +208,14 @@ def alpha_zero_commutator_norm(c: float, beta: float) -> float:
     """
     import numpy as np
 
-    from .curvature_engine import CurvatureContext, jacobi_operator
+    from .curvature_engine import CurvatureContext
     from .tensor_core import canonical_structure
 
-    acs = canonical_structure(2)
     a = np.zeros((3, 3))
     a[0, 2] = a[2, 0] = float(beta)
-    ctx = CurvatureContext(acs, a, float(c))
-    ell = jacobi_operator(ctx)
-    u = np.array([1.0, 0.0, 0.0])
-    return float(np.linalg.norm(acs.phi @ (ell @ u) - ell @ (acs.phi @ u)))
+    # U is the first vector of the canonical frame, so (phi l - l phi)U is column 0
+    ctx = CurvatureContext(canonical_structure(2), a, float(c))
+    return float(np.linalg.norm(ctx.phi_l_commutator[:, 0]))
 
 
 def consistent_jet(alpha: float, beta: float, c: float,

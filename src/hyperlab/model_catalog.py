@@ -248,10 +248,6 @@ class ModelSpec:
         """s = sqrt(|c|)/2; radius formulas are stated for |c| = 4 and rescaled by s."""
         return math.sqrt(abs(self.c)) / 2.0
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.n - 1
-
     def to_jsonable(self) -> dict:
         """The fields in declaration order, less None and False, tested by identity
         so that k = 0 (the CH A1 sphere), which equals False, stays."""
@@ -271,8 +267,8 @@ class SpectralTable:
     """Principal curvatures of a model: alpha on xi plus the ker(eta) entries."""
 
     alpha: float
-    entries: tuple[SpectralEntry, ...]
     alpha_is_zero: bool
+    entries: tuple[SpectralEntry, ...]
     oracle_deviation: float
     flipped: bool = False
 
@@ -280,18 +276,10 @@ class SpectralTable:
         return sum(e.multiplicity for e in self.entries)
 
     def to_jsonable(self) -> dict:
-        out = {
-            "alpha": self.alpha,
-            "alpha_is_zero": self.alpha_is_zero,
-            "entries": [
-                {"value": e.value, "multiplicity": e.multiplicity,
-                 "phi_invariant": e.phi_invariant}
-                for e in self.entries
-            ],
-            "oracle_deviation": self.oracle_deviation,
-        }
-        if self.flipped:
-            out["flipped"] = True
+        """The fields in declaration order, each entry as its fields, flipped only when set."""
+        out = {**vars(self), "entries": [dict(vars(e)) for e in self.entries]}
+        if not self.flipped:
+            del out["flipped"]
         return out
 
 
@@ -331,19 +319,18 @@ def principal_curvatures(spec: ModelSpec) -> SpectralTable:
         raise OracleMismatchError(
             f"spectral table disagrees with the Riccati oracle by {deviation:.3e}")
     r = spec.radius if spec.radius is not None else 0.0
+    sign = -1.0 if spec.flip_normal else 1.0  # exact: flipping negates every value
     (alpha_fn, _, _), *lams = branches
     alpha = alpha_fn(r)
     invariant = not spec.entry.phi_swapped
-    entries = tuple(SpectralEntry(fn(r), mult, invariant) for fn, _, mult in lams)
-    table = SpectralTable(alpha, entries, alpha_vanishes(alpha, spec.c), deviation)
+    entries = tuple(SpectralEntry(sign * fn(r), mult, invariant) for fn, _, mult in lams)
+    table = SpectralTable(sign * alpha, alpha_vanishes(alpha, spec.c), entries, deviation,
+                          sign < 0)
     if table.multiplicity_total() != 2 * spec.n - 2:
         raise OracleMismatchError("spectral multiplicities do not fill ker(eta)")
     if any(e.phi_invariant and e.multiplicity % 2 for e in entries):
         raise OracleMismatchError("phi-invariant eigenspaces need even multiplicity")
-    if not spec.flip_normal:
-        return table
-    flipped = tuple(SpectralEntry(-e.value, e.multiplicity, e.phi_invariant) for e in entries)
-    return SpectralTable(-alpha, flipped, table.alpha_is_zero, deviation, flipped=True)
+    return table
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,11 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_vector(v, dim: int, name: str) -> np.ndarray:
+def _of_shape(v, shape: tuple, name: str) -> np.ndarray:
+    """v as a float array, refused unless its shape is shape, (d,) or (d, d)."""
     arr = np.asarray(v, dtype=float)
-    if arr.shape != (dim,):
-        raise StructuralError(f"{name} must have shape ({dim},), got {arr.shape}")
+    if arr.shape != shape:
+        raise StructuralError(f"{name} must have shape {shape}, got {arr.shape}")
     return arr
 
 
@@ -60,13 +61,6 @@ def _check_grams(gram: np.ndarray):
     _refuse(np.linalg.eigvalsh(gram)[..., 0] <= 0, 0, "gram matrix must be positive definite")
 
 
-def _check_matrix(m, dim: int, name: str) -> np.ndarray:
-    arr = np.asarray(m, dtype=float)
-    if arr.shape != (dim, dim):
-        raise StructuralError(f"{name} must have shape ({dim}, {dim}), got {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True)
 class TangentSpace:
     """A (2n-1)-dimensional real tangent space with a fixed Gram matrix."""
@@ -78,7 +72,7 @@ class TangentSpace:
         if self.dim < 3 or self.dim % 2 == 0:
             raise StructuralError(f"dimension must be odd and >= 3, got {self.dim}")
         gram = np.eye(self.dim) if self.gram is None else np.asarray(self.gram, dtype=float)
-        gram = _check_matrix(gram, self.dim, "gram")
+        gram = _of_shape(gram, (self.dim, self.dim), "gram")
         _check_grams(gram)
         object.__setattr__(self, "gram", _read_only(gram))
 
@@ -109,9 +103,9 @@ class AlmostContactStructure:
 
     def __post_init__(self):
         d = self.space.dim
-        object.__setattr__(self, "phi", _read_only(_check_matrix(self.phi, d, "phi")))
-        object.__setattr__(self, "xi", _read_only(_check_vector(self.xi, d, "xi")))
-        object.__setattr__(self, "eta", _read_only(_check_vector(self.eta, d, "eta")))
+        object.__setattr__(self, "phi", _read_only(_of_shape(self.phi, (d, d), "phi")))
+        object.__setattr__(self, "xi", _read_only(_of_shape(self.xi, (d,), "xi")))
+        object.__setattr__(self, "eta", _read_only(_of_shape(self.eta, (d,), "eta")))
 
     @property
     def dim(self) -> int:
@@ -175,7 +169,7 @@ def structure_from_frame(space: TangentSpace, frame: np.ndarray) -> AlmostContac
     satisfies the structure identities exactly to the extent that the frame
     is exactly g-orthonormal.
     """
-    phi, xi, eta = _frame_structures(space.gram, _check_matrix(frame, space.dim, "frame"))
+    phi, xi, eta = _frame_structures(space.gram, _of_shape(frame, space.gram.shape, "frame"))
     return AlmostContactStructure(space, phi, xi[:, 0], eta[:, 0])
 
 
@@ -246,7 +240,7 @@ def build_phi_basis(acs: AlmostContactStructure,
     def candidates():
         if seeds is not None:
             for s in seeds:
-                yield _check_vector(s, dim, "seed"), True
+                yield _of_shape(s, (dim,), "seed"), True
         if rng is not None:
             for _ in range(16 * dim):
                 yield rng.standard_normal(dim), False
@@ -273,5 +267,5 @@ def build_phi_basis(acs: AlmostContactStructure,
 def nabla_xi(acs: AlmostContactStructure, shape_operator: np.ndarray,
              x: np.ndarray) -> np.ndarray:
     """Covariant derivative of xi along x: phi(A x)."""
-    a = _check_matrix(shape_operator, acs.dim, "shape_operator")
-    return acs.phi @ (a @ _check_vector(x, acs.dim, "x"))
+    a = _of_shape(shape_operator, acs.phi.shape, "shape_operator")
+    return acs.phi @ (a @ _of_shape(x, acs.xi.shape, "x"))

@@ -435,6 +435,27 @@ def test_config_refuses_unknown_keys(capsys, tmp_path, argv, line):
     assert err.startswith("error: unknown ") and err.count("\n") == 1 and key in err
 
 
+def test_config_reads_every_switch_and_refuses_a_config_key(capsys, tmp_path):
+    # a switch is any store_true option; a config key could never take effect
+    cfg = tmp_path / "run.cfg"
+    switches = []
+    for leaf in _leaf_parsers(cli.build_parser()):
+        words = leaf.prog.split()[1:]
+        for action in leaf._actions:
+            if isinstance(action, argparse._StoreTrueAction):
+                for raw, value in (("on", True), ("off", False)):
+                    cfg.write_text(f"{action.dest} = {raw}\n")
+                    assert getattr(entry._parse(words + ["--config", str(cfg)]),
+                                   action.dest) is value
+                switches.append(action.dest)
+        cfg.write_text("config = x\n")
+        assert run(words + ["--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: unknown {words[0]} keys in {cfg}: config\n"
+    # --deterministic on each of the five leaves, verify's --flip-normal and --emit-structure
+    assert sorted(switches) == ["deterministic"] * 5 + ["emit_structure", "flip_normal"]
+
+
 @pytest.mark.parametrize("level", [0.1, 0.5, 0.9])
 def test_config_accepts_the_benchmark_jet_keys(capsys, tmp_path, level):
     # the cli-cold workload's jet --config file: kappa3, dalpha_*, dbeta_*, d2*, w1_norm_sq

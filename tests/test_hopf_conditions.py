@@ -108,7 +108,7 @@ def test_nabla_xi_l_fitted_mu_vanishes():
         rep = check_nabla_xi_l(ctx, provider, subspace)
         assert rep.passed
         assert abs(rep.mu) <= 1e-12
-        assert rep.mu_spread <= 1e-12
+        assert rep.extras["mu_spread"] <= 1e-12
     with pytest.raises(MissingNablaAError):
         check_nabla_xi_l(ctx, None)
 
@@ -125,7 +125,7 @@ def test_condition_report_pass_rule_and_extras():
     assert ConditionReport("x", "all", 1e-9, 1e-9).passed
     assert not ConditionReport("x", "all", 2e-9, 1e-9).passed
     rep = ConditionReport("nabla-xi-l", KER_ETA, 0.0, 1e-9, {"mu": 0.5, "mu_spread": 0.25})
-    assert (rep.mu, rep.mu_spread) == (0.5, 0.25)
+    assert (rep.mu, rep.extras["mu_spread"]) == (0.5, 0.25)
     assert list(rep.to_jsonable()) == ["check", "subspace", "residual", "tolerance",
                                        "pass", "mu", "mu_spread"]
     assert ConditionReport("x", "all", 0.0, 1e-9).mu is None
@@ -153,7 +153,7 @@ def test_block_residuals_match_the_per_vector_loop(rng):
             scale = 1.0 + float(np.max(np.abs(m)))
             assert abs(rep.residual - want) <= slack * (1.0 + want)
             assert abs(rep.mu - float(np.mean(mus))) <= slack * scale
-            assert abs(rep.mu_spread - (max(mus) - min(mus))) <= 2 * slack * scale
+            assert abs(rep.extras["mu_spread"] - (max(mus) - min(mus))) <= 2 * slack * scale
 
 
 def test_classify_full_membership():

@@ -1,4 +1,5 @@
 """Model catalog: spec validation, spectral tables, the Riccati oracle, instantiation."""
+import dataclasses
 import json
 import math
 
@@ -68,7 +69,7 @@ def test_spec_validation_errors():
 
 def test_spec_scale_and_dim():
     spec = ModelSpec("CP", 3, "A1", radius=0.5)
-    assert spec.c == 4.0 and spec.scale == 1.0 and spec.dim == 5
+    assert spec.c == 4.0 and spec.scale == 1.0
     spec = ModelSpec("CH", 3, "A1", radius=0.5)
     assert spec.c == -4.0 and spec.scale == 1.0
     spec = ModelSpec("CP", 3, "A1", radius=0.5, c=16.0)
@@ -246,13 +247,18 @@ def test_hyperbolic_alpha_never_vanishes():
             assert principal_curvatures(spec).alpha > 2.0
 
 
-def test_flip_normal_negates_spectrum():
-    base = principal_curvatures(ModelSpec("CH", 2, "A1", radius=0.5))
-    flip = principal_curvatures(ModelSpec("CH", 2, "A1", radius=0.5, flip_normal=True))
+# ALL_SPECS covers B (phi_invariant false); the last spec is the alpha-zero radius
+@pytest.mark.parametrize("spec", ALL_SPECS + [ModelSpec("CP", 2, "A1", radius=math.pi / 4.0)])
+def test_flip_normal_negates_spectrum(spec):
+    base = principal_curvatures(dataclasses.replace(spec, flip_normal=False))
+    flip = principal_curvatures(dataclasses.replace(spec, flip_normal=True))
     assert flip.flipped and not base.flipped
     assert flip.alpha == -base.alpha
-    assert flip.entries[0].value == -base.entries[0].value
+    assert flip.alpha_is_zero == base.alpha_is_zero
     assert flip.oracle_deviation == base.oracle_deviation  # checked pre-flip
+    assert [(-e.value, e.multiplicity, e.phi_invariant) for e in base.entries] == [
+        (e.value, e.multiplicity, e.phi_invariant) for e in flip.entries]
+    assert "flipped" not in base.to_jsonable() and flip.to_jsonable()["flipped"] is True
 
 
 def test_instantiate_realizes_table(rng):
