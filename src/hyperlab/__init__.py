@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "checks": ("DEFAULT_TOL", "ConditionReport", "alpha_vanishes"),
     "tensor_core": ("AlmostContactStructure", "DegenerateSeedError", "StructuralError",
-                    "TangentSpace", "build_phi_basis", "canonical_structure", "nabla_xi",
-                    "random_structure", "structure_from_frame", "validate_acs"),
+                    "build_phi_basis", "canonical_structure", "nabla_xi", "random_structure",
+                    "structure_from_frame", "validate_acs"),
     "curvature_engine": ("CurvatureContext", "MissingNablaAError", "NablaAProvider",
                          "codazzi_residual", "commutator", "gauss_curvature",
                          "jacobi_closed_form", "jacobi_from_curvature", "jacobi_operator",

@@ -54,7 +54,7 @@ class CurvatureContext:
 
     def __post_init__(self):
         a = _of_shape(self.shape_operator, self.acs.phi.shape, "shape_operator")
-        _check_shapes(self.acs.space.gram, a, self.c)
+        _check_shapes(self.acs.gram, a, self.c)
         object.__setattr__(self, "shape_operator", _read_only(a))
         object.__setattr__(self, "c", float(self.c))
 
@@ -114,10 +114,9 @@ class CurvatureContext:
         return _read_only(build_phi_basis(self.acs, seeds=seeds)[:, :-1])
 
     def to_jsonable(self) -> dict:
-        out = self.acs.to_jsonable()
-        out["shape_operator"] = [float(v) for v in self.shape_operator.ravel()]
-        out["c"] = float(self.c)
-        return out
+        return {**self.acs.to_jsonable(),
+                "shape_operator": [float(v) for v in self.shape_operator.ravel()],
+                "c": float(self.c)}
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,7 @@ def gauss_curvature(ctx: CurvatureContext, x: np.ndarray, y: np.ndarray,
             or len({v.shape[1] for v in args if v.ndim == 2}) > 1):
         raise StructuralError(f"x, y and z must be ({d},) vectors or ({d}, m) blocks of one m")
     x, y, z = (v.reshape(d, -1) for v in args)
-    out = _gauss(ctx.acs.space.gram, ctx.acs.phi, ctx.shape_operator, ctx.c, x, y, z)
+    out = _gauss(ctx.acs.gram, ctx.acs.phi, ctx.shape_operator, ctx.c, x, y, z)
     return out if any(v.ndim == 2 for v in args) else out[:, 0]
 
 
@@ -219,7 +218,7 @@ def jacobi_closed_form(ctx: CurvatureContext) -> np.ndarray:
     with alpha = g(A xi, xi).  Valid with no Hopf assumption.
     """
     acs = ctx.acs
-    return _closed_form(acs.space.gram, acs.xi[:, None], acs.eta[:, None],
+    return _closed_form(acs.gram, acs.xi[:, None], acs.eta[:, None],
                         ctx.shape_operator, ctx.c)
 
 
@@ -265,7 +264,7 @@ def nabla_l(ctx: CurvatureContext, nabla_a: NablaAProvider,
         raise MissingNablaAError("nabla_l needs a nabla-A provider")
     w = _of_shape(w, ctx.acs.xi.shape, "w")
     acs = ctx.acs
-    gram = acs.space.gram
+    gram = acs.gram
     a = ctx.shape_operator
     xi, eta = acs.xi, acs.eta
 

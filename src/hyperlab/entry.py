@@ -187,17 +187,17 @@ def _seed(raw: str) -> int:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Flat `key = value` file; blank lines and # comments skipped."""
+    """Flat `key = value` file; blank lines and # comments skipped, an empty key refused."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, eq, raw = (part.strip() for part in line.partition("="))
+            if not (key and eq):
                 raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, raw = line.partition("=")
-            out[key.strip()] = raw.strip()
+            out[key] = raw
     return out
 
 
@@ -229,10 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "markdown"), default="json")
     common.add_argument("--out", help="write the report to a file")
     common.add_argument("--config", help="flat key = value defaults file")
-    common.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL,
-                        help=f"check tolerance (default {DEFAULT_TOL:g})")
     common.add_argument("--deterministic", action="store_true",
                         help="omit the timestamp for byte-identical reports")
+    checking = _Parser(add_help=False)  # for the commands that test residuals against it
+    checking.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL,
+                          help=f"check tolerance (default {DEFAULT_TOL:g})")
 
     parser = _Parser(
         prog="hyperlab",
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("catalog", parents=[common], help="list the model catalog")
 
-    ver = sub.add_parser("verify", parents=[common],
+    ver = sub.add_parser("verify", parents=[common, checking],
                          help="run condition checks on one catalog model")
     ver.add_argument("--ambient", choices=AMBIENTS)
     ver.add_argument("--n", type=int, help="complex dimension, >= 2")
@@ -257,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--emit-structure", dest="emit_structure", action="store_true",
                      help="embed the realized tensors in the report")
 
-    rnd = sub.add_parser("random", parents=[common],
+    rnd = sub.add_parser("random", parents=[common, checking],
                          help="property sweeps over randomized structures")
     rnd.add_argument("--dim", type=int, default=5, help="odd tangent dimension >= 3")
     rnd.add_argument("--samples", type=int, default=1000, help="default 1000")
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     ric.add_argument("--step", type=_finite, default=DEFAULT_STEP,
                      help=f"integration step (default {DEFAULT_STEP:g})")
 
-    jet = sub.add_parser("jet", parents=[common],
+    jet = sub.add_parser("jet", parents=[common, checking],
                          help="scalar residual rows for a tilted local jet")
     jet.add_argument("--alpha", type=_finite)
     jet.add_argument("--beta", type=_finite)

@@ -23,6 +23,7 @@ from .curvature_engine import (  # noqa: F401  (HopfDecomposition: re-exported)
     HopfDecomposition,
     MissingNablaAError,
     NablaAProvider,
+    _g,
     decompose_A_xi,
     nabla_l,
 )
@@ -44,7 +45,7 @@ def _test_basis(ctx: CurvatureContext, subspace: str) -> np.ndarray:
 
 def _worst_norm(ctx: CurvatureContext, block: np.ndarray) -> float:
     """Largest g-norm among the columns of block."""
-    sq = np.einsum("ij,ij->j", block, ctx.acs.space.gram @ block)
+    sq = _g(ctx.acs.gram, block, block)
     return float(np.sqrt(max(sq.max(), 0.0)))
 
 
@@ -75,7 +76,7 @@ def check_nabla_xi_l(ctx: CurvatureContext, nabla_a: NablaAProvider,
         raise MissingNablaAError("check_nabla_xi_l needs a nabla-A provider")
     acs = ctx.acs
     block = nabla_l(ctx, nabla_a, acs.xi) @ _test_basis(ctx, subspace)
-    mus = acs.xi @ acs.space.gram @ block
+    mus = _g(acs.gram, block, acs.xi[:, None])  # G xi, not G block: g is symmetric
     residual = _worst_norm(ctx, block - np.outer(acs.xi, mus))
     return ConditionReport("nabla-xi-l", subspace, residual, tol,
                            {"mu": float(np.mean(mus)),

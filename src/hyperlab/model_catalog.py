@@ -342,10 +342,6 @@ class ModelInstance:
     spectral: SpectralTable
     nabla_a: NablaAProvider | None
 
-    @property
-    def alpha(self) -> float:
-        return self.spectral.alpha
-
 
 def instantiate(spec: ModelSpec, seed: int = 0) -> ModelInstance:
     """Realize the model on a concrete tangent space.
@@ -389,7 +385,7 @@ def type_a_nabla_a(ctx: CurvatureContext) -> NablaAProvider:
 
     acs = ctx.acs
     quarter = ctx.c / 4.0
-    gram = acs.space.gram
+    gram = acs.gram
 
     def endo(w: np.ndarray) -> np.ndarray:
         pw = acs.phi @ w

@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .curvature_engine import CurvatureContext, _check_shapes
-from .tensor_core import (AlmostContactStructure, TangentSpace, _frame_structures,
-                          _haar_frames, _t, build_phi_basis)
+from .tensor_core import (AlmostContactStructure, _frame_structures, _haar_frames, _t,
+                          build_phi_basis)
 
 
 def _grams(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -44,13 +44,13 @@ def _shapes(rng: np.random.Generator, frame: np.ndarray, gram: np.ndarray,
 def random_symmetric_shape(acs: AlmostContactStructure,
                            rng: np.random.Generator) -> np.ndarray:
     """A random g-symmetric endomorphism (no Hopf constraint), built on the fixed phi basis."""
-    return _shapes(rng, build_phi_basis(acs), acs.space.gram, False)
+    return _shapes(rng, build_phi_basis(acs), acs.gram, False)
 
 
 def random_hopf_shape(acs: AlmostContactStructure, rng: np.random.Generator) -> np.ndarray:
     """A random g-symmetric endomorphism with A xi = alpha xi, alpha uniform in [-2, 2],
     built on the fixed phi basis."""
-    return _shapes(rng, build_phi_basis(acs), acs.space.gram, True)
+    return _shapes(rng, build_phi_basis(acs), acs.gram, True)
 
 
 def _contexts(rng: np.random.Generator, lead: tuple, dim: int, hopf: bool):
@@ -68,9 +68,8 @@ def _contexts(rng: np.random.Generator, lead: tuple, dim: int, hopf: bool):
 
 
 def _one_context(rng: np.random.Generator, n: int, hopf: bool) -> CurvatureContext:
-    _, phi, xi, eta, a, c = _contexts(rng, (), 2 * n - 1, hopf)
-    return CurvatureContext(AlmostContactStructure(TangentSpace(2 * n - 1), phi, xi[:, 0],
-                                                   eta[:, 0]), a, float(c))
+    gram, phi, xi, eta, a, c = _contexts(rng, (), 2 * n - 1, hopf)
+    return CurvatureContext(AlmostContactStructure(gram, phi, xi[:, 0], eta[:, 0]), a, float(c))
 
 
 def random_context(n: int, rng: np.random.Generator) -> CurvatureContext:

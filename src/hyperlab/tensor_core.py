@@ -1,9 +1,10 @@
 """Frame-level linear algebra for almost contact metric structures.
 
 Every tensor in this package is stored as components in a fixed working
-frame on a single (2n-1)-dimensional tangent space.  The metric defaults
-to the identity Gram matrix (orthonormal working frame); a general
-symmetric positive-definite Gram matrix is supported for stress testing.
+frame on a single (2n-1)-dimensional tangent space.  The structure record
+holds the metric as the Gram matrix of that frame: the identity for the
+canonical structure and the catalog, any symmetric positive-definite
+matrix for stress testing.  The dimension is read off the Gram matrix.
 
 Sign conventions: the structure vector xi is -J N for the chosen unit
 normal N, eta = g(., xi), and the canonical phi maps V_i -> phiV_i and
@@ -61,77 +62,59 @@ def _check_grams(gram: np.ndarray):
     _refuse(np.linalg.eigvalsh(gram)[..., 0] <= 0, 0, "gram matrix must be positive definite")
 
 
-@dataclass(frozen=True)
-class TangentSpace:
-    """A (2n-1)-dimensional real tangent space with a fixed Gram matrix."""
-
-    dim: int
-    gram: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.dim < 3 or self.dim % 2 == 0:
-            raise StructuralError(f"dimension must be odd and >= 3, got {self.dim}")
-        gram = np.eye(self.dim) if self.gram is None else np.asarray(self.gram, dtype=float)
-        gram = _of_shape(gram, (self.dim, self.dim), "gram")
-        _check_grams(gram)
-        object.__setattr__(self, "gram", _read_only(gram))
-
-    @property
-    def n(self) -> int:
-        return (self.dim + 1) // 2
-
-    def inner(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(x @ self.gram @ y)
-
-    def norm(self, x: np.ndarray) -> float:
-        return float(np.sqrt(max(self.inner(x, x), 0.0)))
+def _checked_gram(gram, dim: int) -> np.ndarray:
+    """gram (None for the identity) as a read-only array, refused unless dim is odd
+    and >= 3 and gram is a symmetric positive-definite (dim, dim) matrix."""
+    if dim < 3 or dim % 2 == 0:
+        raise StructuralError(f"dimension must be odd and >= 3, got {dim}")
+    gram = np.eye(dim) if gram is None else _of_shape(gram, (dim, dim), "gram")
+    _check_grams(gram)
+    return _read_only(gram)
 
 
 @dataclass(frozen=True)
 class AlmostContactStructure:
-    """Components (phi, xi, eta, g) of an almost contact metric structure.
+    """Components (g, phi, xi, eta) of an almost contact metric structure.
 
-    The constructor validates shapes only.  Whether the defining identities
-    actually hold is the job of `validate_acs`, so that perturbed or
-    deliberately broken structures can still be constructed and measured.
+    The constructor validates the dimension, the shapes and the Gram matrix
+    only.  Whether the defining identities actually hold is the job of
+    `validate_acs`, so that perturbed or deliberately broken structures can
+    still be constructed and measured.
     """
 
-    space: TangentSpace
+    gram: np.ndarray
     phi: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
 
     def __post_init__(self):
-        d = self.space.dim
+        object.__setattr__(self, "gram", _checked_gram(self.gram, len(self.gram)))
+        d = self.dim
         object.__setattr__(self, "phi", _read_only(_of_shape(self.phi, (d, d), "phi")))
         object.__setattr__(self, "xi", _read_only(_of_shape(self.xi, (d,), "xi")))
         object.__setattr__(self, "eta", _read_only(_of_shape(self.eta, (d,), "eta")))
 
     @property
     def dim(self) -> int:
-        return self.space.dim
+        return len(self.gram)
 
     @property
     def n(self) -> int:
-        return self.space.n
+        return (self.dim + 1) // 2
 
     def g(self, x: np.ndarray, y: np.ndarray) -> float:
-        return self.space.inner(x, y)
+        return float(x @ self.gram @ y)
 
     def norm(self, x: np.ndarray) -> float:
-        return self.space.norm(x)
+        return float(np.sqrt(max(self.g(x, x), 0.0)))
 
     def eta_of(self, x: np.ndarray) -> float:
         return float(self.eta @ x)
 
     def to_jsonable(self) -> dict:
-        return {
-            "dim": self.dim,
-            "gram": [float(v) for v in self.space.gram.ravel()],
-            "phi": [float(v) for v in self.phi.ravel()],
-            "xi": [float(v) for v in self.xi],
-            "eta": [float(v) for v in self.eta],
-        }
+        """dim, then each field's components in declaration order, matrices row-major."""
+        return {"dim": self.dim,
+                **{name: [float(v) for v in value.ravel()] for name, value in vars(self).items()}}
 
 
 def canonical_structure(n: int) -> AlmostContactStructure:
@@ -150,7 +133,7 @@ def canonical_structure(n: int) -> AlmostContactStructure:
     phi[:k, k:2 * k] = -np.eye(k)
     xi = np.zeros(dim)
     xi[-1] = 1.0
-    return AlmostContactStructure(TangentSpace(dim), phi, xi, xi.copy())
+    return AlmostContactStructure(np.eye(dim), phi, xi, xi.copy())
 
 
 def _frame_structures(gram: np.ndarray, frame: np.ndarray):
@@ -162,15 +145,16 @@ def _frame_structures(gram: np.ndarray, frame: np.ndarray):
     return w @ _t(gram @ v) - v @ _t(gram @ w), xi, gram @ xi
 
 
-def structure_from_frame(space: TangentSpace, frame: np.ndarray) -> AlmostContactStructure:
+def structure_from_frame(gram: np.ndarray, frame: np.ndarray) -> AlmostContactStructure:
     """Build the structure whose adapted frame is the given g-orthonormal columns.
 
     Column order must be V_1..V_{n-1}, phiV_1..phiV_{n-1}, xi.  The result
     satisfies the structure identities exactly to the extent that the frame
     is exactly g-orthonormal.
     """
-    phi, xi, eta = _frame_structures(space.gram, _of_shape(frame, space.gram.shape, "frame"))
-    return AlmostContactStructure(space, phi, xi[:, 0], eta[:, 0])
+    gram = _checked_gram(gram, len(gram))
+    phi, xi, eta = _frame_structures(gram, _of_shape(frame, gram.shape, "frame"))
+    return AlmostContactStructure(gram, phi, xi[:, 0], eta[:, 0])
 
 
 def _haar_frames(rng: np.random.Generator, shape: tuple, gram=None) -> np.ndarray:
@@ -183,9 +167,8 @@ def _haar_frames(rng: np.random.Generator, shape: tuple, gram=None) -> np.ndarra
 def random_structure(n: int, rng: np.random.Generator,
                      gram: np.ndarray | None = None) -> AlmostContactStructure:
     """A valid structure in a uniformly random g-orthonormal frame."""
-    space = TangentSpace(2 * n - 1, gram)
-    return structure_from_frame(space, _haar_frames(rng, space.gram.shape,
-                                                    None if gram is None else space.gram))
+    gram = _checked_gram(gram, 2 * n - 1)  # before any draw
+    return structure_from_frame(gram, _haar_frames(rng, gram.shape, gram))
 
 
 def _acs_residuals(gram, phi, xi, eta) -> dict[str, np.ndarray]:
@@ -208,7 +191,7 @@ def validate_acs(acs: AlmostContactStructure) -> dict[str, float]:
     the identities comes back with nonzero residuals.  The residual map is
     the zero map exactly when every identity holds exactly.
     """
-    res = _acs_residuals(acs.space.gram, acs.phi, acs.xi[:, None], acs.eta[:, None])
+    res = _acs_residuals(acs.gram, acs.phi, acs.xi[:, None], acs.eta[:, None])
     return {name: float(value) for name, value in res.items()}
 
 
@@ -250,7 +233,7 @@ def build_phi_basis(acs: AlmostContactStructure,
     for w, explicit in candidates():
         chosen = frame[:, :m]
         for _ in range(2):
-            w = w - chosen @ (chosen.T @ (acs.space.gram @ w))
+            w = w - chosen @ (chosen.T @ (acs.gram @ w))
         nrm = acs.norm(w)
         if nrm <= 1e-8:
             if explicit:

@@ -114,7 +114,7 @@ def test_criterion_03_jacobi_cross_check(announce):
         ell_def = jacobi_from_curvature(ctx)
         worst_gap = max(worst_gap, float(np.max(np.abs(ell_def - jacobi_closed_form(ctx)))))
         worst_xi = max(worst_xi, ctx.acs.norm(ell_def @ ctx.acs.xi))
-        gl = ctx.acs.space.gram @ ell_def
+        gl = ctx.acs.gram @ ell_def
         worst_sym = max(worst_sym, float(np.max(np.abs(gl - gl.T))))
     ok = worst_gap <= 1e-12 and worst_xi <= 1e-12 and worst_sym <= 1e-12
     announce(3, "jacobi-cross-check", ok)
@@ -171,7 +171,7 @@ def test_criterion_06_negative_control(announce):
         inst = instantiate(spec, seed=6)
         rep = check_phi_l_commute(inst.ctx, KER_ETA)
         lam1, lam2 = (e.value for e in inst.spectral.entries)
-        want = abs(inst.alpha) * abs(lam1 - lam2)
+        want = abs(inst.spectral.alpha) * abs(lam1 - lam2)
         if rep.passed or abs(rep.residual - want) > 1e-9:
             ok = False
             detail.append((spec.ambient, rep.residual, want))

@@ -10,8 +10,8 @@ bad sample inside a stack.
 import numpy as np
 import pytest
 
-from hyperlab import (AlmostContactStructure, CurvatureContext, StructuralError, TangentSpace,
-                      gauss_curvature, validate_acs)
+from hyperlab import (AlmostContactStructure, CurvatureContext, StructuralError, gauss_curvature,
+                      validate_acs)
 from hyperlab import cli, sampling
 from hyperlab.cli import run
 from hyperlab.curvature_engine import _check_paths, _check_shapes, _closed_form, _gauss
@@ -51,8 +51,7 @@ def _loop_closed_form(gram, xi, eta, a, c):
 
 
 def _context(gram, phi, xi, eta, a, c, i):
-    acs = AlmostContactStructure(TangentSpace(phi.shape[-1], gram), phi[i], xi[i, :, 0],
-                                 eta[i, :, 0])
+    acs = AlmostContactStructure(gram, phi[i], xi[i, :, 0], eta[i, :, 0])
     return CurvatureContext(acs, a[i], float(c[i]))
 
 
@@ -64,7 +63,7 @@ def test_stacked_acs_residuals_match_validate_acs(rng, dim):
     phi, xi, eta = _frame_structures(grams, _haar_frames(rng, grams.shape, grams))
     stacked = _acs_residuals(grams, phi, xi, eta)
     for i in range(6):
-        acs = AlmostContactStructure(TangentSpace(dim, grams[i]), phi[i], xi[i, :, 0], eta[i, :, 0])
+        acs = AlmostContactStructure(grams[i], phi[i], xi[i, :, 0], eta[i, :, 0])
         scale = (1.0 + np.linalg.norm(grams[i])) * (1.0 + np.linalg.norm(phi[i])) ** 2
         loop = _loop_acs_residuals(grams[i], phi[i], xi[i, :, 0], eta[i, :, 0])
         for name, value in validate_acs(acs).items():

@@ -89,8 +89,11 @@ def test_verify_check_subset_and_structure_emission(capsys):
     assert code == 0
     names = {r["check"] for r in rep["checks"]}
     assert names == {"structure-axioms", "phi-l-commute"}
-    assert "structure" in rep
-    assert len(rep["structure"]["phi"]) == 9
+    structure = rep["structure"]
+    assert list(structure) == ["dim", "gram", "phi", "xi", "eta", "shape_operator", "c"]
+    assert structure["dim"] == 3 and structure["c"] == 4.0
+    assert [len(structure[key]) for key in ("gram", "phi", "xi", "eta", "shape_operator")] == \
+        [9, 9, 3, 3, 9]
 
 
 _CHECKS_MODELS = {
@@ -487,7 +490,8 @@ LEAF_ARGVS = {
 def test_tolerance_comes_from_flag_then_file_and_must_be_positive(capsys, tmp_path):
     cfg = tmp_path / "tol.cfg"
     cfg.write_text("tolerance = 1e-3\n")
-    for name in ("verify", "random", "jet"):  # the commands whose config reports it
+    checking = ("verify", "random", "jet")  # the commands that read it, and report it in config
+    for name in checking:
         argv = LEAF_ARGVS[name] + ["--deterministic"]
         code, rep = _report(capsys, argv + ["--config", str(cfg)])
         assert code == 0
@@ -496,15 +500,47 @@ def test_tolerance_comes_from_flag_then_file_and_must_be_positive(capsys, tmp_pa
         assert rep["config"]["tolerance"] == 1e-6
     bad = tmp_path / "bad.cfg"
     bad.write_text("tolerance = -1.0\n")
-    # every leaf refuses a tolerance that is not positive while parsing, flag or file
-    for argv in LEAF_ARGVS.values():
+    # each of them refuses a tolerance that is not positive while parsing, flag or file
+    for name in checking:
         for extra, raw in ((["--tolerance", "0"], "0"), (["--tolerance", "-1.0"], "-1.0"),
                            (["--config", str(bad)], "-1.0")):
-            code = run(argv + extra)
+            code = run(LEAF_ARGVS[name] + extra)
             out, err = capsys.readouterr()
             assert code == 2
             assert out == ""
             assert err == f"error: argument --tolerance: must be positive and finite, got {raw!r}\n"
+    # catalog and oracle riccati have no tolerance to set, from a flag or a file
+    for name in ("catalog", "oracle riccati"):
+        assert run(LEAF_ARGVS[name] + ["--tolerance", "0.5"]) == 2
+        assert capsys.readouterr() == ("", "error: unrecognized arguments: --tolerance 0.5\n")
+        assert run(LEAF_ARGVS[name] + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: unknown {name.split()[0]} keys in {cfg}: tolerance\n")
+
+
+@pytest.mark.parametrize("line", [" = 3", "=", "seed 3"])
+def test_config_refuses_a_line_without_a_key(capsys, tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# comment\n" + line + "\n")
+    assert run(["jet", "--alpha", "1", "--beta", "1", "--c", "4", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"error: {cfg}:2: expected key = value\n")
+
+
+def test_each_leaf_has_exactly_its_options():
+    # an option a command accepts but never reads shows up here
+    common = ["config", "deterministic", "format", "out"]
+    want = {
+        "catalog": common,
+        "oracle riccati": sorted(common + ["kappa", "lambda0", "r", "r0", "step"]),
+        "verify": sorted(common + ["ambient", "c", "checks", "emit_structure", "family",
+                                   "flip_normal", "k", "n", "radius", "samples", "seed",
+                                   "tolerance"]),
+        "random": sorted(common + ["dim", "property", "samples", "seed", "tolerance"]),
+        "jet": sorted(common + ["alpha", "beta", "c", "kappa3", "tolerance"]),
+    }
+    got = {leaf.prog.split(maxsplit=1)[1]: sorted(a.dest for a in leaf._actions if a.dest != "help")
+           for leaf in _leaf_parsers(cli.build_parser())}
+    assert got == want
 
 
 def test_usage_errors_exit_two(capsys):
@@ -585,8 +621,8 @@ def test_every_float_option_takes_a_negative_exponent(spelling):
                 with pytest.raises(ValueError, match="must be positive and finite"):
                     leaf.parse_args([action.option_strings[0], spelling])
                 checked.append(action.dest)
-    # --tolerance on each of the five leaves, verify's two, riccati's five, jet's four
-    assert len(checked) == 16
+    # --tolerance on verify, random and jet, verify's two, riccati's five, jet's four
+    assert len(checked) == 14
 
 
 @pytest.mark.parametrize("spelling", ["-inf", "-infinity", "-nan", "-INF", "-Infinity", "-NaN"])
@@ -602,7 +638,7 @@ def test_every_float_option_refuses_a_negative_non_finite_value(spelling):
                 assert str(err.value) == (f"argument {action.option_strings[0]}: "
                                           f"must be finite, got {spelling!r}")
                 checked.append(action.dest)
-    assert len(checked) == 16
+    assert len(checked) == 14
 
 
 @pytest.mark.parametrize("argv, flag, spelling", [

@@ -23,8 +23,8 @@ INTS = ("-1", "0", "1.5", "x", "", "99999999999999999999", "-9999999999999999999
 
 # option -> (working values, extreme or malformed values, required); None is a switch
 COMMON = {"--format": (("json", "markdown"), ("xml",), False),
-          "--tolerance": (("1e-9", "1e-6"), FLOATS, False),
           "--deterministic": None}
+TOLERANCE = {"--tolerance": (("1e-9", "1e-6"), FLOATS, False)}  # verify, random and jet only
 COMMANDS = {
     ("verify",): {
         "--ambient": (("CP", "CH"), ("XX", ""), True),
@@ -38,18 +38,18 @@ COMMANDS = {
         "--samples": (("1", "3"), ("10001",) + INTS, True),
         "--checks": (("all", "codazzi", "structure-axioms,theorem-verdict"),
                      (",", "", "nope"), False),
-        "--flip-normal": None, "--emit-structure": None},
+        "--flip-normal": None, "--emit-structure": None, **TOLERANCE},
     ("random",): {
         # given but 1 time in 16: the default of 1000 samples takes about 0.15 s
         "--samples": (("1", "3"), ("10001",) + INTS, True),
         "--dim": (("3", "5", "7"), ("4", "480") + INTS, False),
         "--seed": (("0", "5"), INTS, False),
-        "--property": (("all", "phi-skew", "gauss-symmetry"), ("nope",), False)},
+        "--property": (("all", "phi-skew", "gauss-symmetry"), ("nope",), False), **TOLERANCE},
     ("jet",): {
         "--alpha": (("2", "-0.7", "1"), FLOATS, True),
         "--beta": (("0.5", "0.9", "2"), FLOATS, True),
         "--c": (("4", "-4", "12"), FLOATS, True),
-        "--kappa3": (("0", "0.3", "3"), FLOATS, False)},
+        "--kappa3": (("0", "0.3", "3"), FLOATS, False), **TOLERANCE},
     ("oracle", "riccati"): {
         "--kappa": (("4", "-4", "1"), FLOATS, True),
         "--r": (("0.5", "1", "1.6"), FLOATS, True),

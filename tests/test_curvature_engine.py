@@ -188,7 +188,7 @@ def test_jacobi_kills_xi_and_is_self_adjoint(rng):
     ctx = random_context(4, rng)
     ell = jacobi_operator(ctx)
     assert ctx.acs.norm(ell @ ctx.acs.xi) <= 1e-12
-    gl = ctx.acs.space.gram @ ell
+    gl = ctx.acs.gram @ ell
     assert np.max(np.abs(gl - gl.T)) <= 1e-12
 
 
@@ -197,7 +197,7 @@ def test_jacobi_cross_check_catches_broken_structure():
     acs = canonical_structure(2)
     phi = np.array(acs.phi)
     phi[:, 2] = acs.xi
-    broken = AlmostContactStructure(acs.space, phi, acs.xi, acs.eta)
+    broken = AlmostContactStructure(acs.gram, phi, acs.xi, acs.eta)
     ctx = CurvatureContext(broken, np.eye(3), 4.0)
     with pytest.raises(StructuralError):
         jacobi_operator(ctx)

@@ -13,7 +13,7 @@ PUBLIC = [
     "FAMILY_TABLE", "FamilyEntry", "FocalPointError", "HopfDecomposition", "JetError",
     "KER_ETA", "LocalJet", "MissingNablaAError", "ModelInstance", "ModelSpec", "NO_WITNESS",
     "NablaAProvider", "NotHopfError", "OracleMismatchError", "SPAN_XI", "SpectralEntry",
-    "SpectralTable", "StructuralError", "TangentSpace", "TheoremVerdict",
+    "SpectralTable", "StructuralError", "TheoremVerdict",
     "VERDICT_HYPOTHESIS_FAILS", "VERDICT_INDETERMINATE", "VERDICT_TYPE_A", "WITNESSED",
     "alpha_vanishes", "alpha_zero_commutator_norm", "build_phi_basis", "canonical_structure",
     "catalog_rows", "check_l_A_commute", "check_nabla_xi_l", "check_phi_l_commute", "classify",

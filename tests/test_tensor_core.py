@@ -6,7 +6,6 @@ from hyperlab import (
     AlmostContactStructure,
     DegenerateSeedError,
     StructuralError,
-    TangentSpace,
     build_phi_basis,
     canonical_structure,
     nabla_xi,
@@ -17,27 +16,52 @@ from hyperlab import (
 from hyperlab.sampling import random_gram
 
 
-def test_tangent_space_rejects_bad_dimensions():
-    for dim in (1, 2, 4, 0, -3):
-        with pytest.raises(StructuralError):
-            TangentSpace(dim)
+def test_structure_rejects_bad_dimensions(rng):
+    # the dimension is read off the Gram matrix
+    for dim in (1, 2, 4, 0):
+        with pytest.raises(StructuralError, match=f"^dimension must be odd and >= 3, got {dim}$"):
+            AlmostContactStructure(np.eye(dim), np.zeros((dim, dim)), np.zeros(dim), np.zeros(dim))
+    for n in (1, 0, -1):
+        with pytest.raises(StructuralError, match=f"got {2 * n - 1}$"):
+            random_structure(n, rng)
 
 
-def test_tangent_space_rejects_bad_gram():
+def test_structure_rejects_bad_gram():
+    acs = canonical_structure(2)
     bad_sym = np.eye(3)
-    bad_sym[0, 1] = 0.5  # not symmetric
-    with pytest.raises(StructuralError):
-        TangentSpace(3, bad_sym)
-    with pytest.raises(StructuralError):
-        TangentSpace(3, np.diag([1.0, -1.0, 1.0]))  # not positive definite
+    bad_sym[0, 1] = 0.5
+    for gram, message in ((bad_sym, "gram matrix must be symmetric"),
+                          (np.diag([1.0, -1.0, 1.0]), "gram matrix must be positive definite"),
+                          (np.eye(3, 4), r"gram must have shape \(3, 3\), got \(3, 4\)")):
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            AlmostContactStructure(gram, acs.phi, acs.xi, acs.eta)
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            structure_from_frame(gram, np.eye(3))
+    # a misshapen field is named in the message
+    for name, value in (("phi", np.eye(5)), ("xi", np.zeros((3, 1))), ("eta", np.zeros(2))):
+        with pytest.raises(StructuralError, match=f"^{name} must have shape"):
+            AlmostContactStructure(**{**vars(acs), name: value})
 
 
 def test_inner_and_norm_use_gram():
-    space = TangentSpace(3, np.diag([4.0, 1.0, 1.0]))
-    e0 = np.array([1.0, 0.0, 0.0])
-    assert space.inner(e0, e0) == 4.0
-    assert space.norm(e0) == 2.0
-    assert space.n == 2
+    gram = np.array([[4.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    acs = AlmostContactStructure(gram, np.zeros((3, 3)), np.zeros(3), np.zeros(3))
+    e0, e1, _ = np.eye(3)
+    assert acs.g(e0, e0) == 4.0 and acs.g(e0, e1) == 0.5
+    assert acs.norm(e0) == 2.0 and acs.norm(e0 - e1) == 2.0
+    assert (acs.dim, acs.n) == (3, 2)
+    assert np.array_equal(acs.gram, gram) and not acs.gram.flags.writeable
+
+
+def test_random_structure_refuses_a_bad_gram_before_drawing(rng):
+    # a non-positive-definite Gram would otherwise reach the draw's Cholesky as a LinAlgError
+    state = rng.bit_generator.state
+    skew = np.eye(5)
+    skew[0, 1] = 0.5
+    for gram in (np.diag([1.0, -1.0, 1.0, 1.0, 1.0]), skew, np.eye(3)):
+        with pytest.raises(StructuralError):
+            random_structure(3, rng, gram=gram)
+        assert rng.bit_generator.state == state
 
 
 def test_canonical_structure_identities_exact():
@@ -68,14 +92,14 @@ def test_structure_from_frame_rejects_skewed_frame():
     frame = np.eye(5)
     frame[:, 0] *= 2.0
     with pytest.raises(StructuralError):
-        structure_from_frame(TangentSpace(5), frame)
+        structure_from_frame(np.eye(5), frame)
 
 
 def test_validate_reports_broken_phi():
     acs = canonical_structure(2)
     phi = np.array(acs.phi)
     phi[:, 2] = np.array([1.0, 0.0, 0.0])  # phi xi = V1 instead of 0
-    broken = AlmostContactStructure(acs.space, phi, acs.xi, acs.eta)
+    broken = AlmostContactStructure(acs.gram, phi, acs.xi, acs.eta)
     res = validate_acs(broken)
     assert res["phi-xi"] == 1.0
     assert res["eta-xi"] == 0.0  # untouched identities stay exact
@@ -87,7 +111,7 @@ def test_phi_basis_orthonormal_and_adapted(rng):
         acs = random_structure(n, rng, gram=gram)
         m = build_phi_basis(acs, rng=rng)
         assert m.shape == (2 * n - 1, 2 * n - 1)
-        assert np.max(np.abs(m.T @ acs.space.gram @ m - np.eye(2 * n - 1))) <= 1e-12
+        assert np.max(np.abs(m.T @ acs.gram @ m - np.eye(2 * n - 1))) <= 1e-12
         for i in range(n - 1):
             assert np.array_equal(m[:, n - 1 + i], acs.phi @ m[:, i])
         for v in m[:, :-1].T:  # the ker(eta) columns
@@ -115,7 +139,7 @@ def test_phi_basis_standard_sweep_skips_degenerate_candidates():
     # xi is the last standard vector; the sweep must skip it silently.
     acs = canonical_structure(4)
     m = build_phi_basis(acs)
-    assert np.max(np.abs(m.T @ acs.space.gram @ m - np.eye(7))) <= 1e-12
+    assert np.max(np.abs(m.T @ acs.gram @ m - np.eye(7))) <= 1e-12
 
 
 def test_phi_pairwise_skewness(rng):
@@ -184,7 +208,7 @@ def _per_vector_basis(acs, seeds=None, rng=None):
 
 
 def _orthonormality(acs, m):
-    return float(np.max(np.abs(m.T @ acs.space.gram @ m - np.eye(acs.dim))))
+    return float(np.max(np.abs(m.T @ acs.gram @ m - np.eye(acs.dim))))
 
 
 def test_block_basis_matches_the_per_vector_loop(rng):
