@@ -256,9 +256,8 @@ def nabla_l(ctx: CurvatureContext, nabla_a: NablaAProvider,
             w: np.ndarray) -> np.ndarray:
     """Matrix of (nabla_W l) from the product rule on the closed form.
 
-    Uses nabla_W xi = phi A W and nabla_W (A xi) = (nabla_W A)xi + A phi A W;
-    alpha = g(A xi, xi) is taken as locally constant, which is exact for
-    the catalog models.
+    Uses nabla_W xi = phi A W, nabla_W (A xi) = (nabla_W A)xi + A phi A W and
+    W(alpha) = g((nabla_W A)xi, xi) + 2 g(A xi, phi A W), A being g-symmetric.
     """
     if nabla_a is None:
         raise MissingNablaAError("nabla_l needs a nabla-A provider")
@@ -274,7 +273,7 @@ def nabla_l(ctx: CurvatureContext, nabla_a: NablaAProvider,
     d_axi = e_w @ xi + a @ paw         # nabla_W (A xi)
 
     out = (-ctx.c / 4.0) * (np.outer(xi, gram @ paw) + np.outer(paw, eta))
-    out = out + ctx.alpha * e_w
+    out = out + ctx.alpha * e_w + (acs.g(e_w @ xi, xi) + 2.0 * acs.g(axi, paw)) * a
     out = out - np.outer(d_axi, gram @ axi) - np.outer(axi, gram @ d_axi)
     return out
 

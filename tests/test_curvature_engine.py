@@ -23,7 +23,8 @@ from hyperlab import (
     random_structure,
 )
 from hyperlab.cli import run
-from hyperlab.sampling import random_context, random_gram, random_symmetric_shape
+from hyperlab.sampling import (random_context, random_gram, random_hopf_shape,
+                               random_symmetric_shape)
 
 
 def _flat_shape_context(n=3, c=4.0):
@@ -231,6 +232,28 @@ def test_nabla_l_product_rule_hand_value(rng):
     pw = acs.phi @ w
     want = -2.0 * (np.outer(acs.xi, pw) + np.outer(pw, acs.xi))
     assert np.allclose(got, want, atol=1e-14)
+
+
+def _random_provider(acs, rng):
+    """W -> sum_k W_k E_k with each E_k = G^-1 S_k, S_k a symmetric Gaussian: g-symmetric."""
+    s = rng.standard_normal((acs.dim, acs.dim, acs.dim))
+    e = np.linalg.solve(acs.gram, s + np.swapaxes(s, -1, -2))
+    return lambda w: np.tensordot(w, e, 1)
+
+
+def test_nabla_l_kills_xi_up_to_minus_l_phi_a_w(rng):
+    # l xi = 0, so (nabla_W l)xi = -l(nabla_W xi) = -l phi A W for every g-symmetric
+    # nabla A; a non-constant alpha contributes W(alpha) A to nabla_W l
+    worst = 0.0
+    for i in range(50):
+        acs = random_structure(3, rng, gram=random_gram(5, rng))
+        shape = (random_hopf_shape if i % 2 else random_symmetric_shape)(acs, rng)
+        ctx = CurvatureContext(acs, shape, rng.uniform(-8.0, 8.0))
+        provider, w = _random_provider(acs, rng), rng.standard_normal(5)
+        got = nabla_l(ctx, provider, w) @ acs.xi
+        want = -jacobi_operator(ctx) @ (acs.phi @ (shape @ w))
+        worst = max(worst, float(np.max(np.abs(got - want))))
+    assert worst <= 1e-12
 
 
 def test_commutator():
