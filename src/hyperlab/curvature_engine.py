@@ -187,22 +187,26 @@ def _check_paths(gap, a, c):
     _refuse(gap > DEFAULT_TOL * scale, gap, "Jacobi operator paths disagree by {:.3e}")
 
 
-NablaAProvider = Callable[[np.ndarray], np.ndarray]
-"""W -> matrix of Y -> (nabla_W A)Y, with g((nabla_W A)Y, Z) symmetric in Y, Z."""
+NablaAProvider = Callable[[np.ndarray, np.ndarray], np.ndarray]
+"""(W, Y) blocks -> columns (nabla_{W_j} A)Y_j, with g((nabla_W A)Y, Z) symmetric in Y, Z."""
+
+
+def _columns(d: int, names: str, vectors) -> tuple[list[np.ndarray], bool]:
+    """(d,) vectors or (d, m) blocks of one m as (d, m) blocks, and whether any was a block."""
+    args = [np.asarray(v, dtype=float) for v in vectors]
+    if (any(v.ndim not in (1, 2) or v.shape[0] != d for v in args)
+            or len({v.shape[1] for v in args if v.ndim == 2}) > 1):
+        raise StructuralError(f"{names} must be ({d},) vectors or ({d}, m) blocks of one m")
+    return [v.reshape(d, -1) for v in args], any(v.ndim == 2 for v in args)
 
 
 def gauss_curvature(ctx: CurvatureContext, x: np.ndarray, y: np.ndarray,
                     z: np.ndarray) -> np.ndarray:
     """R(X,Y)Z from the Gauss equation; x, y and z are (dim,) vectors or (dim, m)
     blocks, and column j of the result is R(X_j, Y_j)Z_j (a vector fills every column)."""
-    d = ctx.dim
-    args = [np.asarray(v, dtype=float) for v in (x, y, z)]
-    if (any(v.ndim not in (1, 2) or v.shape[0] != d for v in args)
-            or len({v.shape[1] for v in args if v.ndim == 2}) > 1):
-        raise StructuralError(f"x, y and z must be ({d},) vectors or ({d}, m) blocks of one m")
-    x, y, z = (v.reshape(d, -1) for v in args)
+    (x, y, z), block = _columns(ctx.dim, "x, y and z", (x, y, z))
     out = _gauss(ctx.acs.gram, ctx.acs.phi, ctx.shape_operator, ctx.c, x, y, z)
-    return out if any(v.ndim == 2 for v in args) else out[:, 0]
+    return out if block else out[:, 0]
 
 
 def jacobi_from_curvature(ctx: CurvatureContext) -> np.ndarray:
@@ -233,23 +237,26 @@ def jacobi_operator(ctx: CurvatureContext) -> np.ndarray:
     return ctx.l_from_curvature
 
 
+def _codazzi(gram, phi, xi, eta, c, nabla_a, x, y) -> np.ndarray:
+    """The Codazzi residual of (X_j, Y_j) column by column on (d, m) blocks; xi, eta columns."""
+    px, py = phi @ x, phi @ y
+    rhs = (c / 4.0) * ((_t(eta) @ x) * py - (_t(eta) @ y) * px - 2.0 * _g(gram, px, y) * xi)
+    return nabla_a(x, y) - nabla_a(y, x) - rhs
+
+
 def codazzi_residual(ctx: CurvatureContext, nabla_a: NablaAProvider,
                      x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(nabla_X A)Y - (nabla_Y A)X minus the Codazzi right-hand side.
+    """(nabla_X A)Y - (nabla_Y A)X - (c/4)[eta(X) phiY - eta(Y) phiX - 2 g(phiX, Y) xi].
 
-    The right-hand side is (c/4)[eta(X) phiY - eta(Y) phiX - 2 g(phiX, Y) xi];
-    a geometrically consistent provider makes the residual vanish.
+    x and y are (dim,) vectors or (dim, m) blocks, as in gauss_curvature; a
+    geometrically consistent provider makes the residual vanish.
     """
     if nabla_a is None:
         raise MissingNablaAError("codazzi_residual needs a nabla-A provider")
     acs = ctx.acs
-    x = _of_shape(x, acs.xi.shape, "x")
-    y = _of_shape(y, acs.xi.shape, "y")
-    px, py = acs.phi @ x, acs.phi @ y
-    skew = nabla_a(x) @ y - nabla_a(y) @ x
-    rhs = (ctx.c / 4.0) * (acs.eta_of(x) * py - acs.eta_of(y) * px
-                           - 2.0 * acs.g(px, y) * acs.xi)
-    return skew - rhs
+    (x, y), block = _columns(ctx.dim, "x and y", (x, y))
+    out = _codazzi(acs.gram, acs.phi, acs.xi[:, None], acs.eta[:, None], ctx.c, nabla_a, x, y)
+    return out if block else out[:, 0]
 
 
 def nabla_l(ctx: CurvatureContext, nabla_a: NablaAProvider,
@@ -268,7 +275,7 @@ def nabla_l(ctx: CurvatureContext, nabla_a: NablaAProvider,
     xi, eta = acs.xi, acs.eta
 
     paw = nabla_xi(acs, a, w)
-    e_w = nabla_a(w)
+    e_w = nabla_a(w[:, None], np.eye(ctx.dim))
     axi = a @ xi
     d_axi = e_w @ xi + a @ paw         # nabla_W (A xi)
 

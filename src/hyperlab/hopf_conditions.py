@@ -74,8 +74,12 @@ def check_nabla_xi_l(ctx: CurvatureContext, nabla_a: NablaAProvider,
     """
     if nabla_a is None:
         raise MissingNablaAError("check_nabla_xi_l needs a nabla-A provider")
+    return _nabla_xi_l_report(ctx, nabla_l(ctx, nabla_a, ctx.acs.xi), subspace, tol)
+
+
+def _nabla_xi_l_report(ctx, nabla_xi_l, subspace, tol) -> ConditionReport:
     acs = ctx.acs
-    block = nabla_l(ctx, nabla_a, acs.xi) @ _test_basis(ctx, subspace)
+    block = nabla_xi_l @ _test_basis(ctx, subspace)
     mus = _g(acs.gram, block, acs.xi[:, None])  # G xi, not G block: g is symmetric
     residual = _worst_norm(ctx, block - np.outer(acs.xi, mus))
     return ConditionReport("nabla-xi-l", subspace, residual, tol,
@@ -108,11 +112,12 @@ def classify(ctx: CurvatureContext, nabla_a: NablaAProvider | None = None,
     never removes a label.
     """
     reports: dict[str, ConditionReport] = {}
+    nabla_xi_l = None if nabla_a is None else nabla_l(ctx, nabla_a, ctx.acs.xi)
     for subspace in (KER_ETA, SPAN_XI):
         reports[f"phi-l/{subspace}"] = check_phi_l_commute(ctx, subspace, tol)
         reports[f"l-A/{subspace}"] = check_l_A_commute(ctx, subspace, tol)
         if nabla_a is not None:
-            reports[f"nabla-xi-l/{subspace}"] = check_nabla_xi_l(ctx, nabla_a, subspace, tol)
+            reports[f"nabla-xi-l/{subspace}"] = _nabla_xi_l_report(ctx, nabla_xi_l, subspace, tol)
 
     shared = reports["phi-l/ker-eta"].passed
     rules = {"A": "l-A/ker-eta", "B": "l-A/span-xi",

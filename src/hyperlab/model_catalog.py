@@ -381,17 +381,19 @@ def type_a_nabla_a(ctx: CurvatureContext) -> NablaAProvider:
     only phi, xi, eta, g and c: on a shape operator that is not type A it
     stays Codazzi-consistent but no longer describes the context's geometry.
     """
-    import numpy as np
-
     acs = ctx.acs
-    quarter = ctx.c / 4.0
-    gram = acs.gram
+    return _type_a(acs.gram, acs.phi, acs.xi[:, None], acs.eta[:, None], ctx.c)
 
-    def endo(w: np.ndarray) -> np.ndarray:
-        pw = acs.phi @ w
-        return -quarter * (np.outer(pw, acs.eta) + np.outer(acs.xi, gram @ pw))
 
-    return endo
+def _type_a(gram, phi, xi, eta, c) -> NablaAProvider:
+    """type_a_nabla_a on raw arrays, xi and eta as columns."""
+    from .curvature_engine import _g
+
+    def nabla_a(w, y):
+        pw = phi @ w
+        return (-c / 4.0) * (pw * (eta.T @ y) + xi * _g(gram, y, pw))
+
+    return nabla_a
 
 
 def catalog_rows() -> list[dict]:

@@ -271,7 +271,7 @@ def test_random_is_byte_identical_in_process_at_the_benchmark_shapes(capsys, dim
     (cli.MAX_RANDOM_DIM, 10), (41, cli.MAX_SAMPLES), (5, cli.MAX_SAMPLES), (5, 1), (41, 6)])
 def test_chunk_plan_covers_each_sample_once_within_the_budget(dim, samples):
     assert dim ** 3 * samples <= cli.MAX_RANDOM_WORK  # an admitted shape
-    plan = cli._chunks(dim, samples)
+    plan = cli._chunks(dim ** 2, samples)
     assert [i for first, size in plan for i in range(first, first + size)] == list(range(samples))
     assert all(size * dim ** 2 <= cli.BUDGET or size == 1 for _, size in plan)
 
@@ -282,7 +282,39 @@ def test_chunk_plan_covers_each_sample_once_within_the_budget(dim, samples):
     (201, 10, [(i, 1) for i in range(10)]),  # stacking measured slower from dim 183 on
 ])
 def test_chunk_plan_at_the_budget(dim, samples, plan):
-    assert cli._chunks(dim, samples) == plan
+    assert cli._chunks(dim ** 2, samples) == plan
+
+
+@pytest.mark.parametrize("dim, samples, budget", [
+    (119, 2000, None), (5, 25, None), (5, 101, 64), (7, 30, 8)])
+def test_codazzi_chunks_draw_the_single_draw(monkeypatch, dim, samples, budget):
+    # verify draws its Codazzi pairs chunk by chunk from one generator: the
+    # concatenation is the (samples, 2, dim) draw bit for bit, whatever the budget
+    if budget is not None:
+        monkeypatch.setattr(cli, "BUDGET", budget)
+    plan = cli._chunks(2 * dim, samples)
+    assert all(size * 2 * dim <= cli.BUDGET or size == 1 for _, size in plan)
+    rng = np.random.default_rng(42)
+    chunked = np.concatenate([rng.standard_normal((size, 2, dim)) for _, size in plan])
+    assert chunked.tobytes() == np.random.default_rng(42).standard_normal(
+        (samples, 2, dim)).tobytes()
+
+
+def test_codazzi_row_memory_is_bounded_by_the_budget(capsys):
+    # the whole verify at n = 60 peaks at about 7 BUDGET doubles with 2000 pairs, 10 with
+    # them drawn as one stack; one stack of the 10,000 allowed pairs would be 36
+    import tracemalloc
+    argv = ["verify", "--ambient", "CP", "--n", "60", "--family", "A2", "--k", "5",
+            "--radius", "0.4", "--samples", "2000", "--checks", "codazzi", "--deterministic"]
+    assert run(argv) == 0
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 8 * cli.BUDGET * 8
 
 
 def test_random_rejects_even_dim(capsys):

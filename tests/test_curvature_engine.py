@@ -21,6 +21,7 @@ from hyperlab import (
     jacobi_operator,
     nabla_l,
     random_structure,
+    type_a_nabla_a,
 )
 from hyperlab.cli import run
 from hyperlab.sampling import (random_context, random_gram, random_hopf_shape,
@@ -129,6 +130,55 @@ def test_gauss_curvature_rejects_bad_blocks():
         gauss_curvature(ctx, np.ones((5, 3)), np.ones((5, 4)), v)
 
 
+def test_block_codazzi_residual_matches_the_vector_calls(rng):
+    # as for gauss_curvature, with a random provider that is not Codazzi-consistent,
+    # so that every term of the residual is of order one
+    eps = np.finfo(float).eps
+    for n, m in ((2, 4), (3, 5), (4, 7)):
+        acs = random_structure(n, rng, gram=random_gram(2 * n - 1, rng))
+        ctx = CurvatureContext(acs, random_symmetric_shape(acs, rng), -4.0)
+        provider, d = _random_provider(acs, rng), ctx.dim
+        blocks = [rng.standard_normal((d, m)) for _ in range(2)]
+        vectors = [rng.standard_normal(d) for _ in range(2)]
+        for mask in itertools.product((False, True), repeat=2):
+            args = [b if is_block else v for b, v, is_block in zip(blocks, vectors, mask)]
+            got = codazzi_residual(ctx, provider, *args)
+            assert got.shape == ((d, m) if any(mask) else (d,))
+            for j in range(m if any(mask) else 0):
+                cols = [a[:, j] if is_block else a for a, is_block in zip(args, mask)]
+                want = codazzi_residual(ctx, provider, *cols)
+                scale = (1.0 + abs(ctx.c)) * np.prod([np.linalg.norm(c) for c in cols])
+                assert np.max(np.abs(got[:, j] - want)) <= 64 * d * eps * scale
+
+
+def test_codazzi_residual_rejects_bad_blocks():
+    ctx = _flat_shape_context(n=3)
+    provider, v = (lambda w, y: np.zeros_like(y)), np.ones(5)
+    for bad in (np.ones(4), np.ones((4, 2)), np.ones((5, 2, 2))):
+        with pytest.raises(StructuralError, match=r"x and y must be \(5,\) vectors"):
+            codazzi_residual(ctx, provider, bad, v)
+        with pytest.raises(StructuralError):
+            codazzi_residual(ctx, provider, v, bad)
+    with pytest.raises(StructuralError):
+        codazzi_residual(ctx, provider, np.ones((5, 3)), np.ones((5, 4)))
+
+
+def test_type_a_provider_columns_and_broadcast_column(rng):
+    # column j is -(c/4)[eta(Y_j) phi W_j + g(phi W_j, Y_j) xi]; a (dim, 1) W
+    # stands for every column, which is how nabla_l reads the matrix of nabla_W A
+    acs = random_structure(3, rng, gram=random_gram(5, rng))
+    ctx = CurvatureContext(acs, random_symmetric_shape(acs, rng), 4.0)
+    provider = type_a_nabla_a(ctx)
+    w, y = rng.standard_normal((5, 6)), rng.standard_normal((5, 6))
+    got = provider(w, y)
+    for j in range(6):
+        pw = acs.phi @ w[:, j]
+        want = -(acs.eta_of(y[:, j]) * pw + acs.g(pw, y[:, j]) * acs.xi)
+        assert np.max(np.abs(got[:, j] - want)) <= 1e-13
+    one = provider(w[:, :1], y)
+    assert np.max(np.abs(one - provider(np.repeat(w[:, :1], 6, axis=1), y))) <= 1e-13
+
+
 def test_jacobi_paths_agree(rng):
     for _ in range(50):
         ctx = random_context(3, rng)
@@ -171,18 +221,19 @@ def test_verify_derives_l_and_test_basis_once_per_context(monkeypatch):
 
 
 def test_verify_runs_each_condition_check_once_per_subspace(monkeypatch):
-    # classify computes the six condition reports; the verify rows reuse them
+    # classify computes the six condition reports from one nabla_xi l; the verify
+    # rows reuse them, and the 25 Codazzi pairs are one block
     import hyperlab.hopf_conditions as hc
     counted = {fn.__name__: _count_calls(monkeypatch, fn)
                for fn in (hc.check_phi_l_commute, hc.check_l_A_commute,
-                          hc.check_nabla_xi_l, nabla_l)}
+                          hc._nabla_xi_l_report, nabla_l, codazzi_residual)}
     with contextlib.redirect_stdout(io.StringIO()):
         code = run(["verify", "--ambient", "CP", "--n", "30", "--family", "A2",
                     "--k", "5", "--radius", "0.4", "--deterministic"])
     assert code == 0
     assert {name: len(calls) for name, calls in counted.items()} == {
         "check_phi_l_commute": 2, "check_l_A_commute": 2,
-        "check_nabla_xi_l": 2, "nabla_l": 2}
+        "_nabla_xi_l_report": 2, "nabla_l": 1, "codazzi_residual": 1}
 
 
 def test_jacobi_kills_xi_and_is_self_adjoint(rng):
@@ -207,7 +258,7 @@ def test_jacobi_cross_check_catches_broken_structure():
 def test_codazzi_residual_of_trivial_provider():
     # A parallel shape operator misses the curved right-hand side exactly.
     ctx = _flat_shape_context(n=2)
-    provider = lambda w: np.zeros((3, 3))  # parallel A: nabla A = 0
+    provider = lambda w, y: np.zeros_like(y)  # parallel A: nabla A = 0
     acs = ctx.acs
     e = np.eye(3)
     got = codazzi_residual(ctx, provider, e[0], acs.xi)
@@ -228,17 +279,18 @@ def test_nabla_l_product_rule_hand_value(rng):
     acs = canonical_structure(2)
     ctx = CurvatureContext(acs, np.eye(3), 4.0)
     w = rng.standard_normal(3)
-    got = nabla_l(ctx, lambda w: np.zeros((3, 3)), w)
+    got = nabla_l(ctx, lambda w, y: np.zeros_like(y), w)
     pw = acs.phi @ w
     want = -2.0 * (np.outer(acs.xi, pw) + np.outer(pw, acs.xi))
     assert np.allclose(got, want, atol=1e-14)
 
 
 def _random_provider(acs, rng):
-    """W -> sum_k W_k E_k with each E_k = G^-1 S_k, S_k a symmetric Gaussian: g-symmetric."""
+    """(W, Y) -> sum_k W_k E_k Y column by column, each E_k = G^-1 S_k with S_k a
+    symmetric Gaussian: a g-symmetric nabla A that is not Codazzi-consistent."""
     s = rng.standard_normal((acs.dim, acs.dim, acs.dim))
     e = np.linalg.solve(acs.gram, s + np.swapaxes(s, -1, -2))
-    return lambda w: np.tensordot(w, e, 1)
+    return lambda w, y: np.einsum("kij,k...,j...->i...", e, w, y)
 
 
 def test_nabla_l_kills_xi_up_to_minus_l_phi_a_w(rng):
