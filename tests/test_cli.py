@@ -301,8 +301,8 @@ def test_codazzi_chunks_draw_the_single_draw(monkeypatch, dim, samples, budget):
 
 
 def test_codazzi_row_memory_is_bounded_by_the_budget(capsys):
-    # the whole verify at n = 60 peaks at about 7 BUDGET doubles with 2000 pairs, 10 with
-    # them drawn as one stack; one stack of the 10,000 allowed pairs would be 36
+    # the whole verify at n = 60 peaks at about 7 BUDGET doubles with 2000 pairs, and at
+    # 10 with them drawn as one stack; one stack of the 10,000 allowed pairs reads 39
     import tracemalloc
     argv = ["verify", "--ambient", "CP", "--n", "60", "--family", "A2", "--k", "5",
             "--radius", "0.4", "--samples", "2000", "--checks", "codazzi", "--deterministic"]

@@ -33,6 +33,14 @@ def _flat_shape_context(n=3, c=4.0):
     return CurvatureContext(acs, np.zeros((acs.dim, acs.dim)), c)
 
 
+def _random_provider(acs, rng):
+    """(W, Y) -> sum_k W_k E_k Y column by column, each E_k = G^-1 S_k with S_k a
+    symmetric Gaussian: a g-symmetric nabla A that is not Codazzi-consistent."""
+    s = rng.standard_normal((acs.dim, acs.dim, acs.dim))
+    e = np.linalg.solve(acs.gram, s + np.swapaxes(s, -1, -2))
+    return lambda w, y: np.einsum("kij,k...,j...->i...", e, w, y)
+
+
 def _unit_ker_eta(acs, rng):
     v = rng.standard_normal(acs.dim)
     v = v - acs.g(v, acs.xi) * acs.xi
@@ -283,14 +291,6 @@ def test_nabla_l_product_rule_hand_value(rng):
     pw = acs.phi @ w
     want = -2.0 * (np.outer(acs.xi, pw) + np.outer(pw, acs.xi))
     assert np.allclose(got, want, atol=1e-14)
-
-
-def _random_provider(acs, rng):
-    """(W, Y) -> sum_k W_k E_k Y column by column, each E_k = G^-1 S_k with S_k a
-    symmetric Gaussian: a g-symmetric nabla A that is not Codazzi-consistent."""
-    s = rng.standard_normal((acs.dim, acs.dim, acs.dim))
-    e = np.linalg.solve(acs.gram, s + np.swapaxes(s, -1, -2))
-    return lambda w, y: np.einsum("kij,k...,j...->i...", e, w, y)
 
 
 def test_nabla_l_kills_xi_up_to_minus_l_phi_a_w(rng):
