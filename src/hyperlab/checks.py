@@ -6,7 +6,7 @@ loading numpy, and the tensor layers read the same definitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 DEFAULT_TOL = 1e-9
 
@@ -21,19 +21,25 @@ def alpha_vanishes(alpha: float, c: float) -> bool:
     return abs(alpha) <= 1e-12 * (1.0 + math.sqrt(abs(c)))
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Every check row hyperlab reports; row-specific values (mu, alpha) go in extras."""
-
+class _ReportFields(NamedTuple):
     name: str
     subspace: str
     residual: float
     tolerance: float
-    extras: dict[str, float] = field(default_factory=dict)
+    extras: dict[str, float]
 
-    def __post_init__(self):
-        if not math.isfinite(self.residual):
-            raise ValueError(f"check {self.name} on {self.subspace}: residual is {self.residual!r}")
+
+class ConditionReport(_ReportFields):
+    """Every check row hyperlab reports; row-specific values (mu, alpha) go in extras."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
+    def __new__(cls, name, subspace, residual, tolerance, extras=None):
+        if not math.isfinite(residual):
+            raise ValueError(f"check {name} on {subspace}: residual is {residual!r}")
+        return super().__new__(cls, name, subspace, residual, tolerance,
+                               {} if extras is None else extras)
 
     @property
     def passed(self) -> bool:

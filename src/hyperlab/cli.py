@@ -2,7 +2,8 @@
 
 hyperlab.entry parses argv and runs catalog, oracle riccati and jet without
 numpy; its run() comes here for the other two.  Importing this module loads
-the whole array engine.  It re-exports run, build_parser and the two
+every hyperlab module: the whole array engine, and lemma_lab, which entry
+loads only for jet.  It re-exports run, build_parser and the two
 emitters for callers that import them from here.
 """
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 
 import numpy as np
 
+from . import lemma_lab  # noqa: F401  (see the module docstring)
 from .checks import ConditionReport
 from .curvature_engine import _check_paths, _closed_form, _g, _gauss, codazzi_residual, commutator
 from .entry import RANDOM_PROPERTIES, _finalize, _required, _skeleton

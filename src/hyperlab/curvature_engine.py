@@ -14,9 +14,8 @@ agreement is a standing self-test.  Units: A carries 1/length, c carries
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .tensor_core import (
     _refuse,
     _t,
     build_phi_basis,
-    nabla_xi,
 )
 
 
@@ -38,8 +36,13 @@ class MissingNablaAError(ValueError):
     """The operation needs a covariant-derivative provider for A and none was given."""
 
 
-@dataclass(frozen=True)
-class CurvatureContext:
+class _ContextFields(NamedTuple):
+    acs: AlmostContactStructure
+    shape_operator: np.ndarray
+    c: float
+
+
+class CurvatureContext(_ContextFields):
     """Pointwise hypersurface data: a structure, a g-symmetric A, and c != 0.
 
     The context is immutable, so the tensors every check reads are derived
@@ -48,15 +51,15 @@ class CurvatureContext:
     commutators and the ker(eta) test basis.
     """
 
-    acs: AlmostContactStructure
-    shape_operator: np.ndarray
-    c: float
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        a = _of_shape(self.shape_operator, self.acs.phi.shape, "shape_operator")
-        _check_shapes(self.acs.gram, a, self.c)
-        object.__setattr__(self, "shape_operator", _read_only(a))
-        object.__setattr__(self, "c", float(self.c))
+    def __new__(cls, acs, shape_operator, c):
+        a = _of_shape(shape_operator, acs.phi.shape, "shape_operator")
+        _check_shapes(acs.gram, a, c)
+        return super().__new__(cls, acs, _read_only(a), float(c))
+
+    def __setattr__(self, name, value):  # the cached tensors are set only by cached_property
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
 
     @property
     def dim(self) -> int:
@@ -119,8 +122,7 @@ class CurvatureContext:
                 "c": float(self.c)}
 
 
-@dataclass(frozen=True)
-class HopfDecomposition:
+class HopfDecomposition(NamedTuple):
     """A xi = alpha xi + beta U with U a g-unit vector in ker(eta)."""
 
     alpha: float
@@ -268,21 +270,20 @@ def nabla_l(ctx: CurvatureContext, nabla_a: NablaAProvider,
     """
     if nabla_a is None:
         raise MissingNablaAError("nabla_l needs a nabla-A provider")
-    w = _of_shape(w, ctx.acs.xi.shape, "w")
     acs = ctx.acs
-    gram = acs.gram
-    a = ctx.shape_operator
-    xi, eta = acs.xi, acs.eta
+    return _nabla_l(acs.gram, acs.phi, acs.xi, acs.eta, ctx.shape_operator, ctx.c, nabla_a,
+                    _of_shape(w, acs.xi.shape, "w"))
 
-    paw = nabla_xi(acs, a, w)
-    e_w = nabla_a(w[:, None], np.eye(ctx.dim))
+
+def _nabla_l(gram, phi, xi, eta, a, c, nabla_a, w) -> np.ndarray:
+    """nabla_l on raw arrays; xi, eta and w are (d,) vectors."""
+    paw = phi @ (a @ w)                # nabla_W xi
+    e_w = nabla_a(w[:, None], np.eye(len(w), dtype=w.dtype))
     axi = a @ xi
     d_axi = e_w @ xi + a @ paw         # nabla_W (A xi)
-
-    out = (-ctx.c / 4.0) * (np.outer(xi, gram @ paw) + np.outer(paw, eta))
-    out = out + ctx.alpha * e_w + (acs.g(e_w @ xi, xi) + 2.0 * acs.g(axi, paw)) * a
-    out = out - np.outer(d_axi, gram @ axi) - np.outer(axi, gram @ d_axi)
-    return out
+    out = (-c / 4.0) * (np.outer(xi, gram @ paw) + np.outer(paw, eta))
+    out = out + (axi @ gram @ xi) * e_w + ((e_w @ xi) @ gram @ xi + 2.0 * (axi @ gram @ paw)) * a
+    return out - np.outer(d_axi, gram @ axi) - np.outer(axi, gram @ d_axi)
 
 
 def commutator(p: np.ndarray, q: np.ndarray) -> np.ndarray:

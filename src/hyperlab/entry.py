@@ -15,6 +15,7 @@ fails exactly where it must still exits 0.
 
 This module loads no numpy: catalog, oracle riccati and jet run on floats,
 and run() imports hyperlab.cli, the array engine, only for verify and random.
+It loads hyperlab.lemma_lab only for jet, and datetime only for a timestamp.
 """
 from __future__ import annotations
 
@@ -25,12 +26,9 @@ import math
 import numbers
 import re
 import sys
-from datetime import datetime, timezone
 
 from . import __version__
 from .checks import DEFAULT_TOL, ConditionReport
-from .lemma_lab import (_MAPPING_KEYS, consistent_jet, contradiction_certificate,
-                        jet_from_mapping, jet_residuals)
 from .model_catalog import (AMBIENTS, DEFAULT_STEP, FAMILIES, FocalPointError,
                             OracleMismatchError, catalog_rows, riccati_shape_evolution)
 
@@ -110,9 +108,9 @@ def _md_table(rows: list[dict], lines: list[str]):
                 cols.append(key)
     lines.append("| " + " | ".join(cols) + " |")
     lines.append("|" + "|".join(" --- " for _ in cols) + "|")
-    for row in rows:
+    for row in rows:  # a | inside a cell is escaped, or it would split the cell
         lines.append("| " + " | ".join(
-            _md_scalar(row[k]) if k in row else "" for k in cols) + " |")
+            (_md_scalar(row[k]) if k in row else "").replace("|", "\\|") for k in cols) + " |")
 
 
 def to_markdown(report: dict) -> str:
@@ -305,7 +303,10 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     if args.config:
         config = load_config(args.config)
         options = set(vars(args)).difference(_PARSER_KEYS)
-        known = options | (set(_MAPPING_KEYS) if args.command == "jet" else set())
+        known = options
+        if args.command == "jet":
+            from .lemma_lab import _MAPPING_KEYS
+            known = options | set(_MAPPING_KEYS)
         unknown = sorted(set(config) - known)
         if unknown:
             raise ValueError(f"unknown {args.command} keys in {args.config}: {', '.join(unknown)}")
@@ -339,6 +340,7 @@ def _finalize(report: dict, reports: list[ConditionReport], failing: set,
     report["summary"] = {"rows": len(rows), "unexpected": unexpected,
                          "all_ok": unexpected == 0}
     if not args.deterministic:
+        from datetime import datetime, timezone
         report["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return 0 if unexpected == 0 else 1
 
@@ -394,6 +396,9 @@ def cmd_oracle_riccati(args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_jet(args: argparse.Namespace) -> tuple[dict, int]:
     """The self-consistent jet, or the jet a config file's raw jet keys describe."""
+    from .lemma_lab import (_MAPPING_KEYS, consistent_jet, contradiction_certificate,
+                            jet_from_mapping, jet_residuals)
+
     _required(args, "alpha", "beta", "c")
     alpha, beta, c, kappa3, tol = args.alpha, args.beta, args.c, args.kappa3, args.tolerance
     mapping = {key: value for key, value in vars(args).items() if key in _MAPPING_KEYS}

@@ -13,7 +13,7 @@ mu is smooth in any neighbourhood is out of reach by construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +87,7 @@ def _nabla_xi_l_report(ctx, nabla_xi_l, subspace, tol) -> ConditionReport:
                             "mu_spread": float(mus.max() - mus.min())})
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Condition-class membership and the six condition reports it rests on."""
 
     labels: frozenset[str]
@@ -133,8 +132,7 @@ VERDICT_HYPOTHESIS_FAILS = "phi-l-hypothesis-fails"
 VERDICT_INDETERMINATE = "indeterminate-eta-A-xi-zero"
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     """Outcome of the pointwise forward pipeline on Hopf data."""
 
     hopf: bool
@@ -146,7 +144,7 @@ class TheoremVerdict:
 
     def to_jsonable(self) -> dict:
         """The fields in declaration order."""
-        return dict(vars(self))
+        return self._asdict()
 
 
 def theorem_pipeline(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> TheoremVerdict:

@@ -24,7 +24,7 @@ public entry points check their inputs and call them with floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .checks import DEFAULT_TOL, ConditionReport
 
@@ -140,8 +140,23 @@ def w1_norm_identity(c: float, alpha: float, beta: float, w1_norm_sq: float) -> 
             - 3 * c ** 2 - 48 * alpha ** 2 * beta ** 2 - 16 * alpha ** 2 * w1_norm_sq)
 
 
-@dataclass(frozen=True)
-class LocalJet:
+class _JetFields(NamedTuple):
+    alpha: float
+    beta: float
+    c: float
+    gamma: float | None = None
+    lam: float | None = None
+    kappa1: float | None = None
+    kappa2: float | None = None
+    kappa3: float = 0.0
+    d_alpha: dict[str, float] = {}  # never mutated: the constructor copies it
+    d_beta: dict[str, float] = {}
+    w1_norm_sq: float | None = None
+    d2_beta_phiU_xi: float | None = None
+    d2_alpha_phiU_U: float | None = None
+
+
+class LocalJet(_JetFields):
     """First-order scalar data of a tilted configuration at one point.
 
     gamma, lam, kappa1 and kappa2 default to their closed forms.  d_alpha /
@@ -152,32 +167,23 @@ class LocalJet:
     derivatives and the squared norm of W1.
     """
 
-    alpha: float
-    beta: float
-    c: float
-    gamma: float | None = None
-    lam: float | None = None
-    kappa1: float | None = None
-    kappa2: float | None = None
-    kappa3: float = 0.0
-    d_alpha: dict[str, float] = field(default_factory=dict)
-    d_beta: dict[str, float] = field(default_factory=dict)
-    w1_norm_sq: float | None = None
-    d2_beta_phiU_xi: float | None = None
-    d2_alpha_phiU_U: float | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        _require_tilted(self.alpha, self.beta, self.c, "the tilted set")
-        _require(self.beta > 0.0, "beta must be positive on the tilted set")
-        forms = _tilted_forms(self.alpha, self.beta, self.c)
+    def __new__(cls, *args, **kwargs):
+        fields = super().__new__(cls, *args, **kwargs)._asdict()
+        _require_tilted(fields["alpha"], fields["beta"], fields["c"], "the tilted set")
+        _require(fields["beta"] > 0.0, "beta must be positive on the tilted set")
+        forms = _tilted_forms(fields["alpha"], fields["beta"], fields["c"])
         for key in ("gamma", "lambda", "kappa1", "kappa2"):
-            if getattr(self, _MAPPING_KEYS[key]) is None:
-                object.__setattr__(self, _MAPPING_KEYS[key], forms[key])
+            if fields[_MAPPING_KEYS[key]] is None:
+                fields[_MAPPING_KEYS[key]] = forms[key]
         for name in ("d_alpha", "d_beta"):
-            object.__setattr__(self, name, {**dict.fromkeys(FIRST_ORDER_DIRECTIONS, 0.0),
-                                            **getattr(self, name)})
-        for key, value in self._keyed().items():
+            fields[name] = {**dict.fromkeys(FIRST_ORDER_DIRECTIONS, 0.0), **fields[name]}
+        jet = super().__new__(cls, **fields)
+        for key, value in jet._keyed().items():
             _require(math.isfinite(value), f"jet value {key} = {value!r} is not finite")
+        return jet
 
     def _keyed(self) -> dict[str, float]:
         """The jet's values keyed as in _MAPPING_KEYS; absent optional data is left out."""
@@ -194,7 +200,7 @@ class LocalJet:
         sorted and absent optional data left out."""
         return {"lambda" if key == "lam" else key:
                 dict(sorted(value.items())) if isinstance(value, dict) else value
-                for key, value in vars(self).items() if value is not None}
+                for key, value in self._asdict().items() if value is not None}
 
 
 def alpha_zero_commutator_norm(c: float, beta: float) -> float:
@@ -249,8 +255,7 @@ def jet_residuals(jet: LocalJet, tol: float = DEFAULT_TOL) -> list[ConditionRepo
             for name, res in sorted(_jet_rows(jet._keyed()).items())]
 
 
-@dataclass(frozen=True)
-class ContradictionCertificate:
+class ContradictionCertificate(NamedTuple):
     """Arithmetic witness that the tilted set cannot persist.
 
     The k3 != 0 branch needs the dichotomy factor to vanish, but its
@@ -273,7 +278,7 @@ class ContradictionCertificate:
 
     def to_jsonable(self) -> dict:
         """The fields in declaration order, w1_identity_residual only when set."""
-        return {key: value for key, value in vars(self).items() if value is not None}
+        return {key: value for key, value in self._asdict().items() if value is not None}
 
 
 def contradiction_certificate(c: float, alpha: float, beta: float,

@@ -25,8 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Container
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .checks import alpha_vanishes
 
@@ -97,8 +96,7 @@ def _cot(x: float) -> float:
     return math.cos(x) / math.sin(x)
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
+class FamilyEntry(NamedTuple):
     """One (ambient, family) row of the catalog.
 
     alpha and each ker(eta) branch are closed forms in (s, r); branch i has
@@ -180,8 +178,17 @@ AMBIENTS = tuple(sorted({ambient for ambient, _ in FAMILY_TABLE}))
 FAMILIES = tuple(sorted({family for _, family in FAMILY_TABLE}))
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class _SpecFields(NamedTuple):
+    ambient: str
+    n: int
+    family: str
+    c: float
+    radius: float | None
+    k: int | None
+    flip_normal: bool
+
+
+class ModelSpec(_SpecFields):
     """Parameters selecting one catalog model.
 
     k is the complex dimension of the tube core for A2 (1 <= k <= n-2).
@@ -190,46 +197,43 @@ class ModelSpec:
     key exists in the config schema.  A0 takes no radius.
     """
 
-    ambient: str
-    n: int
-    family: str
-    c: float | None = None
-    radius: float | None = None
-    k: int | None = None
-    flip_normal: bool = False
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        if (self.ambient, self.family) not in FAMILY_TABLE:
+    def __new__(cls, ambient: str, n: int, family: str, c: float | None = None,
+                radius: float | None = None, k: int | None = None, flip_normal: bool = False):
+        if (ambient, family) not in FAMILY_TABLE:
             raise CatalogError(
-                f"no family {self.family!r} in ambient {self.ambient!r}; the catalog has "
+                f"no family {family!r} in ambient {ambient!r}; the catalog has "
                 + ", ".join(" ".join(key) for key in FAMILY_TABLE))
-        if not isinstance(self.n, int) or self.n < 2:
-            raise CatalogError(f"n must be an integer >= 2, got {self.n!r}")
-        c = self.c
+        if isinstance(n, bool) or not isinstance(n, int) or n < 2:  # True is an int
+            raise CatalogError(f"n must be an integer >= 2, got {n!r}")
         if c is None:
-            c = 4.0 if self.ambient == "CP" else -4.0
+            c = 4.0 if ambient == "CP" else -4.0
         c = float(c)
-        if self.ambient == "CP" and c <= 0:
+        if ambient == "CP" and c <= 0:
             raise CatalogError("CP requires c > 0")
-        if self.ambient == "CH" and c >= 0:
+        if ambient == "CH" and c >= 0:
             raise CatalogError("CH requires c < 0")
-        object.__setattr__(self, "c", c)
-        self._validate_radius()
-        ks = self.entry.ks(self.n)
-        if self.k is None and None not in ks:
-            none = "" if ks else f", but no k is admissible at n = {self.n}"
-            raise CatalogError(f"{self.ambient} {self.family} requires --k{none} "
-                               f"({self.entry.radius_domain})")
-        if not (self.k is None or isinstance(self.k, int)) or self.k not in ks:
-            raise CatalogError(f"{self.ambient} {self.family} does not take k = {self.k!r} "
-                               f"at n = {self.n} ({self.entry.core}; {self.entry.radius_domain})")
+        spec = super().__new__(cls, ambient, n, family, c, radius, k, flip_normal)
+        radius = spec._checked_radius()
+        ks = spec.entry.ks(n)
+        if k is None and None not in ks:
+            none = "" if ks else f", but no k is admissible at n = {n}"
+            raise CatalogError(f"{ambient} {family} requires --k{none} "
+                               f"({spec.entry.radius_domain})")
+        if isinstance(k, bool) or not (k is None or isinstance(k, int)) or k not in ks:
+            raise CatalogError(f"{ambient} {family} does not take k = {k!r} "
+                               f"at n = {n} ({spec.entry.core}; {spec.entry.radius_domain})")
+        return super().__new__(cls, ambient, n, family, c, radius, k, flip_normal)
 
-    def _validate_radius(self):
+    def _checked_radius(self) -> float | None:
+        """The radius as a float, refused outside the family's domain (None if it takes none)."""
         sr_max = self.entry.sr_max
         if sr_max is None:
             if self.radius is not None:
                 raise CatalogError(f"family {self.family} takes no radius")
-            return
+            return None
         if self.radius is None:
             raise CatalogError(f"family {self.family} requires a radius")
         r = float(self.radius)
@@ -237,7 +241,7 @@ class ModelSpec:
         if not 0 < r < bound:
             raise CatalogError(f"{self.ambient} family {self.family} requires "
                                f"0 < r < {bound:.7g} for c = {self.c}")
-        object.__setattr__(self, "radius", r)
+        return r
 
     @property
     def entry(self) -> FamilyEntry:
@@ -251,19 +255,17 @@ class ModelSpec:
     def to_jsonable(self) -> dict:
         """The fields in declaration order, less None and False, tested by identity
         so that k = 0 (the CH A1 sphere), which equals False, stays."""
-        return {key: value for key, value in vars(self).items()
+        return {key: value for key, value in self._asdict().items()
                 if value is not None and value is not False}
 
 
-@dataclass(frozen=True)
-class SpectralEntry:
+class SpectralEntry(NamedTuple):
     value: float
     multiplicity: int
     phi_invariant: bool
 
 
-@dataclass(frozen=True)
-class SpectralTable:
+class SpectralTable(NamedTuple):
     """Principal curvatures of a model: alpha on xi plus the ker(eta) entries."""
 
     alpha: float
@@ -277,7 +279,7 @@ class SpectralTable:
 
     def to_jsonable(self) -> dict:
         """The fields in declaration order, each entry as its fields, flipped only when set."""
-        out = {**vars(self), "entries": [dict(vars(e)) for e in self.entries]}
+        out = {**self._asdict(), "entries": [e._asdict() for e in self.entries]}
         if not self.flipped:
             del out["flipped"]
         return out
@@ -333,8 +335,7 @@ def principal_curvatures(spec: ModelSpec) -> SpectralTable:
     return table
 
 
-@dataclass(frozen=True)
-class ModelInstance:
+class ModelInstance(NamedTuple):
     """Realized tangent-space data for one model at one point."""
 
     spec: ModelSpec

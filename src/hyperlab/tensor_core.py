@@ -14,7 +14,7 @@ odd in phi; the catalog and the checks all assume this fixed orientation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,14 @@ def _checked_gram(gram, dim: int) -> np.ndarray:
     return _read_only(gram)
 
 
-@dataclass(frozen=True)
-class AlmostContactStructure:
+class _StructureFields(NamedTuple):
+    gram: np.ndarray
+    phi: np.ndarray
+    xi: np.ndarray
+    eta: np.ndarray
+
+
+class AlmostContactStructure(_StructureFields):
     """Components (g, phi, xi, eta) of an almost contact metric structure.
 
     The constructor validates the dimension, the shapes and the Gram matrix
@@ -82,17 +88,15 @@ class AlmostContactStructure:
     still be constructed and measured.
     """
 
-    gram: np.ndarray
-    phi: np.ndarray
-    xi: np.ndarray
-    eta: np.ndarray
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        object.__setattr__(self, "gram", _checked_gram(self.gram, len(self.gram)))
-        d = self.dim
-        object.__setattr__(self, "phi", _read_only(_of_shape(self.phi, (d, d), "phi")))
-        object.__setattr__(self, "xi", _read_only(_of_shape(self.xi, (d,), "xi")))
-        object.__setattr__(self, "eta", _read_only(_of_shape(self.eta, (d,), "eta")))
+    def __new__(cls, gram, phi, xi, eta):
+        gram = _checked_gram(gram, len(gram))
+        d = len(gram)
+        return super().__new__(cls, gram, _read_only(_of_shape(phi, (d, d), "phi")),
+                               _read_only(_of_shape(xi, (d,), "xi")),
+                               _read_only(_of_shape(eta, (d,), "eta")))
 
     @property
     def dim(self) -> int:
@@ -113,8 +117,8 @@ class AlmostContactStructure:
 
     def to_jsonable(self) -> dict:
         """dim, then each field's components in declaration order, matrices row-major."""
-        return {"dim": self.dim,
-                **{name: [float(v) for v in value.ravel()] for name, value in vars(self).items()}}
+        return {"dim": self.dim, **{name: [float(v) for v in value.ravel()]
+                                    for name, value in self._asdict().items()}}
 
 
 def canonical_structure(n: int) -> AlmostContactStructure:

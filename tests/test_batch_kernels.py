@@ -1,8 +1,8 @@
-"""The stacked kernels of the random sweep against the one-sample dataclass path.
+"""The stacked kernels of the random sweep against the one-sample record path.
 
 The kernels take arrays with a leading sample axis; validate_acs and
 CurvatureContext call the same kernels on one sample.  Each sample of a
-stack must agree with the dataclass path on the same arrays, and with the
+stack must agree with the record path on the same arrays, and with the
 vector formulas the one-sample code used before the kernels (kept below as
 the reference), and each check the sweep keeps must still refuse a single
 bad sample inside a stack.

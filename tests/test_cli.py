@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -423,6 +424,19 @@ def test_markdown_output(capsys):
     assert "| check |" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+def test_markdown_table_rows_have_the_header_cell_count(capsys):
+    # the CH A1 eigenvalue text holds a |, which must not open a seventh cell
+    _, catalog = _capture(capsys, ["catalog", "--format", "markdown", "--deterministic"])
+    golden = pathlib.Path(__file__).with_name("golden") / "verify-CP-n4-A2-k2-r0.6-markdown.md"
+    tables = [block.splitlines() for text in (catalog, golden.read_text())
+              for block in text.split("\n\n") if block.startswith("|")]
+    assert len(tables) == 2
+    for header, *rows in tables:
+        cells = len(re.split(r"(?<!\\)\|", header))
+        assert [len(re.split(r"(?<!\\)\|", row)) for row in rows] == [cells] * len(rows)
+    assert r"s coth(s r) x (2n-2) \| s tanh(s r)" in catalog
 
 
 def test_out_file_writes_report(capsys, tmp_path):

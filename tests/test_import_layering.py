@@ -1,5 +1,6 @@
 """Import layering: the array-free commands start without numpy, and the
 package exports every public name lazily."""
+import json
 import subprocess
 import sys
 
@@ -28,20 +29,32 @@ PUBLIC = [
 ]
 
 
+# runs `python -m hyperlab ARGV` and prints every module loaded by its exit; sys.modules
+# also holds what `-X importtime` misses, such as a module the package's lazy
+# exports load through importlib
+PROBE = ("import atexit, runpy, sys\n"
+         "atexit.register(lambda: print('modules:', *sorted(sys.modules)))\n"
+         "runpy.run_module('hyperlab', run_name='__main__', alter_sys=True)")
+
+
 @pytest.mark.parametrize("argv", [
     ["catalog"],
     ["jet", "--alpha", "1", "--beta", "0.5", "--c", "4"],
     ["oracle", "riccati", "--kappa", "1", "--r", "0.9"],
 ])
 def test_array_free_commands_never_import_numpy(child_env, argv):
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hyperlab", *argv,
-                           "--deterministic"],
+    # nor dataclasses, whose code generation a cold process would pay for, nor
+    # the jet analysis outside jet
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv, "--deterministic"],
                           capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0, proc.stderr
-    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")]
-    assert "hyperlab.entry" in imported
-    assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+    head, _, loaded = proc.stdout.rstrip().rpartition("\nmodules: ")
+    assert json.loads(head)["command"] == " ".join(argv[:2 if argv[0] == "oracle" else 1])
+    loaded = loaded.split()
+    assert "hyperlab.entry" in loaded
+    assert [name for name in loaded if name.split(".")[0] == "numpy"] == []
+    assert "dataclasses" not in loaded
+    assert ("hyperlab.lemma_lab" in loaded) == (argv[0] == "jet")
 
 
 def test_package_exports_every_public_name():

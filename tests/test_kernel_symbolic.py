@@ -1,7 +1,7 @@
 """Symbolic audit of the ring-generic tensor kernels.
 
 The private kernels under the public curvature functions (_gauss,
-_closed_form, _codazzi, and _type_a under type_a_nabla_a) are plain array
+_closed_form, _codazzi, _nabla_l, and _type_a under type_a_nabla_a) are plain array
 arithmetic, so they run on numpy object arrays of sympy symbols as they are.
 On the canonical frame at n = 2 and 3, with a symbol c, a symbolic symmetric
 A and symbolic vector blocks, these tests prove the identities the float
@@ -13,7 +13,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from hyperlab.curvature_engine import (  # noqa: E402
-    _closed_form, _codazzi, _g, _gauss, commutator)
+    _closed_form, _codazzi, _g, _gauss, _nabla_l, commutator)
 from hyperlab.model_catalog import _type_a  # noqa: E402
 from hyperlab.tensor_core import canonical_structure  # noqa: E402
 
@@ -87,3 +87,27 @@ def test_type_a_provider_closes_the_codazzi_kernel(n):
     # the kernel is not vacuous: a parallel A leaves the whole right-hand side
     parallel = _codazzi(gram, phi, xi, eta, c, lambda w, v: 0 * v, x, y)
     assert not _vanishes(parallel)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_type_a_provider_gives_a_parallel_jacobi_operator_along_xi(n):
+    gram, phi, xi, eta = _frame(n)
+    a = _symmetric(len(gram), hopf=True)
+    nabla_a = _type_a(gram, phi, xi, eta, c)
+    assert _vanishes(_nabla_l(gram, phi, xi[:, 0], eta[:, 0], a, c, nabla_a, xi[:, 0]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_nabla_l_kills_xi_up_to_minus_l_phi_a_w(n):
+    # l xi = 0 and nabla_W xi = phi A W give (nabla_W l)xi = -l phi A W for any
+    # symmetric A and any provider with symmetric slices; nabla_W l is symmetric,
+    # which pins the one term that xi does not see, -(c/4) xi g(phi A W, .)
+    gram, phi, xi, eta = _frame(n)
+    dim = len(gram)
+    a = _symmetric(dim, hopf=False)
+    slices = [(s + s.T) / 2 for s in (_block(f"s{k}_", dim, dim) for k in range(dim))]
+    nabla_a = lambda w, y: sum(w[k] * (slices[k] @ y) for k in range(dim))  # noqa: E731
+    w = _block("w", dim, 1)[:, 0]
+    nl = _nabla_l(gram, phi, xi[:, 0], eta[:, 0], a, c, nabla_a, w)
+    assert _vanishes(nl @ xi + _closed_form(gram, xi, eta, a, c) @ phi @ a @ w[:, None])
+    assert _vanishes(gram @ nl - nl.T @ gram)

@@ -1,5 +1,4 @@
 """Model catalog: spec validation, spectral tables, the Riccati oracle, instantiation."""
-import dataclasses
 import json
 import math
 
@@ -65,6 +64,17 @@ def test_spec_validation_errors():
         ModelSpec("XX", 3, "A1", radius=0.5)
     with pytest.raises(CatalogError):
         ModelSpec("CP", 1, "A1", radius=0.5)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"ambient": "CP", "family": "A2", "radius": 0.8, "k": True}, "does not take k = True"),
+    ({"ambient": "CH", "family": "A1", "radius": 0.5, "k": False}, "does not take k = False"),
+    ({"ambient": "CP", "family": "A1", "radius": 0.5, "n": True}, "got True"),
+])
+def test_spec_refuses_a_bool_for_n_or_k(kwargs, message):
+    # a bool is an int, and 1 and 0 are admissible k here, so the config would echo it
+    with pytest.raises(CatalogError, match=message):
+        ModelSpec(**{"n": 3, **kwargs})
 
 
 def test_spec_scale_and_dim():
@@ -250,8 +260,8 @@ def test_hyperbolic_alpha_never_vanishes():
 # ALL_SPECS covers B (phi_invariant false); the last spec is the alpha-zero radius
 @pytest.mark.parametrize("spec", ALL_SPECS + [ModelSpec("CP", 2, "A1", radius=math.pi / 4.0)])
 def test_flip_normal_negates_spectrum(spec):
-    base = principal_curvatures(dataclasses.replace(spec, flip_normal=False))
-    flip = principal_curvatures(dataclasses.replace(spec, flip_normal=True))
+    base = principal_curvatures(ModelSpec(**{**spec._asdict(), "flip_normal": False}))
+    flip = principal_curvatures(ModelSpec(**{**spec._asdict(), "flip_normal": True}))
     assert flip.flipped and not base.flipped
     assert flip.alpha == -base.alpha
     assert flip.alpha_is_zero == base.alpha_is_zero

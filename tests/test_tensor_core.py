@@ -40,7 +40,7 @@ def test_structure_rejects_bad_gram():
     # a misshapen field is named in the message
     for name, value in (("phi", np.eye(5)), ("xi", np.zeros((3, 1))), ("eta", np.zeros(2))):
         with pytest.raises(StructuralError, match=f"^{name} must have shape"):
-            AlmostContactStructure(**{**vars(acs), name: value})
+            AlmostContactStructure(**{**acs._asdict(), name: value})
 
 
 def test_inner_and_norm_use_gram():
