@@ -122,15 +122,14 @@ def to_markdown(report: dict) -> str:
     for key, value in report.items():
         if key in ("schema", "version", "timestamp", "command"):
             continue
-        if isinstance(value, list) and value and all(isinstance(r, dict) for r in value):
-            lines.append(f"## {key}")
-            lines.append("")
-            _md_table(value, lines)
-            lines.append("")
-        elif isinstance(value, (dict, list)):
-            lines.append(f"## {key}")
-            lines.append("")
-            _md_block(value, 0, lines)
+        if isinstance(value, (dict, list)) and value:  # an empty one is a scalar: `- key: []`
+            if lines[-1]:
+                lines.append("")
+            lines += [f"## {key}", ""]
+            if isinstance(value, list) and all(isinstance(r, dict) for r in value):
+                _md_table(value, lines)
+            else:
+                _md_block(value, 0, lines)
             lines.append("")
         else:
             lines.append(f"- {key}: {_md_scalar(value)}")

@@ -439,6 +439,15 @@ def test_markdown_table_rows_have_the_header_cell_count(capsys):
     assert r"s coth(s r) x (2n-2) \| s tanh(s r)" in catalog
 
 
+@pytest.mark.parametrize("argv", [["catalog"], ["oracle", "riccati", "--kappa", "1", "--r", "0.9"]])
+def test_markdown_prints_an_empty_list_as_a_scalar(capsys, argv):
+    # no check rows: a "- checks: []" line, not an empty "## checks" section
+    code, out = _capture(capsys, argv + ["--format", "markdown", "--deterministic"])
+    assert code == 0
+    assert "\n\n- checks: []\n\n## summary\n" in out
+    assert "## checks" not in out
+
+
 def test_out_file_writes_report(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out = _capture(capsys, ["catalog", "--deterministic",

@@ -4,10 +4,13 @@ Each case is an argv and its expected exit code; the expected stdout lives
 in tests/golden/<name>.json, or <name>.md for a `--format markdown` case.  A speed-up or refactor must leave these
 bytes alone; a change that alters a report on purpose regenerates the
 cases it meant to change with `PYTHONPATH=src python tests/test_golden.py
-NAME ...` (no NAME: every case) and explains the diff.
+NAME ...` (no NAME: every case), which prints what moved in each changed case,
+and explains the diff.
 """
 import contextlib
+import difflib
 import io
+import json
 import os
 import pathlib
 import sys
@@ -93,8 +96,42 @@ def test_golden_report(name):
     assert text.encode("utf-8") == _golden_path(name).read_bytes()
 
 
+_ABSENT = "(absent)"
+
+
+def _json_changes(old, new, path: str = "$"):
+    """(path, old, new) for each leaf where two reports differ, floats as their text."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in {**old, **new}:
+            yield from _json_changes(old.get(key, _ABSENT), new.get(key, _ABSENT), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _json_changes(a, b, f"{path}[{i}]")
+    elif old != new:
+        yield path, old, new
+
+
+def _changed_lines(path: pathlib.Path, old: str, new: str) -> list[str]:
+    """What moved from old to new: JSON paths (old -> new) for .json, -/+ lines for .md."""
+    if path.suffix == ".json":
+        parse = lambda text: json.loads(text, parse_float=str)
+        return [f"  {where}: {a} -> {b}" for where, a, b in _json_changes(parse(old), parse(new))]
+    diff = difflib.unified_diff(old.splitlines(), new.splitlines(), lineterm="", n=0)
+    return [f"  {line}" for line in diff
+            if line.startswith(("-", "+")) and not line.startswith(("---", "+++"))]
+
+
+def test_regeneration_names_what_moved():
+    old = '{"theorem": {"alpha": 1.0, "norm": 1.5e-16}, "checks": [{"r": 0}, {"r": 2}]}'
+    new = '{"theorem": {"alpha": 1.0, "norm": 2e-16}, "checks": [{"r": 0}, {"r": 3}], "x": 1}'
+    assert _changed_lines(pathlib.Path("a.json"), old, new) == [
+        "  $.theorem.norm: 1.5e-16 -> 2e-16", "  $.checks[1].r: 2 -> 3", "  $.x: (absent) -> 1"]
+    assert _changed_lines(pathlib.Path("a.md"), "# t\n- a: 1\n- b: 2", "# t\n- a: 1\n- b: 3") == [
+        "  -- b: 2", "  +- b: 3"]
+
+
 def regenerate(names: list[str]) -> None:
-    """Rewrite the named golden files, printing changed or unchanged for each."""
+    """Rewrite the named golden files, printing changed (with what moved) or unchanged for each."""
     unknown = sorted(set(names) - set(CASES))
     if unknown:
         raise SystemExit(f"unknown cases: {', '.join(unknown)}")
@@ -106,11 +143,14 @@ def regenerate(names: list[str]) -> None:
             raise SystemExit(f"{name}: exit {code}, expected {expected_code}")
         path = _golden_path(name)
         data = text.encode("utf-8")
-        if path.exists() and path.read_bytes() == data:
+        old = path.read_bytes() if path.exists() else None
+        if old == data:
             print(f"unchanged {path.name}")
-        else:
-            path.write_bytes(data)
-            print(f"changed {path.name}")
+            continue
+        path.write_bytes(data)
+        print(f"{'new' if old is None else 'changed'} {path.name}")
+        for line in [] if old is None else _changed_lines(path, old.decode("utf-8"), text):
+            print(line)
 
 
 if __name__ == "__main__":
