@@ -147,6 +147,11 @@ class TheoremVerdict(NamedTuple):
         return self._asdict()
 
 
+def _spectral_norm(x: np.ndarray) -> float:
+    """Largest singular value of x, as sqrt(lambda_max(x^T x)): one eigvalsh, no SVD."""
+    return float(np.sqrt(max(np.linalg.eigvalsh(x.T @ x)[-1], 0.0)))
+
+
 def theorem_pipeline(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> TheoremVerdict:
     """Pointwise forward direction: Hopf + phi l = l phi + alpha != 0 force A phi = phi A.
 
@@ -168,6 +173,6 @@ def theorem_pipeline(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> Theorem
     else:
         verdict = VERDICT_TYPE_A
     return TheoremVerdict(hopf=True, alpha=dec.alpha, beta_residual=dec.beta,
-                          phi_l_commutator_norm=float(np.linalg.norm(ctx.phi_l_commutator, 2)),
-                          commutator_A_phi_norm=float(np.linalg.norm(ctx.a_phi_commutator, 2)),
+                          phi_l_commutator_norm=_spectral_norm(ctx.phi_l_commutator),
+                          commutator_A_phi_norm=_spectral_norm(ctx.a_phi_commutator),
                           verdict=verdict)

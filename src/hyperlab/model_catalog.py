@@ -347,8 +347,9 @@ class ModelInstance(NamedTuple):
 def instantiate(spec: ModelSpec, seed: int = 0) -> ModelInstance:
     """Realize the model on a concrete tangent space.
 
-    The shape operator is assembled diagonally on a phi-basis drawn from the
-    seeded generator, so instances are reproducible yet not frame-aligned.
+    The shape operator is assembled diagonally on a Haar-random phi-adapted
+    frame drawn from default_rng(seed) (`_haar_phi_frame`), so instances are
+    reproducible yet not frame-aligned.
     Each phi-invariant branch fills V and phi V alike (A phi = phi A); a
     phi-swapped family (the negative control) gets its two branches on V
     and phi V respectively, so A phi != phi A, and ships without a nabla-A
@@ -357,11 +358,11 @@ def instantiate(spec: ModelSpec, seed: int = 0) -> ModelInstance:
     import numpy as np
 
     from .curvature_engine import CurvatureContext
-    from .tensor_core import build_phi_basis, canonical_structure
+    from .tensor_core import _haar_phi_frame, canonical_structure
 
     table = principal_curvatures(spec)
     acs = canonical_structure(spec.n)
-    f = build_phi_basis(acs, rng=np.random.default_rng(seed))
+    f = _haar_phi_frame(np.random.default_rng(seed), spec.n)
     swapped = spec.entry.phi_swapped
     if swapped:
         v_vals, w_vals = ([e.value] * e.multiplicity for e in table.entries)

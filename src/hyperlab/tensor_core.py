@@ -24,7 +24,8 @@ class StructuralError(ValueError):
 
 
 class DegenerateSeedError(ValueError):
-    """A basis seed projected to numerical zero; retry with a fresh seed."""
+    """A basis seed lies (numerically) in the span already chosen: an explicit seed
+    of build_phi_basis, or, with probability zero, a draw of _haar_phi_frame."""
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -168,6 +169,28 @@ def _haar_frames(rng: np.random.Generator, shape: tuple, gram=None) -> np.ndarra
     return q if gram is None else np.linalg.solve(_t(np.linalg.cholesky(gram)), q)
 
 
+def _haar_phi_frame(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The phi-adapted frame of canonical_structure(n) that the seeds rng.standard_normal(2n-1)
+    drawn k = n-1 times would give build_phi_basis, from one complex QR.
+
+    ker(eta) is C^k with phi acting as i, so the seed w projects off xi to
+    z = w[:k] + i w[k:2k], and Gram-Schmidt on the z is the QR of their matrix
+    with R's diagonal made real positive: a Haar unitary q.  Columns are
+    V = (Re q, Im q, 0), phiV = (-Im q, Re q, 0) (the canonical phi @ V, exactly) and xi.
+    """
+    k, dim = n - 1, 2 * n - 1
+    w = rng.standard_normal((k, dim))
+    q, r = np.linalg.qr((w[:, :k] + 1j * w[:, k:2 * k]).T)
+    d = np.diagonal(r)
+    if np.min(np.abs(d)) <= 1e-8:
+        raise DegenerateSeedError("a drawn seed lies (numerically) in the span already chosen")
+    q = q * (d / np.abs(d))
+    frame = np.zeros((dim, dim))
+    frame[:2 * k, :2 * k] = np.block([[q.real, -q.imag], [q.imag, q.real]])
+    frame[-1, -1] = 1.0
+    return frame
+
+
 def random_structure(n: int, rng: np.random.Generator,
                      gram: np.ndarray | None = None) -> AlmostContactStructure:
     """A valid structure in a uniformly random g-orthonormal frame."""
@@ -200,8 +223,7 @@ def validate_acs(acs: AlmostContactStructure) -> dict[str, float]:
 
 
 def build_phi_basis(acs: AlmostContactStructure,
-                    seeds: list[np.ndarray] | None = None,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
+                    seeds: list[np.ndarray] | None = None) -> np.ndarray:
     """Complete xi to a phi-adapted g-orthonormal frame, returned as columns.
 
     Column order is V_1..V_{n-1}, phiV_1..phiV_{n-1}, xi, and column n-1+i
@@ -213,10 +235,9 @@ def build_phi_basis(acs: AlmostContactStructure,
     w - B(B^T G w), applied twice since two classical Gram-Schmidt passes
     are as stable as the modified form, and normalized; phiV_i is appended
     as the literal phi image.  Seeds are consumed in order: the explicit
-    `seeds` list first, then draws from `rng` if given, then a
-    deterministic sweep of the standard basis.  An explicit seed whose
-    projection is numerically zero raises DegenerateSeedError; sweep
-    candidates that degenerate are skipped.
+    `seeds` list first, then a deterministic sweep of the standard basis.
+    An explicit seed whose projection is numerically zero raises
+    DegenerateSeedError; sweep candidates that degenerate are skipped.
     """
     dim, k = acs.dim, acs.n - 1
     # working order xi, V_1, phiV_1, V_2, phiV_2, ...; reordered on return
@@ -228,9 +249,6 @@ def build_phi_basis(acs: AlmostContactStructure,
         if seeds is not None:
             for s in seeds:
                 yield _of_shape(s, (dim,), "seed"), True
-        if rng is not None:
-            for _ in range(16 * dim):
-                yield rng.standard_normal(dim), False
         for e in np.eye(dim):
             yield e, False
 

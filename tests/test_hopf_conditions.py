@@ -26,6 +26,7 @@ from hyperlab import (
 )
 from hyperlab.sampling import (random_context, random_gram, random_hopf_context,
                                random_symmetric_shape)
+from hyperlab.hopf_conditions import _spectral_norm
 from hyperlab.tensor_core import random_structure
 
 
@@ -215,6 +216,16 @@ def test_theorem_pipeline_jsonable_fields():
     assert block["verdict"] == VERDICT_TYPE_A
     assert block["alpha"] == 3.0
     assert block["phi_l_commutator_norm"] <= 1e-12
+
+
+def test_spectral_norm_is_the_largest_singular_value(rng):
+    a = random_symmetric_shape(canonical_structure(30), rng)
+    commutators = [CurvatureContext(canonical_structure(30), a, 4.0).a_phi_commutator,
+                   _diag_context([1.0, 2.0, 2.0, 1.0, 3.0]).a_phi_commutator]  # rank 4
+    for x in [rng.standard_normal((5, 5)), 1e-16 * rng.standard_normal((9, 9)),
+              rng.standard_normal((4, 7)), *commutators]:
+        assert _spectral_norm(x) == pytest.approx(np.linalg.norm(x, 2), rel=1e-13, abs=0)
+    assert _spectral_norm(np.zeros((5, 5))) == 0.0
 
 
 def test_hopf_commutator_identity_samples(rng):

@@ -18,6 +18,7 @@ from hyperlab import (
     instantiate,
     principal_curvatures,
     riccati_shape_evolution,
+    theorem_pipeline,
     validate_acs,
 )
 from hyperlab import model_catalog
@@ -305,6 +306,23 @@ def test_b_family_ships_no_derivative_provider():
     inst = instantiate(ModelSpec("CH", 3, "B", radius=0.7), seed=0)
     assert inst.nabla_a is None
     assert not check_phi_l_commute(inst.ctx).passed
+
+
+@pytest.mark.parametrize("ambient", ["CP", "CH"])
+def test_b_family_theorem_norms_are_the_closed_form_gap(ambient):
+    # A phi - phi A maps V_i to (mu - lambda) phi V_i and phi V_i to (mu - lambda) V_i,
+    # and phi l - l phi = alpha (phi A - A phi) on Hopf data: the spectral norms
+    # are the branch gap and |alpha| times it, whatever the frame or the normal
+    entry = FAMILY_TABLE[ambient, "B"]
+    for n in (2, 3, 6, 20):
+        for r in (0.1, 0.4, 0.7, 1.5 if ambient == "CH" else 0.75):  # s = 1 at the default c
+            gap = abs(entry.branches[0](1.0, r) - entry.branches[1](1.0, r))
+            for flip in (False, True):
+                spec = ModelSpec(ambient, n, "B", radius=r, flip_normal=flip)
+                verdict = theorem_pipeline(instantiate(spec, seed=n).ctx)
+                assert verdict.commutator_A_phi_norm == pytest.approx(gap, rel=1e-12, abs=0)
+                assert verdict.phi_l_commutator_norm == pytest.approx(
+                    abs(entry.alpha(1.0, r)) * gap, rel=1e-12, abs=0)
 
 
 def test_catalog_rows_cover_all_families(capsys):

@@ -14,6 +14,7 @@ from hyperlab import (
     validate_acs,
 )
 from hyperlab.sampling import random_gram
+from hyperlab.tensor_core import _haar_phi_frame
 
 
 def test_structure_rejects_bad_dimensions(rng):
@@ -109,7 +110,7 @@ def test_phi_basis_orthonormal_and_adapted(rng):
     for n in (2, 3, 4):
         gram = random_gram(2 * n - 1, rng)
         acs = random_structure(n, rng, gram=gram)
-        m = build_phi_basis(acs, rng=rng)
+        m = build_phi_basis(acs, seeds=list(rng.standard_normal((n - 1, 2 * n - 1))))
         assert m.shape == (2 * n - 1, 2 * n - 1)
         assert np.max(np.abs(m.T @ acs.gram @ m - np.eye(2 * n - 1))) <= 1e-12
         for i in range(n - 1):
@@ -175,7 +176,7 @@ def test_nabla_xi_formula(rng):
     assert np.allclose(nabla_xi(acs, a, x), acs.phi @ (a @ x), atol=0)
 
 
-def _per_vector_basis(acs, seeds=None, rng=None):
+def _per_vector_basis(acs, seeds=None):
     """The per-vector modified Gram-Schmidt that build_phi_basis replaced: the reference."""
     dim, k = acs.dim, acs.n - 1
     chosen, vs, ws = [acs.xi], [], []
@@ -184,9 +185,6 @@ def _per_vector_basis(acs, seeds=None, rng=None):
         if seeds is not None:
             for s in seeds:
                 yield np.asarray(s, dtype=float), True
-        if rng is not None:
-            for _ in range(16 * dim):
-                yield rng.standard_normal(dim), False
         for j in range(dim):
             yield np.eye(dim)[j], False
 
@@ -213,19 +211,16 @@ def _orthonormality(acs, m):
 
 def test_block_basis_matches_the_per_vector_loop(rng):
     # two block passes against one modified Gram-Schmidt sweep: the same
-    # candidates in the same order, so the same rng draws, and columns equal
-    # up to rounding.  Near n = 30 the loop itself drifts from orthonormal by
-    # up to about 1e-12, and the columns cannot agree more closely than that.
+    # candidates in the same order (the sweep alone, n - 1 random seeds, one
+    # seed then the sweep), and columns equal up to rounding.  Near n = 30 the
+    # loop itself drifts from orthonormal by up to about 1e-12, and the
+    # columns cannot agree more closely than that.
     for n in (2, 3, 5, 10, 20, 30):
         acs = random_structure(n, rng, gram=random_gram(2 * n - 1, rng))
-        draw = int(rng.integers(2 ** 32))
-        for seeds, source in ((None, None), (None, draw), ([rng.standard_normal(acs.dim)], draw)):
-            block_rng = None if source is None else np.random.default_rng(source)
-            loop_rng = None if source is None else np.random.default_rng(source)
-            block = build_phi_basis(acs, seeds=seeds, rng=block_rng)
-            loop = _per_vector_basis(acs, seeds=seeds, rng=loop_rng)
-            if source is not None:
-                assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+        draws = list(rng.standard_normal((n - 1, acs.dim)))
+        for seeds in (None, draws, draws[:1]):
+            block = build_phi_basis(acs, seeds=seeds)
+            loop = _per_vector_basis(acs, seeds=seeds)
             agree = max(1e-13, 2.0 * _orthonormality(acs, loop))
             assert np.max(np.abs(block - loop)) <= agree
             assert _orthonormality(acs, block) <= 1e-13
@@ -247,3 +242,36 @@ def test_block_basis_reorthogonalises_a_nearly_dependent_seed(rng):
         build_phi_basis(acs, seeds=[acs.xi])
     with pytest.raises(DegenerateSeedError):
         build_phi_basis(acs, seeds=[v1, v1])
+
+
+class _FixedDraws:
+    """A generator stand-in whose one standard_normal call returns the given block."""
+
+    def __init__(self, block):
+        self.block = block
+
+    def standard_normal(self, shape):
+        return self.block.reshape(shape)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 30, 60])
+def test_haar_phi_frame_is_the_seeded_loop_frame(n):
+    # the k = n - 1 draws the seeded loop took one at a time, in one call: the
+    # same values and the same generator state, and one complex QR gives the
+    # loop's frame to rounding
+    acs = canonical_structure(n)
+    rng, loop_rng = np.random.default_rng(n), np.random.default_rng(n)
+    frame = _haar_phi_frame(rng, n)
+    draws = [loop_rng.standard_normal(acs.dim) for _ in range(n - 1)]
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+    assert np.max(np.abs(frame - _per_vector_basis(acs, seeds=draws))) <= 1e-13
+    assert np.array_equal(frame[:, n - 1:-1], acs.phi @ frame[:, :n - 1])
+    assert np.array_equal(frame[:, -1], acs.xi)
+
+
+def test_haar_phi_frame_refuses_a_degenerate_draw(rng):
+    w = rng.standard_normal((2, 5))
+    for bad in (np.vstack([w[0], 3.0 * w[0]]),  # the second seed repeats the first
+                np.vstack([np.eye(5)[4], w[1]])):  # the first seed is xi
+        with pytest.raises(DegenerateSeedError):
+            _haar_phi_frame(_FixedDraws(bad), 3)
