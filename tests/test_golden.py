@@ -100,13 +100,15 @@ _ABSENT = "(absent)"
 
 
 def _json_changes(old, new, path: str = "$"):
-    """(path, old, new) for each leaf where two reports differ, floats as their text."""
+    """(path, old, new) for each leaf where two reports differ, floats as their text;
+    a check row's index is followed by its check and subspace."""
     if isinstance(old, dict) and isinstance(new, dict):
         for key in {**old, **new}:
             yield from _json_changes(old.get(key, _ABSENT), new.get(key, _ABSENT), f"{path}.{key}")
     elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         for i, (a, b) in enumerate(zip(old, new)):
-            yield from _json_changes(a, b, f"{path}[{i}]")
+            row = f" {b['check']}/{b['subspace']}" if isinstance(b, dict) and "check" in b else ""
+            yield from _json_changes(a, b, f"{path}[{i}{row}]")
     elif old != new:
         yield path, old, new
 
@@ -122,10 +124,12 @@ def _changed_lines(path: pathlib.Path, old: str, new: str) -> list[str]:
 
 
 def test_regeneration_names_what_moved():
-    old = '{"theorem": {"alpha": 1.0, "norm": 1.5e-16}, "checks": [{"r": 0}, {"r": 2}]}'
-    new = '{"theorem": {"alpha": 1.0, "norm": 2e-16}, "checks": [{"r": 0}, {"r": 3}], "x": 1}'
+    row = '{"check": "codazzi", "subspace": "all", "residual": %s}'
+    old = '{"theorem": {"alpha": 1.0, "norm": 1.5e-16}, "checks": [[0], %s]}' % (row % 2)
+    new = '{"theorem": {"alpha": 1.0, "norm": 2e-16}, "checks": [[0], %s], "x": 1}' % (row % 3)
     assert _changed_lines(pathlib.Path("a.json"), old, new) == [
-        "  $.theorem.norm: 1.5e-16 -> 2e-16", "  $.checks[1].r: 2 -> 3", "  $.x: (absent) -> 1"]
+        "  $.theorem.norm: 1.5e-16 -> 2e-16", "  $.checks[1 codazzi/all].residual: 2 -> 3",
+        "  $.x: (absent) -> 1"]
     assert _changed_lines(pathlib.Path("a.md"), "# t\n- a: 1\n- b: 2", "# t\n- a: 1\n- b: 3") == [
         "  -- b: 2", "  +- b: 3"]
 
