@@ -347,9 +347,8 @@ class ModelInstance(NamedTuple):
 def instantiate(spec: ModelSpec, seed: int = 0) -> ModelInstance:
     """Realize the model on a concrete tangent space.
 
-    The shape operator is assembled diagonally on a Haar-random phi-adapted
-    frame drawn from default_rng(seed) (`_haar_phi_frame`), so instances are
-    reproducible yet not frame-aligned.
+    The shape operator is assembled diagonally on a Haar-random phi-frame from
+    default_rng(seed), so instances are reproducible yet not frame-aligned.
     Each phi-invariant branch fills V and phi V alike (A phi = phi A); a
     phi-swapped family (the negative control) gets its two branches on V
     and phi V respectively, so A phi != phi A, and ships without a nabla-A

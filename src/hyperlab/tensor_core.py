@@ -24,8 +24,7 @@ class StructuralError(ValueError):
 
 
 class DegenerateSeedError(ValueError):
-    """A basis seed lies (numerically) in the span already chosen: an explicit seed
-    of build_phi_basis, or, with probability zero, a draw of _haar_phi_frame."""
+    """A basis seed, explicit or (with probability zero) drawn, lies in the span already chosen."""
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -170,24 +169,19 @@ def _haar_frames(rng: np.random.Generator, shape: tuple, gram=None) -> np.ndarra
 
 
 def _haar_phi_frame(rng: np.random.Generator, n: int) -> np.ndarray:
-    """The phi-adapted frame of canonical_structure(n) that the seeds rng.standard_normal(2n-1)
-    drawn k = n-1 times would give build_phi_basis, from one complex QR.
-
-    ker(eta) is C^k with phi acting as i, so the seed w projects off xi to
-    z = w[:k] + i w[k:2k], and Gram-Schmidt on the z is the QR of their matrix
-    with R's diagonal made real positive: a Haar unitary q.  Columns are
-    V = (Re q, Im q, 0), phiV = (-Im q, Re q, 0) (the canonical phi @ V, exactly) and xi.
-    """
-    k, dim = n - 1, 2 * n - 1
-    w = rng.standard_normal((k, dim))
+    """build_phi_basis(canonical_structure(n), seeds) for k = n-1 seeds drawn from rng, by one
+    complex QR: ker(eta) is C^k with phi acting as i, so a seed w is z = w[:k] + i w[k:2k], and
+    Gram-Schmidt on the z is their QR with R's diagonal made real positive (a Haar unitary q).
+    Columns are V = (Re q, Im q, 0), phiV = (-Im q, Re q, 0), exactly phi @ V, and xi."""
+    k = n - 1
+    w = rng.standard_normal((k, 2 * n - 1))
     q, r = np.linalg.qr((w[:, :k] + 1j * w[:, k:2 * k]).T)
     d = np.diagonal(r)
     if np.min(np.abs(d)) <= 1e-8:
         raise DegenerateSeedError("a drawn seed lies (numerically) in the span already chosen")
+    frame = np.eye(2 * n - 1)
     q = q * (d / np.abs(d))
-    frame = np.zeros((dim, dim))
     frame[:2 * k, :2 * k] = np.block([[q.real, -q.imag], [q.imag, q.real]])
-    frame[-1, -1] = 1.0
     return frame
 
 
@@ -244,21 +238,14 @@ def build_phi_basis(acs: AlmostContactStructure,
     frame = np.empty((dim, 2 * k + 1))
     frame[:, 0] = acs.xi
     m = 1
-
-    def candidates():
-        if seeds is not None:
-            for s in seeds:
-                yield _of_shape(s, (dim,), "seed"), True
-        for e in np.eye(dim):
-            yield e, False
-
-    for w, explicit in candidates():
+    explicit = [_of_shape(s, (dim,), "seed") for s in (() if seeds is None else seeds)]
+    for i, w in enumerate([*explicit, *np.eye(dim)]):
         chosen = frame[:, :m]
         for _ in range(2):
             w = w - chosen @ (chosen.T @ (acs.gram @ w))
         nrm = acs.norm(w)
         if nrm <= 1e-8:
-            if explicit:
+            if i < len(explicit):
                 raise DegenerateSeedError("seed lies (numerically) in the span already chosen")
             continue
         frame[:, m] = w / nrm
