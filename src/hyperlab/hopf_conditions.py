@@ -159,8 +159,8 @@ def theorem_pipeline(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> Theorem
     requirement here, not a conclusion).  When alpha vanishes the verdict
     is indeterminate: the argument divides by eta(A xi), and the catalog's
     zero-alpha radius is exactly the case it cannot see (`alpha_vanishes`).
-    Norms reported are spectral, with Frobenius (which dominates) used for
-    pass/fail.
+    Norms reported are spectral (`_spectral_norm`), with Frobenius (which
+    dominates) used for pass/fail.
     """
     dec = decompose_A_xi(ctx, tol)
     if not dec.is_hopf:
