@@ -179,8 +179,8 @@ def _haar_phi_frame(rng: np.random.Generator, n: int) -> np.ndarray:
     d = np.diagonal(r)
     if np.min(np.abs(d)) <= 1e-8:
         raise DegenerateSeedError("a drawn seed lies (numerically) in the span already chosen")
-    frame = np.eye(2 * n - 1)
     q = q * (d / np.abs(d))
+    frame = np.eye(2 * n - 1)
     frame[:2 * k, :2 * k] = np.block([[q.real, -q.imag], [q.imag, q.real]])
     return frame
 
