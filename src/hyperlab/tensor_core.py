@@ -169,19 +169,19 @@ def _haar_frames(rng: np.random.Generator, shape: tuple, gram=None) -> np.ndarra
 
 
 def _haar_phi_frame(rng: np.random.Generator, n: int) -> np.ndarray:
-    """build_phi_basis(canonical_structure(n), seeds) for k = n-1 seeds drawn from rng, by one
-    complex QR: ker(eta) is C^k with phi acting as i, so a seed w is z = w[:k] + i w[k:2k], and
-    Gram-Schmidt on the z is their QR with R's diagonal made real positive (a Haar unitary q).
-    Columns are V = (Re q, Im q, 0), phiV = (-Im q, Re q, 0), exactly phi @ V, and xi."""
+    """build_phi_basis(canonical_structure(n), seeds) for k = n-1 seeds w drawn from rng, as one
+    complex QR: ker(eta) is C^k with phi acting as i, so w is z = w[:k] + i w[k:2k], and with R's
+    diagonal made real positive q is that Gram-Schmidt.  V = (Re q, Im q), phiV = (-Im q, Re q)."""
     k = n - 1
     w = rng.standard_normal((k, 2 * n - 1))
     q, r = np.linalg.qr((w[:, :k] + 1j * w[:, k:2 * k]).T)
-    d = np.diagonal(r)
-    if np.min(np.abs(d)) <= 1e-8:
+    d = r.diagonal()
+    if abs(d).min() <= 1e-8:
         raise DegenerateSeedError("a drawn seed lies (numerically) in the span already chosen")
-    q = q * (d / np.abs(d))
-    frame = np.eye(2 * n - 1)
-    frame[:2 * k, :2 * k] = np.block([[q.real, -q.imag], [q.imag, q.real]])
+    q = q * (d / abs(d))
+    frame = np.eye(2 * n - 1)  # xi last
+    frame[:k, :k] = frame[k:2 * k, k:2 * k] = q.real
+    frame[k:2 * k, :k], frame[:k, k:2 * k] = q.imag, -q.imag
     return frame
 
 
