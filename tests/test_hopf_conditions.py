@@ -24,9 +24,9 @@ from hyperlab import (
     theorem_pipeline,
     type_a_nabla_a,
 )
+from hyperlab.hopf_conditions import _spectral_norm
 from hyperlab.sampling import (random_context, random_gram, random_hopf_context,
                                random_symmetric_shape)
-from hyperlab.hopf_conditions import _spectral_norm
 from hyperlab.tensor_core import random_structure
 
 
