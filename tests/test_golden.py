@@ -55,6 +55,10 @@ CASES.update({
     "verify-CP-n60-A2-k5-r0.4": (["verify", "--ambient", "CP", "--n", "60",
                                   "--family", "A2", "--k", "5", "--radius", "0.4",
                                   "--deterministic"], 0),
+    "verify-CP-n5-B-r0.5": (["verify", "--ambient", "CP", "--n", "5", "--family", "B",
+                             "--radius", "0.5", "--deterministic"], 0),
+    "verify-CH-n5-A2-k2-r0.8": (["verify", "--ambient", "CH", "--n", "5", "--family", "A2",
+                                 "--k", "2", "--radius", "0.8", "--deterministic"], 0),
     "catalog": (["catalog", "--deterministic"], 0),
     "jet-alpha2-beta0.5-c4": (["jet", "--alpha", "2.0", "--beta", "0.5", "--c", "4.0",
                                "--deterministic"], 0),
