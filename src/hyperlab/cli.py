@@ -67,7 +67,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
 
     inst = instantiate(spec, seed=seed)
     ctx, acs = inst.ctx, inst.ctx.acs
-    negative_control = spec.entry.phi_swapped and not inst.spectral.alpha_is_zero
+    negative_control = (not all(e.phi_invariant for e in inst.spectral.entries)
+                        and not inst.spectral.alpha_is_zero)
     expected_false = ({("shape-phi-commute", "all"), ("phi-l-commute", "ker-eta")}
                       if negative_control else set())
 

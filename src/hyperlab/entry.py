@@ -184,9 +184,10 @@ def _seed(raw: str) -> int:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Flat `key = value` file; blank lines and # comments skipped, an empty key refused."""
+    """Flat `key = value` UTF-8 file, a leading byte-order mark dropped; blank lines
+    and # comments skipped, an empty key refused."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

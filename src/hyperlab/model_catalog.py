@@ -2,10 +2,10 @@
 
 FAMILY_TABLE holds every model family of ambient CP (c > 0) and CH (c < 0):
 the closed forms of its principal curvatures in s = sqrt(|c|)/2 and the
-radius r, their multiplicities, the s r domain, the admissible k, and the
-strings `hyperlab catalog` prints.  Family B is the negative control: its
-two ker(eta) branches sit on V and phi V respectively (phi-swapped), so
-A phi != phi A.
+radius r, where each branch lies in a phi-frame, the s r domain, the
+admissible k, and the strings `hyperlab catalog` prints.  Family B is the
+negative control: one of its two ker(eta) branches fills V and the other
+phi V, so A phi != phi A.
 
 Every spectral value is validated at construction against an independent
 fixed-step RK4 integration of the radial Riccati equation in its Jacobi form:
@@ -99,12 +99,12 @@ def _cot(x: float) -> float:
 class FamilyEntry(NamedTuple):
     """One (ambient, family) row of the catalog.
 
-    alpha and each ker(eta) branch are closed forms in (s, r); branch i has
-    multiplicity multiplicities(n, k)[i] (k = 0 when none is given), and a
-    branch of multiplicity 0 is left out.  s r ranges over (0, sr_max);
-    sr_max None means the model is radius-free.  ks(n) holds the admissible
-    k, None standing for "no k".  A phi_swapped family puts its first branch
-    on V_1..V_{n-1} and its second on phi V_1..phi V_{n-1}.
+    alpha and each ker(eta) branch are closed forms in (s, r).  layout(n, k)
+    (k = 0 when none is given) places branch i as a pair (a, b): it fills a
+    of V_1..V_{n-1} and b of phi V_1..phi V_{n-1}, so it has multiplicity
+    a + b and is phi-invariant exactly when a == b; a branch with (0, 0) is
+    left out.  s r ranges over (0, sr_max); sr_max None means the model is
+    radius-free.  ks(n) holds the admissible k, None standing for "no k".
     """
 
     core: str
@@ -114,17 +114,16 @@ class FamilyEntry(NamedTuple):
     sr_max: float | None
     alpha: Callable[[float, float], float]
     branches: tuple[Callable[[float, float], float], ...]
-    multiplicities: Callable[[int, int], tuple[int, ...]]
+    layout: Callable[[int, int], tuple[tuple[int, int], ...]]
     ks: Callable[[int], Container]
-    phi_swapped: bool
 
 
-def _tube(n: int, k: int) -> tuple[int, int]:
-    return 2 * (n - 1 - k), 2 * k
+def _tube(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    return (n - 1 - k, n - 1 - k), (k, k)
 
 
-def _swapped(n: int, k: int) -> tuple[int, int]:
-    return n - 1, n - 1
+def _swapped(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    return (n - 1, 0), (0, n - 1)
 
 
 def _no_k(n: int) -> tuple[None]:
@@ -143,36 +142,35 @@ _CH_TUBE = (lambda s, r: s / math.tanh(s * r), lambda s, r: s * math.tanh(s * r)
 FAMILY_TABLE: dict[tuple[str, str], FamilyEntry] = {
     ("CH", "A0"): FamilyEntry(
         "horosphere", "none (radius-free)", "2s", "s x (2n-2)",
-        None, lambda s, r: 2.0 * s, (lambda s, r: s,), lambda n, k: (2 * n - 2,), _no_k,
-        False),
+        None, lambda s, r: 2.0 * s, (lambda s, r: s,), lambda n, k: ((n - 1, n - 1),), _no_k),
     ("CP", "A1"): FamilyEntry(
         "point / complex hyperplane", "0 < s r < pi/2",
         "2s cot(2 s r)", "s cot(s r) x (2n-2)",
-        math.pi / 2.0, _CP_ALPHA, _CP_TUBE, _tube, _no_k, False),
+        math.pi / 2.0, _CP_ALPHA, _CP_TUBE, _tube, _no_k),
     ("CH", "A1"): FamilyEntry(
         "point (k=0) / complex hyperplane (k=n-1)", "r > 0",
         "2s coth(2 s r)", "s coth(s r) x (2n-2) | s tanh(s r) x (2n-2)",
-        math.inf, _CH_TUBE_ALPHA, _CH_TUBE, _tube, lambda n: (None, 0, n - 1), False),
+        math.inf, _CH_TUBE_ALPHA, _CH_TUBE, _tube, lambda n: (None, 0, n - 1)),
     ("CP", "A2"): FamilyEntry(
         "totally geodesic complex k-subspace", "0 < s r < pi/2, 1 <= k <= n-2",
         "2s cot(2 s r)", "s cot(s r) x 2(n-1-k), -s tan(s r) x 2k",
-        math.pi / 2.0, _CP_ALPHA, _CP_TUBE, _tube, _core_k, False),
+        math.pi / 2.0, _CP_ALPHA, _CP_TUBE, _tube, _core_k),
     ("CH", "A2"): FamilyEntry(
         "totally geodesic complex k-subspace", "r > 0, 1 <= k <= n-2",
         "2s coth(2 s r)", "s coth(s r) x 2(n-1-k), s tanh(s r) x 2k",
-        math.inf, _CH_TUBE_ALPHA, _CH_TUBE, _tube, _core_k, False),
+        math.inf, _CH_TUBE_ALPHA, _CH_TUBE, _tube, _core_k),
     ("CP", "B"): FamilyEntry(
         "complex quadric (negative control)", "0 < s r < pi/4", "2s cot(2 s r)",
         "s cot(s r - pi/4), s cot(s r + pi/4), phi-swapped x (n-1) each",
         math.pi / 4.0, _CP_ALPHA,
         (lambda s, r: s * _cot(s * r - math.pi / 4.0),
          lambda s, r: s * _cot(s * r + math.pi / 4.0)),
-        _swapped, _no_k, True),
+        _swapped, _no_k),
     ("CH", "B"): FamilyEntry(
         "real form (negative control)", "r > 0", "2s tanh(2 s r)",
         "s coth(s r), s tanh(s r), phi-swapped x (n-1) each",
         math.inf, lambda s, r: 2.0 * s * math.tanh(2.0 * s * r), _CH_TUBE,
-        _swapped, _no_k, True),
+        _swapped, _no_k),
 }
 AMBIENTS = tuple(sorted({ambient for ambient, _ in FAMILY_TABLE}))
 FAMILIES = tuple(sorted({family for _, family in FAMILY_TABLE}))
@@ -285,13 +283,14 @@ class SpectralTable(NamedTuple):
         return out
 
 
-def _branches(spec: ModelSpec) -> list[tuple[Callable[[float], float], float, int]]:
-    """(closed form in r, kappa, multiplicity): alpha first, then each ker(eta) branch."""
+def _branches(spec: ModelSpec) -> list[tuple[Callable[[float], float], float, tuple[int, int]]]:
+    """(closed form in r, kappa, (a, b) of the layout): alpha first, on xi and so
+    (0, 0), then each ker(eta) branch that fills part of V or phi V."""
     entry, s = spec.entry, spec.scale
-    mults = entry.multiplicities(spec.n, spec.k or 0)
-    forms = [(entry.alpha, spec.c, 1)] + [(fn, spec.c / 4.0, m)
-                                          for fn, m in zip(entry.branches, mults) if m]
-    return [(functools.partial(fn, s), kappa, m) for fn, kappa, m in forms]
+    layout = entry.layout(spec.n, spec.k or 0)
+    forms = [(entry.alpha, spec.c, (0, 0))] + [(fn, spec.c / 4.0, ab)
+                                               for fn, ab in zip(entry.branches, layout) if any(ab)]
+    return [(functools.partial(fn, s), kappa, ab) for fn, kappa, ab in forms]
 
 
 def _oracle_deviation(spec: ModelSpec, branches) -> float:
@@ -324,14 +323,11 @@ def principal_curvatures(spec: ModelSpec) -> SpectralTable:
     sign = -1.0 if spec.flip_normal else 1.0  # exact: flipping negates every value
     (alpha_fn, _, _), *lams = branches
     alpha = alpha_fn(r)
-    invariant = not spec.entry.phi_swapped
-    entries = tuple(SpectralEntry(sign * fn(r), mult, invariant) for fn, _, mult in lams)
+    entries = tuple(SpectralEntry(sign * fn(r), a + b, a == b) for fn, _, (a, b) in lams)
     table = SpectralTable(sign * alpha, alpha_vanishes(alpha, spec.c), entries, deviation,
                           sign < 0)
     if table.multiplicity_total() != 2 * spec.n - 2:
         raise OracleMismatchError("spectral multiplicities do not fill ker(eta)")
-    if any(e.phi_invariant and e.multiplicity % 2 for e in entries):
-        raise OracleMismatchError("phi-invariant eigenspaces need even multiplicity")
     return table
 
 
@@ -349,10 +345,10 @@ def instantiate(spec: ModelSpec, seed: int = 0) -> ModelInstance:
 
     The shape operator is assembled diagonally on a Haar-random phi-frame from
     default_rng(seed), so instances are reproducible yet not frame-aligned.
-    Each phi-invariant branch fills V and phi V alike (A phi = phi A); a
-    phi-swapped family (the negative control) gets its two branches on V
-    and phi V respectively, so A phi != phi A, and ships without a nabla-A
-    provider (its derivative data is not type A).
+    The diagonal follows the family's layout: the V_i first, then the phi V_i,
+    then xi.  A phi = phi A exactly when every branch is phi-invariant, and
+    only then does the model ship a nabla-A provider; otherwise (the negative
+    control) its derivative data is not type A.
     """
     import numpy as np
 
@@ -362,16 +358,12 @@ def instantiate(spec: ModelSpec, seed: int = 0) -> ModelInstance:
     table = principal_curvatures(spec)
     acs = canonical_structure(spec.n)
     f = _haar_phi_frame(np.random.default_rng(seed), spec.n)
-    swapped = spec.entry.phi_swapped
-    if swapped:
-        v_vals, w_vals = ([e.value] * e.multiplicity for e in table.entries)
-    else:
-        v_vals = [e.value for e in table.entries for _ in range(e.multiplicity // 2)]
-        w_vals = v_vals
-    diag = np.array(v_vals + w_vals + [table.alpha])
+    layout = [ab for *_, ab in _branches(spec)[1:]]
+    diag = np.array([e.value for side in (0, 1) for e, ab in zip(table.entries, layout)
+                     for _ in range(ab[side])] + [table.alpha])
     ctx = CurvatureContext(acs, (f * diag) @ f.T, spec.c)
-    nabla = None if swapped else type_a_nabla_a(ctx)
-    return ModelInstance(spec, ctx, table, nabla)
+    type_a = all(e.phi_invariant for e in table.entries)
+    return ModelInstance(spec, ctx, table, type_a_nabla_a(ctx) if type_a else None)
 
 
 def type_a_nabla_a(ctx: CurvatureContext) -> NablaAProvider:

@@ -254,10 +254,3 @@ def build_phi_basis(acs: AlmostContactStructure,
         if m == 2 * k + 1:
             return frame[:, [*range(1, m, 2), *range(2, m, 2), 0]]
     raise DegenerateSeedError("ran out of seed candidates before completing the basis")
-
-
-def nabla_xi(acs: AlmostContactStructure, shape_operator: np.ndarray,
-             x: np.ndarray) -> np.ndarray:
-    """Covariant derivative of xi along x: phi(A x)."""
-    a = _of_shape(shape_operator, acs.phi.shape, "shape_operator")
-    return acs.phi @ (a @ _of_shape(x, acs.xi.shape, "x"))

@@ -472,6 +472,16 @@ def test_config_file_supplies_and_flag_overrides(capsys, tmp_path):
     assert rep["config"]["radius"] == 0.6  # flag wins over file
 
 
+def test_config_file_with_a_byte_order_mark_is_read(capsys, tmp_path):
+    # an editor may save UTF-8 with a leading BOM; it must not stick to the first key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfradius = 0.5\n")
+    code, out = _capture(capsys, ["verify", "--ambient", "CP", "--n", "3", "--family", "A1",
+                                  "--config", str(cfg)])
+    assert code == 0
+    assert json.loads(out)["config"]["radius"] == 0.5
+
+
 @pytest.mark.parametrize("argv, line", [
     (["jet", "--alpha", "1", "--beta", "1", "--c", "4"], "lamda = 0.5"),
     (["jet", "--alpha", "1", "--beta", "1", "--c", "4"], "lam = 0.5"),

@@ -97,7 +97,11 @@ def test_golden_report(name):
     argv, expected_code = CASES[name]
     code, text = _render(argv)
     assert code == expected_code
-    assert text.encode("utf-8") == _golden_path(name).read_bytes()
+    path = _golden_path(name)
+    old = path.read_bytes()
+    if text.encode("utf-8") != old:  # name what moved, as regeneration prints it
+        moved = _changed_lines(path, old.decode("utf-8"), text) or ["  (no value moved)"]
+        pytest.fail("\n".join([f"{path.name} changed:", *moved]), pytrace=False)
 
 
 _ABSENT = "(absent)"

@@ -21,7 +21,7 @@ PUBLIC = [
     "codazzi_residual", "commutator", "consistent_jet", "contradiction_certificate",
     "curvature_engine", "decompose_A_xi", "gauss_curvature", "hopf_conditions", "instantiate",
     "jacobi_closed_form", "jacobi_from_curvature", "jacobi_operator", "jet_from_mapping",
-    "jet_residuals", "lemma_lab", "model_catalog", "nabla_l", "nabla_xi",
+    "jet_residuals", "lemma_lab", "model_catalog", "nabla_l",
     "principal_curvatures", "random_context", "random_gram", "random_hopf_context",
     "random_hopf_shape", "random_structure", "random_symmetric_shape",
     "riccati_shape_evolution", "sampling", "structure_from_frame", "tensor_core",

@@ -331,19 +331,28 @@ def test_catalog_rows_cover_all_families(capsys):
     assert families == {("CP", "A1"), ("CP", "A2"), ("CP", "B"),
                         ("CH", "A0"), ("CH", "A1"), ("CH", "A2"), ("CH", "B")}
     assert [(r["ambient"], r["family"]) for r in rows] == list(FAMILY_TABLE)
-    # every table entry, at mid-domain and each admissible k, passes the oracle
-    n = 4
-    for (ambient, family), entry in FAMILY_TABLE.items():
-        for k in entry.ks(n):
-            if entry.sr_max is None:
-                radius = None
-            else:
-                radius = 0.4 * min(entry.sr_max, 2.0)  # s = 1 at the default c
-            spec = ModelSpec(ambient, n, family, radius=radius, k=k)
-            inst = instantiate(spec, seed=3)
-            assert inst.spectral.oracle_deviation <= 1e-6
-            assert inst.spectral.multiplicity_total() == 2 * n - 2
-            assert (inst.nabla_a is None) == entry.phi_swapped
+    # every table entry, at mid-domain and each admissible k, passes the oracle, and
+    # its layout fills V and phi V and alone decides phi-invariance, the nabla-A
+    # provider and whether A commutes with phi
+    for n in range(2, 7):
+        for (ambient, family), entry in FAMILY_TABLE.items():
+            for k in entry.ks(n):
+                if entry.sr_max is None:
+                    radius = None
+                else:
+                    radius = 0.4 * min(entry.sr_max, 2.0)  # s = 1 at the default c
+                spec = ModelSpec(ambient, n, family, radius=radius, k=k)
+                inst = instantiate(spec, seed=3)
+                assert inst.spectral.oracle_deviation <= 1e-6
+                assert inst.spectral.multiplicity_total() == 2 * n - 2
+                layout = [ab for ab in entry.layout(n, k or 0) if any(ab)]
+                assert [sum(side) for side in zip(*layout)] == [n - 1, n - 1]
+                entries = inst.spectral.entries
+                assert [e.phi_invariant for e in entries] == [a == b for a, b in layout]
+                invariant = all(e.phi_invariant for e in entries)
+                assert (inst.nabla_a is None) == (not invariant)
+                swap = np.abs(inst.ctx.a_phi_commutator).max()
+                assert swap <= 1e-12 if invariant else swap > 0.1
     # every pair outside the table is refused
     for ambient in ("CP", "CH", "XX"):
         for family in ("A0", "A1", "A2", "B", "C"):

@@ -1,4 +1,4 @@
-"""Structure-tensor axioms, adapted bases, and the xi / phi derivative formulas."""
+"""Structure-tensor axioms, adapted bases, and the identities of phi."""
 import numpy as np
 import pytest
 
@@ -8,7 +8,6 @@ from hyperlab import (
     StructuralError,
     build_phi_basis,
     canonical_structure,
-    nabla_xi,
     random_structure,
     structure_from_frame,
     validate_acs,
@@ -156,24 +155,6 @@ def test_phi_is_isometry_on_ker_eta(rng):
         x = rng.standard_normal(5)
         x = x - acs.eta_of(x) * acs.xi
         assert abs(acs.norm(acs.phi @ x) - acs.norm(x)) <= 1e-12
-
-
-def test_nabla_xi_stays_orthogonal_to_xi(rng):
-    # g(phi A x, xi) = -g(A x, phi xi) = 0 for any shape operator
-    acs = random_structure(3, rng)
-    for _ in range(50):
-        a = rng.standard_normal((5, 5))
-        a = a + a.T
-        x = rng.standard_normal(5)
-        assert abs(acs.g(nabla_xi(acs, a, x), acs.xi)) <= 1e-12
-
-
-def test_nabla_xi_formula(rng):
-    acs = random_structure(3, rng)
-    a = rng.standard_normal((5, 5))
-    a = a + a.T
-    x = rng.standard_normal(5)
-    assert np.allclose(nabla_xi(acs, a, x), acs.phi @ (a @ x), atol=0)
 
 
 def _per_vector_basis(acs, seeds=None):
