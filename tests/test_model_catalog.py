@@ -350,7 +350,7 @@ def test_catalog_rows_cover_all_families(capsys):
                 entries = inst.spectral.entries
                 assert [e.phi_invariant for e in entries] == [a == b for a, b in layout]
                 invariant = all(e.phi_invariant for e in entries)
-                assert (inst.nabla_a is None) == (not invariant)
+                assert (inst.nabla_a is not None) == invariant
                 swap = np.abs(inst.ctx.a_phi_commutator).max()
                 assert swap <= 1e-12 if invariant else swap > 0.1
     # every pair outside the table is refused
