@@ -105,16 +105,9 @@ class CurvatureContext(_ContextFields):
 
     @cached_property
     def ker_eta_basis(self) -> np.ndarray:
-        """The g-orthonormal ker(eta) test vectors of the condition checks, as columns.
-
-        phi-adapted and, off Hopf, seeded with the U of `decompose_A_xi`, so
-        that residual magnitudes hit the adapted-frame values exactly (U and
-        phi U are both in the basis).  The split is taken at DEFAULT_TOL: the
-        basis is cached per context, so it cannot depend on one run's tolerance.
-        """
-        dec = decompose_A_xi(self)
-        seeds = [dec.u] if dec.u is not None else None
-        return _read_only(build_phi_basis(self.acs, seeds=seeds)[:, :-1])
+        """The g-orthonormal ker(eta) test vectors of the condition checks, as columns:
+        the first 2n-2 columns of `build_phi_basis`, so a function of the structure alone."""
+        return _read_only(build_phi_basis(self.acs)[:, :-1])
 
     def to_jsonable(self) -> dict:
         return {**self.acs.to_jsonable(),

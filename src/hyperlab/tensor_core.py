@@ -24,7 +24,7 @@ class StructuralError(ValueError):
 
 
 class DegenerateSeedError(ValueError):
-    """A basis seed, explicit or (with probability zero) drawn, lies in the span already chosen."""
+    """A drawn basis seed lies (with probability zero) in the span already chosen."""
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -169,9 +169,9 @@ def _haar_frames(rng: np.random.Generator, shape: tuple, gram=None) -> np.ndarra
 
 
 def _haar_phi_frame(rng: np.random.Generator, n: int) -> np.ndarray:
-    """build_phi_basis(canonical_structure(n), seeds) for k = n-1 seeds w drawn from rng, as one
+    """A phi-adapted frame of canonical_structure(n) from k = n-1 seeds w drawn from rng, as one
     complex QR: ker(eta) is C^k with phi acting as i, so w is z = w[:k] + i w[k:2k], and with R's
-    diagonal made real positive q is that Gram-Schmidt.  V = (Re q, Im q), phiV = (-Im q, Re q)."""
+    diagonal made real positive q is their Gram-Schmidt.  V = (Re q, Im q), phiV = (-Im q, Re q)."""
     k = n - 1
     w = rng.standard_normal((k, 2 * n - 1))
     q, r = np.linalg.qr((w[:, :k] + 1j * w[:, k:2 * k]).T)
@@ -216,41 +216,36 @@ def validate_acs(acs: AlmostContactStructure) -> dict[str, float]:
     return {name: float(value) for name, value in res.items()}
 
 
-def build_phi_basis(acs: AlmostContactStructure,
-                    seeds: list[np.ndarray] | None = None) -> np.ndarray:
+def build_phi_basis(acs: AlmostContactStructure) -> np.ndarray:
     """Complete xi to a phi-adapted g-orthonormal frame, returned as columns.
 
     Column order is V_1..V_{n-1}, phiV_1..phiV_{n-1}, xi, and column n-1+i
     is phi applied to column i, exactly as constructed (no
     re-orthonormalization of the phi images).
 
-    Each new V_i comes from the next seed, projected g-orthogonally off the
-    columns B chosen so far (which lands it in ker(eta)) by the block step
-    w - B(B^T G w), applied twice since two classical Gram-Schmidt passes
-    are as stable as the modified form, and normalized; phiV_i is appended
-    as the literal phi image.  Seeds are consumed in order: the explicit
-    `seeds` list first, then a deterministic sweep of the standard basis.
-    An explicit seed whose projection is numerically zero raises
-    DegenerateSeedError; sweep candidates that degenerate are skipped.
+    The candidates are the standard basis vectors, in order.  Each is
+    projected g-orthogonally off the columns B chosen so far (which lands it
+    in ker(eta)) by the block step w - B(B^T G w), applied twice since two
+    classical Gram-Schmidt passes are as stable as the modified form, and
+    normalized; phiV_i is appended as the literal phi image.  A candidate
+    whose projection is numerically zero is skipped.  The frame depends on
+    the structure alone.
     """
     dim, k = acs.dim, acs.n - 1
     # working order xi, V_1, phiV_1, V_2, phiV_2, ...; reordered on return
     frame = np.empty((dim, 2 * k + 1))
     frame[:, 0] = acs.xi
     m = 1
-    explicit = [_of_shape(s, (dim,), "seed") for s in (() if seeds is None else seeds)]
-    for i, w in enumerate([*explicit, *np.eye(dim)]):
+    for w in np.eye(dim):
         chosen = frame[:, :m]
         for _ in range(2):
             w = w - chosen @ (chosen.T @ (acs.gram @ w))
         nrm = acs.norm(w)
         if nrm <= 1e-8:
-            if i < len(explicit):
-                raise DegenerateSeedError("seed lies (numerically) in the span already chosen")
             continue
         frame[:, m] = w / nrm
         frame[:, m + 1] = acs.phi @ frame[:, m]
         m += 2
         if m == 2 * k + 1:
             return frame[:, [*range(1, m, 2), *range(2, m, 2), 0]]
-    raise DegenerateSeedError("ran out of seed candidates before completing the basis")
+    raise DegenerateSeedError("ran out of standard-basis candidates before completing the basis")

@@ -12,9 +12,11 @@ from hyperlab import (
     CurvatureContext,
     MissingNablaAError,
     StructuralError,
+    build_phi_basis,
     canonical_structure,
     codazzi_residual,
     commutator,
+    decompose_A_xi,
     gauss_curvature,
     jacobi_closed_form,
     jacobi_from_curvature,
@@ -325,3 +327,21 @@ def test_condition_commutators_are_cached_read_only(rng):
         assert getattr(ctx, name) is first
         assert not first.flags.writeable
         assert np.array_equal(first, expected)
+
+
+def test_ker_eta_basis_depends_on_the_structure_alone(rng):
+    # the same sweep frame for every shape operator on one structure, Hopf or not
+    for n in (2, 3, 5):
+        acs = random_structure(n, rng, gram=random_gram(2 * n - 1, rng))
+        ctx = CurvatureContext(acs, random_symmetric_shape(acs, rng), -4.0)
+        assert not decompose_A_xi(ctx).is_hopf
+        assert np.array_equal(ctx.ker_eta_basis, build_phi_basis(acs)[:, :-1])
+    for n in (2, 3, 5, 30, 60):
+        # A xi = xi + t u with u off every standard direction: tilted, not Hopf
+        acs = canonical_structure(n)
+        u = np.ones(acs.dim) - acs.xi
+        a = np.diag(np.arange(1.0, acs.dim + 1.0))
+        a += 0.5 * (np.outer(u, acs.xi) + np.outer(acs.xi, u))
+        ctx = CurvatureContext(acs, a, 4.0)
+        assert not decompose_A_xi(ctx).is_hopf
+        assert np.array_equal(ctx.ker_eta_basis, np.eye(acs.dim)[:, :-1])

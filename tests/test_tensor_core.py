@@ -109,7 +109,7 @@ def test_phi_basis_orthonormal_and_adapted(rng):
     for n in (2, 3, 4):
         gram = random_gram(2 * n - 1, rng)
         acs = random_structure(n, rng, gram=gram)
-        m = build_phi_basis(acs, seeds=list(rng.standard_normal((n - 1, 2 * n - 1))))
+        m = build_phi_basis(acs)
         assert m.shape == (2 * n - 1, 2 * n - 1)
         assert np.max(np.abs(m.T @ acs.gram @ m - np.eye(2 * n - 1))) <= 1e-12
         for i in range(n - 1):
@@ -117,22 +117,6 @@ def test_phi_basis_orthonormal_and_adapted(rng):
         for v in m[:, :-1].T:  # the ker(eta) columns
             assert abs(acs.eta_of(v)) <= 1e-12
         assert np.array_equal(m[:, -1], acs.xi)
-
-
-def test_phi_basis_explicit_seed_is_respected():
-    acs = canonical_structure(3)
-    seed = np.zeros(5)
-    seed[1] = 2.0
-    basis = build_phi_basis(acs, seeds=[seed])
-    expected = np.zeros(5)
-    expected[1] = 1.0
-    assert np.allclose(basis[:, 0], expected, atol=1e-15)
-
-
-def test_phi_basis_degenerate_seed_raises():
-    acs = canonical_structure(2)
-    with pytest.raises(DegenerateSeedError):
-        build_phi_basis(acs, seeds=[acs.xi])
 
 
 def test_phi_basis_standard_sweep_skips_degenerate_candidates():
@@ -191,38 +175,32 @@ def _orthonormality(acs, m):
 
 
 def test_block_basis_matches_the_per_vector_loop(rng):
-    # two block passes against one modified Gram-Schmidt sweep: the same
-    # candidates in the same order (the sweep alone, n - 1 random seeds, one
-    # seed then the sweep), and columns equal up to rounding.  Near n = 30 the
-    # loop itself drifts from orthonormal by up to about 1e-12, and the
-    # columns cannot agree more closely than that.
+    # two block passes against one modified Gram-Schmidt sweep over the same
+    # standard-basis candidates in the same order, and columns equal up to
+    # rounding.  Near n = 30 the loop itself drifts from orthonormal by up to
+    # about 1e-12, and the columns cannot agree more closely than that.
     for n in (2, 3, 5, 10, 20, 30):
         acs = random_structure(n, rng, gram=random_gram(2 * n - 1, rng))
-        draws = list(rng.standard_normal((n - 1, acs.dim)))
-        for seeds in (None, draws, draws[:1]):
-            block = build_phi_basis(acs, seeds=seeds)
-            loop = _per_vector_basis(acs, seeds=seeds)
-            agree = max(1e-13, 2.0 * _orthonormality(acs, loop))
-            assert np.max(np.abs(block - loop)) <= agree
-            assert _orthonormality(acs, block) <= 1e-13
+        block = build_phi_basis(acs)
+        loop = _per_vector_basis(acs)
+        agree = max(1e-13, 2.0 * _orthonormality(acs, loop))
+        assert np.max(np.abs(block - loop)) <= agree
+        assert _orthonormality(acs, block) <= 1e-13
 
 
-def test_block_basis_reorthogonalises_a_nearly_dependent_seed(rng):
-    # the second seed is 1e-7 off the first: one projection pass leaves V_2
-    # off orthogonal by about u / 1e-7, the second pass removes that
-    acs = random_structure(5, rng, gram=random_gram(9, rng))
-    v1 = rng.standard_normal(9)
-    seeds = [v1, v1 + 1e-7 * np.eye(9)[0]]
-    block = build_phi_basis(acs, seeds=seeds)
-    loop = _per_vector_basis(acs, seeds=seeds)
+def test_block_basis_reorthogonalises_a_nearly_dependent_seed():
+    # phiV_1 = (e2 + d e4) / |.| leaves e2 only d = 1e-7 off the span of
+    # xi, V_1 and phiV_1: one projection pass leaves V_2 off orthogonal by
+    # about u / d, the second pass removes that
+    d, e = 1e-7, np.eye(5)
+    s = np.sqrt(1.0 + d * d)
+    frame = np.column_stack([e[0], e[2], (e[1] + d * e[3]) / s, (e[3] - d * e[1]) / s, e[4]])
+    acs = structure_from_frame(np.eye(5), frame)
+    block = build_phi_basis(acs)
+    loop = _per_vector_basis(acs)
     assert _orthonormality(acs, loop) > 1e-10
     assert _orthonormality(acs, block) <= 1e-13
-    seeded = [0, 1, 4, 5]  # V_1, V_2 and their phi images
-    assert np.max(np.abs(block[:, seeded] - loop[:, seeded])) <= 1e-6
-    with pytest.raises(DegenerateSeedError):
-        build_phi_basis(acs, seeds=[acs.xi])
-    with pytest.raises(DegenerateSeedError):
-        build_phi_basis(acs, seeds=[v1, v1])
+    assert np.max(np.abs(block - loop)) <= 1e-6
 
 
 class _FixedDraws:
