@@ -141,8 +141,9 @@ def decompose_A_xi(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> HopfDecom
 
 
 def _check_shapes(gram: np.ndarray, a: np.ndarray, c):
-    """Refuse c = 0 and a shape operator that is not g-symmetric to 1e-8 (1 + |A|_F)."""
+    """Refuse c = 0 or non-finite, and a shape operator not g-symmetric to 1e-8 (1 + |A|_F)."""
     _refuse(np.asarray(c) == 0, 0, "c must be nonzero (non-flat ambient)")
+    _refuse(~np.isfinite(c), c, "c must be finite, got {}")
     sym = _maxabs(gram @ a - _t(a) @ gram)
     _refuse(sym > 1e-8 * (1.0 + np.sqrt(np.einsum("...ij,...ij->...", a, a))), sym,
             "shape operator is not g-symmetric (residual {:.3e})")

@@ -144,13 +144,13 @@ def to_markdown(report: dict) -> str:
 _PARSER_KEYS = ("command", "oracle_command", "config")
 
 
-def _as_bool(raw: str) -> bool:
+def _as_bool(raw: str, key: str, path: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    raise ValueError(f"{key} = {raw!r} in {path} is not a boolean")
 
 
 def _finite(raw: str) -> float:
@@ -313,7 +313,7 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
         switches = {key for key in options if isinstance(getattr(args, key), bool)}
         flags = [f"--{key.replace('_', '-')}" + ("" if key in switches else f"={raw}")
                  for key, raw in config.items()
-                 if key in options and (key not in switches or _as_bool(raw))]
+                 if key in options and (key not in switches or _as_bool(raw, key, args.config))]
         head = 2 if args.command == "oracle" else 1
         args = _shared_parser().parse_args(argv[:head] + flags + argv[head:])
         vars(args).update({key: raw for key, raw in config.items() if key not in options})

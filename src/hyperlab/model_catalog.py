@@ -209,6 +209,8 @@ class ModelSpec(_SpecFields):
         if c is None:
             c = 4.0 if ambient == "CP" else -4.0
         c = float(c)
+        if not math.isfinite(c):
+            raise CatalogError(f"c must be finite, got {c!r}")
         if ambient == "CP" and c <= 0:
             raise CatalogError("CP requires c > 0")
         if ambient == "CH" and c >= 0:

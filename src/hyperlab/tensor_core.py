@@ -34,10 +34,12 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _of_shape(v, shape: tuple, name: str) -> np.ndarray:
-    """v as a float array, refused unless its shape is shape, (d,) or (d, d)."""
+    """v as a float array, refused unless its shape is shape, (d,) or (d, d), and it is finite."""
     arr = np.asarray(v, dtype=float)
     if arr.shape != shape:
         raise StructuralError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise StructuralError(f"{name} must be finite")
     return arr
 
 

@@ -142,6 +142,7 @@ _VERIFY_CP2 = ["verify", "--ambient", "CP", "--n", "2", "--family", "A1", "--rad
     (_VERIFY_CP2 + ["--seed", "-1"], "--seed"),
     (_VERIFY_CP2 + ["--checks", ","], "--checks"),
     (_VERIFY_CP2 + ["--checks", ""], "--checks"),
+    (["random", "--seed", "abc"], "--seed"),
 ])
 def test_vacuous_inputs_are_refused_naming_the_flag(capsys, argv, flag):
     # a negative seed would alias another stream, an empty --checks report all_ok on no row
@@ -166,12 +167,15 @@ def test_config_file_seed_is_refused_naming_the_flag(capsys, tmp_path):
     (["random", "--samples", "5"], "property = nope",
      "argument --property: invalid choice: 'nope' (choose from "
      + ", ".join(repr(p) for p in entry.RANDOM_PROPERTIES + ("all",)) + ")"),
+    (["catalog"], "deterministic = maybe", "deterministic = 'maybe' in {cfg} is not a boolean"),
+    (["jet", "--alpha", "1", "--beta", "0.5", "--c", "4"], "dalpha_U = abc",
+     "jet value dalpha_U = 'abc' is not a number"),
 ])
 def test_config_values_pass_the_choices_check(capsys, tmp_path, argv, line, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
     assert run(argv + ["--config", str(cfg)]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == ("", f"error: {message.format(cfg=cfg)}\n")
 
 
 def _fresh_process(argv, child_env):
@@ -225,15 +229,16 @@ def test_verify_bad_radius_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--n", "3", "--family", "A1", "--radius", "0.5", "--c", "1e300"],
+    (["CP", "--n", "3", "--family", "A1", "--radius", "0.5", "--c", "1e300"],
      "CP family A1 requires 0 < r < 3.141593e-150 for c = 1e+300"),
-    (["--n", "2", "--family", "A2", "--radius", "0.5"],
+    (["CP", "--n", "2", "--family", "A2", "--radius", "0.5"],
      "CP A2 requires --k, but no k is admissible at n = 2 (0 < s r < pi/2, 1 <= k <= n-2)"),
-    (["--n", "3", "--family", "A2", "--radius", "0.5"],
+    (["CP", "--n", "3", "--family", "A2", "--radius", "0.5"],
      "CP A2 requires --k (0 < s r < pi/2, 1 <= k <= n-2)"),
+    (["CH", "--n", "3", "--family", "A1", "--radius", "0.5", "--c", "4"], "CH requires c < 0"),
 ])
 def test_model_refusals_state_the_bound_and_the_missing_k(capsys, argv, message):
-    assert run(["verify", "--ambient", "CP"] + argv) == 2
+    assert run(["verify", "--ambient"] + argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 

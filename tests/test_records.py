@@ -45,25 +45,36 @@ def _ctx():
     return instantiate(SPEC).ctx
 
 
-# record -> (an instance, invalid fields the constructor must refuse, the error, its message)
+NAN_PHI = np.full((5, 5), math.nan)
+NAN_A = np.diag([1.0, math.nan, 1.0, 1.0, 1.0])
+
+# record -> (an instance, [(invalid fields the constructor must refuse, the error, its message)])
 RECORDS = {
     ConditionReport: (lambda: ConditionReport("phi-l-commute", "ker-eta", 0.0, 1e-9, {"mu": 1.0}),
-                      {"residual": math.nan}, ValueError, "residual is nan"),
-    AlmostContactStructure: (lambda: canonical_structure(3), {"phi": np.eye(4)},
-                             StructuralError, r"phi must have shape \(5, 5\)"),
-    CurvatureContext: (_ctx, {"c": 0.0}, StructuralError, "c must be nonzero"),
-    ModelSpec: (lambda: SPEC, {"k": True}, CatalogError, "does not take k = True"),
-    LocalJet: (lambda: consistent_jet(1.0, 0.5, 4.0), {"beta": -0.5}, JetError,
-               "beta must be positive"),
-    HopfDecomposition: (lambda: decompose_A_xi(_ctx()), None, None, None),
-    Classification: (lambda: classify(_ctx()), None, None, None),
-    TheoremVerdict: (lambda: theorem_pipeline(_ctx()), None, None, None),
-    FamilyEntry: (lambda: FAMILY_TABLE["CH", "B"], None, None, None),
-    SpectralEntry: (lambda: principal_curvatures(SPEC).entries[0], None, None, None),
-    SpectralTable: (lambda: principal_curvatures(SPEC), None, None, None),
-    ModelInstance: (lambda: instantiate(SPEC), None, None, None),
-    ContradictionCertificate: (lambda: contradiction_certificate(4.0, 1.0, 0.5), None, None,
-                               None),
+                      [({"residual": math.nan}, ValueError, "residual is nan")]),
+    AlmostContactStructure: (lambda: canonical_structure(3), [
+        ({"phi": np.eye(4)}, StructuralError, r"phi must have shape \(5, 5\)"),
+        ({"phi": NAN_PHI}, StructuralError, "phi must be finite"),
+        ({"gram": NAN_PHI}, StructuralError, "gram must be finite")]),
+    CurvatureContext: (_ctx, [
+        ({"c": 0.0}, StructuralError, "c must be nonzero"),
+        ({"c": math.nan}, StructuralError, "c must be finite, got nan"),
+        ({"c": math.inf}, StructuralError, "c must be finite, got inf"),
+        ({"shape_operator": NAN_A}, StructuralError, "shape_operator must be finite")]),
+    ModelSpec: (lambda: SPEC, [
+        ({"k": True}, CatalogError, "does not take k = True"),
+        ({"c": math.nan}, CatalogError, "c must be finite, got nan"),
+        ({"c": -math.inf, "ambient": "CH"}, CatalogError, "c must be finite, got -inf")]),
+    LocalJet: (lambda: consistent_jet(1.0, 0.5, 4.0),
+               [({"beta": -0.5}, JetError, "beta must be positive")]),
+    HopfDecomposition: (lambda: decompose_A_xi(_ctx()), []),
+    Classification: (lambda: classify(_ctx()), []),
+    TheoremVerdict: (lambda: theorem_pipeline(_ctx()), []),
+    FamilyEntry: (lambda: FAMILY_TABLE["CH", "B"], []),
+    SpectralEntry: (lambda: principal_curvatures(SPEC).entries[0], []),
+    SpectralTable: (lambda: principal_curvatures(SPEC), []),
+    ModelInstance: (lambda: instantiate(SPEC), []),
+    ContradictionCertificate: (lambda: contradiction_certificate(4.0, 1.0, 0.5), []),
 }
 
 
@@ -78,7 +89,7 @@ def _equal(a, b) -> bool:
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
 def test_every_public_record_is_immutable_and_rebuilds_from_its_fields(record):
-    make, bad, error, message = RECORDS[record]
+    make, refusals = RECORDS[record]
     rec = make()
     assert type(rec) is record
     field = rec._fields[0]
@@ -89,11 +100,11 @@ def test_every_public_record_is_immutable_and_rebuilds_from_its_fields(record):
     fields = rec._asdict()
     assert _equal(record(**fields), rec)
     assert _equal(rec._replace(), rec)
-    if bad is None:  # a plain record still needs every field without a default
+    if not refusals:  # a plain record still needs every field without a default
         with pytest.raises(TypeError):
             record(**{key: fields[key] for key in rec._fields[1:]})
-        return
-    with pytest.raises(error, match=message):
-        record(**{**fields, **bad})
-    with pytest.raises(error, match=message):
-        rec._replace(**bad)
+    for bad, error, message in refusals:
+        with pytest.raises(error, match=message):
+            record(**{**fields, **bad})
+        with pytest.raises(error, match=message):
+            rec._replace(**bad)

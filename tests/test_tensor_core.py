@@ -26,6 +26,12 @@ def test_structure_rejects_bad_dimensions(rng):
             random_structure(n, rng)
 
 
+def test_canonical_structure_refuses_n_below_two():
+    for n in (1, 0, -1):
+        with pytest.raises(StructuralError, match=f"^n must be >= 2, got {n}$"):
+            canonical_structure(n)
+
+
 def test_structure_rejects_bad_gram():
     acs = canonical_structure(2)
     bad_sym = np.eye(3)
