@@ -24,7 +24,7 @@ class StructuralError(ValueError):
 
 
 class DegenerateSeedError(ValueError):
-    """A drawn basis seed lies (with probability zero) in the span already chosen."""
+    """A drawn seed, or every remaining candidate of build_phi_basis, lies in the chosen span."""
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -45,7 +45,7 @@ def _ctx():
     return instantiate(SPEC).ctx
 
 
-NAN_PHI = np.full((5, 5), math.nan)
+NAN_MATRIX = np.full((5, 5), math.nan)
 NAN_A = np.diag([1.0, math.nan, 1.0, 1.0, 1.0])
 
 # record -> (an instance, [(invalid fields the constructor must refuse, the error, its message)])
@@ -54,8 +54,8 @@ RECORDS = {
                       [({"residual": math.nan}, ValueError, "residual is nan")]),
     AlmostContactStructure: (lambda: canonical_structure(3), [
         ({"phi": np.eye(4)}, StructuralError, r"phi must have shape \(5, 5\)"),
-        ({"phi": NAN_PHI}, StructuralError, "phi must be finite"),
-        ({"gram": NAN_PHI}, StructuralError, "gram must be finite")]),
+        ({"phi": NAN_MATRIX}, StructuralError, "phi must be finite"),
+        ({"gram": NAN_MATRIX}, StructuralError, "gram must be finite")]),
     CurvatureContext: (_ctx, [
         ({"c": 0.0}, StructuralError, "c must be nonzero"),
         ({"c": math.nan}, StructuralError, "c must be finite, got nan"),
