@@ -50,6 +50,26 @@ def _in_range(flag: str, value: int, low: int, cap: int):
         raise ValueError(f"{flag} must be in [{low}, {cap}], got {value}")
 
 
+def _context_rows(ctx, nabla_a, tol: float, samples: int, seed: int):
+    """The verify rows that read the context alone, its classification and its verdict."""
+    cls = classify(ctx, nabla_a, tol)  # phi-l, l-A and nabla-xi-l, each computed once
+    rows = list(cls.reports.values())
+    rows += [ConditionReport("mu-vanishes", rep.subspace, abs(rep.mu), tol)
+             for rep in cls.reports.values() if rep.name == "nabla-xi-l"]
+    dec = decompose_A_xi(ctx, tol)
+    rows += [ConditionReport("structure-axioms", "all", max(validate_acs(ctx.acs).values()), tol),
+             ConditionReport("hopf-decomposition", SPAN_XI, dec.beta, dec.tolerance,
+                             {"alpha": dec.alpha}),
+             ConditionReport("shape-phi-commute", "all", float(_maxabs(ctx.a_phi_commutator)), tol),
+             ConditionReport("jacobi-cross-check", "all", ctx.l_path_gap, tol)]
+    if nabla_a is not None:  # the pairs as blocks of at most BUDGET drawn doubles
+        rng = np.random.default_rng(seed + 1)
+        worst = max(_worst_norm(ctx, codazzi_residual(ctx, nabla_a, *rng.standard_normal(
+            (size, 2, ctx.dim)).transpose(1, 2, 0))) for _, size in _chunks(2 * ctx.dim, samples))
+        rows.append(ConditionReport("codazzi", "all", worst, tol))
+    return rows, cls, theorem_pipeline(ctx, tol) if dec.is_hopf else None
+
+
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     _required(args, "ambient", "n", "family")
     _in_range("--n", args.n, 2, MAX_VERIFY_N)
@@ -66,7 +86,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
 
     inst = instantiate(spec, seed=seed)
-    ctx, acs = inst.ctx, inst.ctx.acs
     negative_control = (not all(e.phi_invariant for e in inst.spectral.entries)
                         and not inst.spectral.alpha_is_zero)
     expected_false = ({("shape-phi-commute", "all"), ("phi-l-commute", "ker-eta")}
@@ -78,29 +97,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     report = _skeleton("verify", config, args)
     report["spectral"] = inst.spectral.to_jsonable()
 
-    # every row is built; --checks selects among them at the end.  The
-    # phi-l-commute, l-A-commute and nabla-xi-l rows, and mu-vanishes from the
-    # latter, are the classification's own reports, each computed once
-    cls = classify(ctx, inst.nabla_a, tol)
-    rows = list(cls.reports.values())
-    rows += [ConditionReport("mu-vanishes", rep.subspace, abs(rep.mu), tol)
-             for rep in cls.reports.values() if rep.name == "nabla-xi-l"]
-    dec = decompose_A_xi(ctx, tol)
-    swap = float(_maxabs(ctx.a_phi_commutator))
-    rows += [ConditionReport("structure-axioms", "all", max(validate_acs(acs).values()), tol),
-             ConditionReport("hopf-decomposition", SPAN_XI, dec.beta, dec.tolerance,
-                             {"alpha": dec.alpha}),
-             ConditionReport("shape-phi-commute", "all", swap, tol),
-             ConditionReport("jacobi-cross-check", "all", ctx.l_path_gap, tol),
-             ConditionReport("spectral-oracle", "all", inst.spectral.oracle_deviation,
-                             ORACLE_TOL)]
-    if inst.nabla_a is not None:  # the pairs as blocks of at most BUDGET drawn doubles
-        rng = np.random.default_rng(seed + 1)
-        worst = max(_worst_norm(ctx, codazzi_residual(ctx, inst.nabla_a, *rng.standard_normal(
-            (size, 2, ctx.dim)).transpose(1, 2, 0))) for _, size in _chunks(2 * ctx.dim, samples))
-        rows.append(ConditionReport("codazzi", "all", worst, tol))
-
-    verdict = theorem_pipeline(ctx, tol)
+    # every row is built; --checks selects among them at the end
+    rows, cls, verdict = _context_rows(inst.ctx, inst.nabla_a, tol, samples, seed)
+    rows.append(ConditionReport("spectral-oracle", "all", inst.spectral.oracle_deviation,
+                                ORACLE_TOL))
     if negative_control:
         expected_verdict = VERDICT_HYPOTHESIS_FAILS
     elif inst.spectral.alpha_is_zero:
@@ -119,7 +119,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         report["notes"] = [", ".join(skipped) + f" omitted: family {spec.family} "
                            "ships no derivative provider"]
     if args.emit_structure:
-        report["structure"] = ctx.to_jsonable()
+        report["structure"] = inst.ctx.to_jsonable()
     rows = [rep for rep in rows if rep.name in names]
     return report, _finalize(report, rows, expected_false, args)
 

@@ -12,10 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from hyperlab import (CatalogError, DegenerateSeedError, FocalPointError, JetError,
-                      MissingNablaAError, NotHopfError, OracleMismatchError, StructuralError,
-                      cli, entry)
+from hyperlab import (DEFAULT_TOL, KER_ETA, SPAN_XI, CatalogError, CurvatureContext,
+                      DegenerateSeedError, FocalPointError, JetError, MissingNablaAError,
+                      ModelSpec, NotHopfError, OracleMismatchError, StructuralError,
+                      TheoremVerdict, cli, entry, instantiate, random_gram, random_hopf_context,
+                      structure_from_frame, type_a_nabla_a)
 from hyperlab.cli import run, to_canonical_json, to_markdown
+from test_golden import CASES as GOLDEN_CASES
 
 
 def _capture(capsys, argv):
@@ -123,6 +126,63 @@ def test_checks_reports_exactly_the_full_reports_rows_of_that_name(capsys, model
     omitted = "notes" in full and name in ("nabla-xi-l", "mu-vanishes", "codazzi")
     assert rep.get("notes") == ([f"{name} omitted: family B ships no derivative provider"]
                                 if omitted else None)
+
+
+
+_IDENTITY_ROWS = ("structure-axioms", "jacobi-cross-check", "codazzi")
+_CATALOG_ROWS = {"spectral-oracle", "theorem-verdict"}
+
+
+def _frame_context(rng, n):
+    """A g-orthonormal frame on a random Gram matrix, through its Cholesky factor, and
+    a g-symmetric shape operator whose A xi leaves span{xi}: data instantiate never builds."""
+    dim = 2 * n - 1
+    gram = random_gram(dim, rng)
+    frame = np.linalg.solve(np.linalg.cholesky(gram).T,
+                            np.linalg.qr(rng.standard_normal((dim, dim)))[0])
+    s = rng.standard_normal((dim, dim))
+    return CurvatureContext(structure_from_frame(gram, frame),
+                            frame @ (s + s.T) @ frame.T @ gram, -4.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_context_rows_check_any_context(n):
+    rng = np.random.default_rng(n)
+    for ctx, hopf in ((random_hopf_context(n, rng), True), (_frame_context(rng, n), False)):
+        rows, cls, verdict = cli._context_rows(ctx, type_a_nabla_a(ctx), DEFAULT_TOL, 25, 0)
+        by_name = {(rep.name, rep.subspace): rep for rep in rows}
+        assert set(by_name) == {
+            *((name, sub) for name in ("phi-l-commute", "l-A-commute", "nabla-xi-l",
+                                       "mu-vanishes") for sub in (KER_ETA, SPAN_XI)),
+            *((name, "all") for name in (*_IDENTITY_ROWS, "shape-phi-commute")),
+            ("hopf-decomposition", SPAN_XI)}
+        assert all(by_name[name, "all"].passed for name in _IDENTITY_ROWS)
+        assert by_name["hopf-decomposition", SPAN_XI].passed is hopf
+        assert cls.reports["phi-l/ker-eta"] is by_name["phi-l-commute", KER_ETA]
+        if hopf:
+            assert isinstance(verdict, TheoremVerdict)
+        else:
+            assert verdict is None
+
+
+@pytest.mark.parametrize("name", [name for name, (argv, _) in GOLDEN_CASES.items()
+                                  if argv[0] == "verify"])
+def test_verify_rows_are_the_context_rows_and_the_two_catalog_rows(name):
+    args = entry._parse(GOLDEN_CASES[name][0])
+    report, _ = cli.cmd_verify(args)
+    inst = instantiate(ModelSpec(args.ambient, args.n, args.family, c=args.c,
+                                 radius=args.radius, k=args.k, flip_normal=args.flip_normal),
+                       seed=args.seed)
+    rows, _, _ = cli._context_rows(inst.ctx, inst.nabla_a, args.tolerance, args.samples,
+                                   args.seed)
+    names = set(cli.VERIFY_CHECKS if args.checks == "all" else args.checks.split(","))
+    got = [{key: value for key, value in row.items() if key != "expected"}
+           for row in report["checks"]]
+    ours = [rep.to_jsonable() for rep in rows if rep.name in names]
+    assert all(row in got for row in ours)
+    added = [row["check"] for row in got if row not in ours]
+    assert len(got) == len(ours) + len(added)
+    assert added == sorted(names & _CATALOG_ROWS)
 
 
 def test_verify_unknown_check_is_usage_error(capsys):
