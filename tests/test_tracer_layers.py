@@ -3,6 +3,7 @@
 perfbench/tracer.py names, per hyperlab module, the module-level functions
 a traced benchmark run wraps.  A rename or a deletion in src/ would make a
 traced run fail at install time; this test catches it in the tier-1 suite.
+The same spans pin the per-op work of one verify.
 """
 import importlib
 import importlib.util
@@ -10,6 +11,8 @@ import inspect
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -60,3 +63,29 @@ def test_one_verify_builds_the_jacobi_operator_once_per_commutator(capsys):
     assert code == 0
     assert tracer.stats["curvature_engine.jacobi_operator"][0] == 2
     assert tracer.stats["cli.run"][0] == 1
+
+
+_VERIFY_CALLS = {"hopf_conditions.decompose_A_xi": 2, "hopf_conditions.classify": 1,
+                 "hopf_conditions.theorem_pipeline": 1, "tensor_core.build_phi_basis": 1,
+                 "tensor_core.validate_acs": 1, "curvature_engine.jacobi_operator": 2}
+
+
+@pytest.mark.parametrize("argv, codazzi", [
+    (["--ambient", "CP", "--n", "3", "--family", "A2", "--k", "1", "--radius", "0.8"], 1),
+    (["--ambient", "CH", "--n", "3", "--family", "B", "--radius", "0.7"], 0),
+])
+def test_one_verify_does_each_derived_computation_once(capsys, argv, codazzi):
+    # the row battery and the catalog layer share one context: a refactor that
+    # computes a derived tensor or a Hopf split a second time moves these counts
+    import hyperlab.cli
+
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = hyperlab.cli.run(["verify", *argv, "--deterministic"])
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert code == 0
+    expected = {**_VERIFY_CALLS, "curvature_engine.codazzi_residual": codazzi}
+    assert {name: tracer.stats[name][0] for name in expected} == expected
