@@ -59,11 +59,14 @@ def riccati_shape_evolution(kappa: float, r: float,
 
     Classical RK4 on lambda = u'/u, u'' + kappa u = 0: from (u, u') = (1, lambda)
     a step is the fixed matrix [[m, s], [-kappa s, m]].  This independent oracle
-    shares no code with the closed forms.  A zero of u (a focal point) raises,
-    and so, before any step, does an interval of over MAX_ORACLE_STEPS steps.
+    shares no code with the closed forms.  A zero of u (a focal point) raises, and
+    so, before any step, do a non-finite argument and a span of over MAX_ORACLE_STEPS steps.
     """
     r0, lam = float(lambda0[0]), float(lambda0[1])
     kappa = float(kappa)
+    for name, value in (("kappa", kappa), ("r", r), ("r0", r0), ("lambda0", lam), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if step <= 0:
         raise ValueError("step must be positive")
     if abs(lam) > BLOWUP_LIMIT:

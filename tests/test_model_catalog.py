@@ -169,13 +169,21 @@ def test_linear_oracle_reports_the_focal_point(kappa):
 
 
 def test_linear_oracle_guards():
-    with pytest.raises(FocalPointError):
+    with pytest.raises(ValueError):
         riccati_shape_evolution(1.0, 1.0, (0.0, math.nan))
     with pytest.raises(FocalPointError, match="blow-up guard"):
         riccati_shape_evolution(1.0, 1.0, (0.0, 1.0000001e6))
-    # the cap refuses before the first step, which would meet the nan as a focal point
-    with pytest.raises(ValueError, match="cap"):
-        riccati_shape_evolution(1.0, (MAX_ORACLE_STEPS + 1) * 1e-3, (0.0, math.nan), step=1e-3)
+
+
+@pytest.mark.parametrize("name, value", [(name, value) for name in ("kappa", "r", "r0",
+                                                                     "lambda0", "step")
+                                         for value in (math.nan, math.inf, -math.inf)])
+def test_riccati_refuses_a_non_finite_argument_by_name(name, value):
+    # a made-up focal point, one RK4 step over the whole span, or "nan steps" before
+    args = {"kappa": 1.0, "r": 1.0, "r0": 0.01, "lambda0": 1.0, "step": 1e-3, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        riccati_shape_evolution(args["kappa"], args["r"], (args["r0"], args["lambda0"]),
+                                step=args["step"])
 
 
 def test_spectral_tables_spot_values():
