@@ -300,7 +300,7 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     """
     argv = sys.argv[1:] if argv is None else argv
     args = _shared_parser().parse_args(argv)
-    if args.config:
+    if args.config is not None:
         config = load_config(args.config)
         options = set(vars(args)).difference(_PARSER_KEYS)
         known = options
@@ -348,7 +348,7 @@ def _finalize(report: dict, reports: list[ConditionReport], failing: set,
 def _emit(report: dict, args: argparse.Namespace):
     text = (to_canonical_json(report) if args.format == "json"
             else to_markdown(report)) + "\n"
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:

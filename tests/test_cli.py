@@ -221,6 +221,24 @@ def test_config_file_seed_is_refused_naming_the_flag(capsys, tmp_path):
         "error: argument --seed: must be a non-negative integer, got '-3'\n")
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["catalog", "--out", ""], None),
+    (["catalog", "--out="], None),
+    (["jet", "--alpha", "1", "--beta", "0.5", "--c", "4", "--out", ""], None),
+    (["catalog", "--config", ""], None),
+    (["catalog"], "out ="),
+])
+def test_an_empty_out_or_config_path_is_refused(capsys, tmp_path, argv, line):
+    # an empty path is a path: it once wrote the report to stdout, or read no file, with exit 0
+    if line is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        argv = argv + ["--config", str(cfg)]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 @pytest.mark.parametrize("argv, line, message", [
     (["catalog", "--deterministic"], "format = xml",
      "argument --format: invalid choice: 'xml' (choose from 'json', 'markdown')"),
