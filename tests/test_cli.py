@@ -229,7 +229,7 @@ def test_config_file_seed_is_refused_naming_the_flag(capsys, tmp_path):
     (["catalog"], "out ="),
 ])
 def test_an_empty_out_or_config_path_is_refused(capsys, tmp_path, argv, line):
-    # an empty path is a path: it once wrote the report to stdout, or read no file, with exit 0
+    # an empty path is a path to open, not the absence of the flag (stdout, no file)
     if line is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
