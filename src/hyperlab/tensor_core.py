@@ -128,7 +128,7 @@ def canonical_structure(n: int) -> AlmostContactStructure:
 
     Basis order is V_1..V_{n-1}, phiV_1..phiV_{n-1}, xi; phi is the block
     rotation sending V_i to phiV_i and phiV_i to -V_i, and xi spans its
-    kernel.
+    kernel.  Its fields are exact, so its identity Gram is not re-checked.
     """
     if n < 2:
         raise StructuralError(f"n must be >= 2, got {n}")
@@ -139,7 +139,8 @@ def canonical_structure(n: int) -> AlmostContactStructure:
     phi[:k, k:2 * k] = -np.eye(k)
     xi = np.zeros(dim)
     xi[-1] = 1.0
-    return AlmostContactStructure(np.eye(dim), phi, xi, xi.copy())
+    return _StructureFields.__new__(AlmostContactStructure,
+                                    *map(_read_only, (np.eye(dim), phi, xi, xi)))
 
 
 def _frame_structures(gram: np.ndarray, frame: np.ndarray):
@@ -231,14 +232,19 @@ def build_phi_basis(acs: AlmostContactStructure) -> np.ndarray:
     classical Gram-Schmidt passes are as stable as the modified form, and
     normalized; phiV_i is appended as the literal phi image.  A candidate
     whose projection is numerically zero is skipped.  The frame depends on
-    the structure alone.
+    the structure alone.  If G = I, xi = e_dim and phi e_i = e_{n-1+i} for
+    i < n, as on the canonical structure, every projection is exactly 0 and
+    every norm 1: the sweep is skipped and its result, the identity, returned.
     """
-    dim, k = acs.dim, acs.n - 1
+    dim, k, eye = acs.dim, acs.n - 1, np.eye(acs.dim)
+    if (np.array_equal(acs.gram, eye) and np.array_equal(acs.xi, eye[-1])
+            and np.array_equal(acs.phi[:, :k], eye[:, k:2 * k])):
+        return eye
     # working order xi, V_1, phiV_1, V_2, phiV_2, ...; reordered on return
     frame = np.empty((dim, 2 * k + 1))
     frame[:, 0] = acs.xi
     m = 1
-    for w in np.eye(dim):
+    for w in eye:
         chosen = frame[:, :m]
         for _ in range(2):
             w = w - chosen @ (chosen.T @ (acs.gram @ w))

@@ -33,14 +33,18 @@ def test_canonical_structure_refuses_n_below_two():
 
 
 def test_structure_rejects_bad_gram():
+    # canonical_structure skips the Gram check, so its _replace must still run it
     acs = canonical_structure(2)
     bad_sym = np.eye(3)
     bad_sym[0, 1] = 0.5
     for gram, message in ((bad_sym, "gram matrix must be symmetric"),
                           (np.diag([1.0, -1.0, 1.0]), "gram matrix must be positive definite"),
+                          (np.diag([1.0, np.nan, 1.0]), "gram must be finite"),
                           (np.eye(3, 4), r"gram must have shape \(3, 3\), got \(3, 4\)")):
         with pytest.raises(StructuralError, match=f"^{message}$"):
             AlmostContactStructure(gram, acs.phi, acs.xi, acs.eta)
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            acs._replace(gram=gram)
         with pytest.raises(StructuralError, match=f"^{message}$"):
             structure_from_frame(gram, np.eye(3))
     # a misshapen field is named in the message
@@ -68,6 +72,19 @@ def test_random_structure_refuses_a_bad_gram_before_drawing(rng):
         with pytest.raises(StructuralError):
             random_structure(3, rng, gram=gram)
         assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n", [2, 3, 60])
+def test_canonical_structure_is_the_checked_record(n):
+    # built without the constructor's checks, it equals the checked structure
+    # of the standard frame field by field, each field its own read-only array
+    acs = canonical_structure(n)
+    checked = structure_from_frame(np.eye(2 * n - 1), np.eye(2 * n - 1))
+    assert type(acs) is AlmostContactStructure
+    for mine, theirs in zip(acs, checked):
+        assert np.array_equal(mine, theirs) and mine.dtype == theirs.dtype == float
+        assert not mine.flags.writeable
+    assert not np.shares_memory(acs.xi, acs.eta)
 
 
 def test_canonical_structure_identities_exact():
@@ -207,6 +224,66 @@ def test_block_basis_reorthogonalises_a_nearly_dependent_seed():
     assert _orthonormality(acs, loop) > 1e-10
     assert _orthonormality(acs, block) <= 1e-13
     assert np.max(np.abs(block - loop)) <= 1e-6
+
+
+def _block_sweep_basis(acs):
+    """build_phi_basis's block sweep as it ran on every input before the identity
+    shortcut, kept verbatim: the reference for bit identity."""
+    dim, k = acs.dim, acs.n - 1
+    # working order xi, V_1, phiV_1, V_2, phiV_2, ...; reordered on return
+    frame = np.empty((dim, 2 * k + 1))
+    frame[:, 0] = acs.xi
+    m = 1
+    for w in np.eye(dim):
+        chosen = frame[:, :m]
+        for _ in range(2):
+            w = w - chosen @ (chosen.T @ (acs.gram @ w))
+        nrm = acs.norm(w)
+        if nrm <= 1e-8:
+            continue
+        frame[:, m] = w / nrm
+        frame[:, m + 1] = acs.phi @ frame[:, m]
+        m += 2
+        if m == 2 * k + 1:
+            return frame[:, [*range(1, m, 2), *range(2, m, 2), 0]]
+    raise DegenerateSeedError("ran out of standard-basis candidates before completing the basis")
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 30, 60])
+def test_phi_basis_of_the_canonical_structure_is_the_sweep_bit_for_bit(n):
+    acs = canonical_structure(n)
+    basis = build_phi_basis(acs)
+    assert np.array_equal(basis, _block_sweep_basis(acs))
+    assert np.array_equal(basis, np.eye(acs.dim))
+
+
+def _permuted(frame_order):
+    e = np.eye(5)
+    return structure_from_frame(e, e[:, frame_order])
+
+
+@pytest.mark.parametrize("acs", [
+    # a random Gram matrix
+    random_structure(3, np.random.default_rng(7), gram=random_gram(5, np.random.default_rng(8))),
+    # identity Gram, V_i and phiV_i swapped: phi e_0 = -e_2
+    _permuted([2, 3, 0, 1, 4]),
+    # identity Gram, phiV_1 sign-flipped: phi e_0 = -e_2
+    structure_from_frame(np.eye(5), np.diag([1.0, 1.0, -1.0, 1.0, 1.0])),
+    # identity Gram, xi = e_0 first
+    _permuted([1, 2, 3, 4, 0]),
+    # identity Gram and the canonical phi, but xi = -e_4
+    structure_from_frame(np.eye(5), np.diag([1.0, 1.0, 1.0, 1.0, -1.0])),
+    # the canonical phi, xi and eta, but G = diag(2, 2, 2, 2, 1): still a valid structure
+    AlmostContactStructure(np.diag([2.0, 2.0, 2.0, 2.0, 1.0]), *canonical_structure(3)[1:]),
+], ids=["random-gram", "swapped-frame", "sign-flipped-frame", "xi-first", "xi-flipped",
+        "scaled-gram"])
+def test_phi_basis_off_the_shortcut_is_the_sweep_bit_for_bit(acs):
+    # each misses the shortcut's test (the last three by one clause each), and
+    # the identity is not their frame
+    assert max(validate_acs(acs).values()) <= 1e-12
+    basis = build_phi_basis(acs)
+    assert np.array_equal(basis, _block_sweep_basis(acs))
+    assert not np.array_equal(basis, np.eye(acs.dim))
 
 
 class _FixedDraws:
