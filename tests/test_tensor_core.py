@@ -143,10 +143,12 @@ def test_phi_basis_orthonormal_and_adapted(rng):
 
 
 def test_phi_basis_standard_sweep_skips_degenerate_candidates():
-    # xi is the last standard vector; the sweep must skip it silently.
-    acs = canonical_structure(4)
+    # xi is the first standard vector; the sweep must skip it silently.
+    e = np.eye(7)
+    acs = structure_from_frame(e, e[:, [1, 2, 3, 4, 5, 6, 0]])
     m = build_phi_basis(acs)
     assert np.max(np.abs(m.T @ acs.gram @ m - np.eye(7))) <= 1e-12
+    assert np.array_equal(m[:, 0], e[1])
 
 
 def test_phi_pairwise_skewness(rng):
