@@ -23,7 +23,9 @@ array engine (numpy) only when called.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from collections.abc import Callable, Container
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -57,21 +59,19 @@ def riccati_shape_evolution(kappa: float, r: float,
                             step: float = DEFAULT_STEP) -> float:
     """Integrate lambda' = -(lambda^2 + kappa) from (r0, value) to r.
 
-    Classical RK4 on lambda = u'/u, u'' + kappa u = 0: from (u, u') = (1, lambda)
-    a step is the fixed matrix [[m, s], [-kappa s, m]].  This independent oracle
-    shares no code with the closed forms.  A zero of u (a focal point) raises, and
-    so, before any step, do a non-finite argument and a span of over MAX_ORACLE_STEPS steps.
+    Classical RK4 on lambda = u'/u, u'' + kappa u = 0: from (u, u') = (1, lambda) a step is the
+    fixed matrix [[m, s], [-kappa s, m]].  This independent oracle shares no code with the closed
+    forms.  A zero of u (a focal point) raises at the end of step nsteps - length_hint(steps), as
+    an indexed loop would, though the loop makes no int.  Before any step, a non-finite argument
+    (or an int too large for a float) and a span of over MAX_ORACLE_STEPS steps raise too.
     """
-    r0, lam = float(lambda0[0]), float(lambda0[1])
-    kappa = float(kappa)
-    for name, value in (("kappa", kappa), ("r", r), ("r0", r0), ("lambda0", lam), ("step", step)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    kappa, r, r0, lam, step = (_finite(name, value, ValueError) for name, value in (
+        ("kappa", kappa), ("r", r), ("r0", lambda0[0]), ("lambda0", lambda0[1]), ("step", step)))
     if step <= 0:
         raise ValueError("step must be positive")
     if abs(lam) > BLOWUP_LIMIT:
         raise FocalPointError("initial value beyond the blow-up guard")
-    span = float(r) - r0
+    span = r - r0
     if span == 0.0:
         return lam
     ratio = abs(span) / step
@@ -84,15 +84,25 @@ def riccati_shape_evolution(kappa: float, r: float,
     m = 1.0 - x / 2.0 + x * x / 24.0
     s = h * (1.0 - x / 6.0)
     ks = -kappa * s
-    for i in range(1, nsteps + 1):
+    steps = itertools.repeat(None, nsteps)
+    for _ in steps:
         u = m + s * lam
-        if not u > 0.0:  # u changed sign within step i, or is nan
+        if not u > 0.0:  # u changed sign within this step, or is nan
             break
         lam = (ks + m * lam) / u
-    else:
-        if math.isfinite(lam):  # a non-finite lambda fails the next u test; the last has none
-            return lam
+    if u > 0.0 and math.isfinite(lam):  # no break; a non-finite last lambda has no later u test
+        return lam
+    i = nsteps - operator.length_hint(steps)  # the step the loop stopped in, counted from 1
     raise FocalPointError(f"shape curvature passed a focal point near r = {r0 + i * h:.6f}")
+
+
+def _finite(name: str, value, error: type[Exception]) -> float:
+    try:
+        if math.isfinite(number := float(value)):
+            return number
+    except OverflowError:  # not echoed: past 4300 digits even repr refuses the int
+        raise error(f"{name} is an int too large for a float") from None
+    raise error(f"{name} must be finite, got {number!r}")
 
 
 def _cot(x: float) -> float:
@@ -211,9 +221,7 @@ class ModelSpec(_SpecFields):
             raise CatalogError(f"n must be an integer >= 2, got {n!r}")
         if c is None:
             c = 4.0 if ambient == "CP" else -4.0
-        c = float(c)
-        if not math.isfinite(c):
-            raise CatalogError(f"c must be finite, got {c!r}")
+        c = _finite("c", c, CatalogError)
         if ambient == "CP" and c <= 0:
             raise CatalogError("CP requires c > 0")
         if ambient == "CH" and c >= 0:
@@ -239,7 +247,7 @@ class ModelSpec(_SpecFields):
             return None
         if self.radius is None:
             raise CatalogError(f"family {self.family} requires a radius")
-        r = float(self.radius)
+        r = _finite("radius", self.radius, CatalogError)
         bound = sr_max / self.scale
         if not 0 < r < bound:
             raise CatalogError(f"{self.ambient} family {self.family} requires "

@@ -65,6 +65,15 @@ def test_spec_validation_errors():
         ModelSpec("XX", 3, "A1", radius=0.5)
     with pytest.raises(CatalogError):
         ModelSpec("CP", 1, "A1", radius=0.5)
+    # refused by name, not as a bare OverflowError from float()
+    with pytest.raises(CatalogError, match="^c is an int too large for a float$"):
+        ModelSpec("CP", 3, "A1", c=10**400, radius=0.5)
+    with pytest.raises(CatalogError, match="^radius is an int too large for a float$"):
+        ModelSpec("CP", 3, "A1", radius=10**400)
+    with pytest.raises(CatalogError, match="^radius is an int too large for a float$"):
+        ModelSpec("CH", 3, "A1", radius=10**400)  # past any float, even the unbounded domain
+    with pytest.raises(CatalogError, match="^radius must be finite, got inf$"):
+        ModelSpec("CH", 3, "A1", radius=math.inf)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -159,6 +168,89 @@ def test_linear_oracle_matches_the_riccati_loop(kappa):
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (r0, lam0, r)
 
 
+def _riccati_indexed(kappa, r, lambda0, step=model_catalog.DEFAULT_STEP):
+    """The oracle as it was with an indexed step loop, verbatim: the bit-identity reference."""
+    r0, lam = float(lambda0[0]), float(lambda0[1])
+    kappa = float(kappa)
+    for name, value in (("kappa", kappa), ("r", r), ("r0", r0), ("lambda0", lam), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if abs(lam) > model_catalog.BLOWUP_LIMIT:
+        raise FocalPointError("initial value beyond the blow-up guard")
+    span = float(r) - r0
+    if span == 0.0:
+        return lam
+    ratio = abs(span) / step
+    if not ratio <= MAX_ORACLE_STEPS:
+        raise ValueError(f"the oracle would take {ratio:.3g} steps of {step:.3g}, "
+                         f"more than the cap of {MAX_ORACLE_STEPS}")
+    nsteps = max(1, math.ceil(ratio))
+    h = span / nsteps
+    x = kappa * h * h
+    m = 1.0 - x / 2.0 + x * x / 24.0
+    s = h * (1.0 - x / 6.0)
+    ks = -kappa * s
+    for i in range(1, nsteps + 1):
+        u = m + s * lam
+        if not u > 0.0:  # u changed sign within step i, or is nan
+            break
+        lam = (ks + m * lam) / u
+    else:
+        if math.isfinite(lam):  # a non-finite lambda fails the next u test; the last has none
+            return lam
+    raise FocalPointError(f"shape curvature passed a focal point near r = {r0 + i * h:.6f}")
+
+
+def _outcome(oracle, *args, **kwargs):
+    """The returned float, or the FocalPointError's text."""
+    try:
+        return oracle(*args, **kwargs)
+    except FocalPointError as exc:
+        return f"focal: {exc}"
+
+
+def _same_as_indexed(kappa, r, lambda0, step=model_catalog.DEFAULT_STEP):
+    want = _outcome(_riccati_indexed, kappa, r, lambda0, step)
+    got = _outcome(riccati_shape_evolution, kappa, r, lambda0, step=step)
+    assert type(got) is type(want) and got == want, (kappa, r, lambda0, step, got, want)
+    return got
+
+
+@pytest.mark.parametrize("kappa", [-4.0, -1.0, -0.25, 0.0, 0.25, 1.0, 4.0])
+def test_oracle_is_bit_identical_to_the_indexed_loop(kappa):
+    s = math.sqrt(abs(kappa)) or 1.0  # kappa = 0 is measured in units of 1
+    tube = (lambda r: s / math.tan(s * r)) if kappa > 0 else (
+        (lambda r: s / math.tanh(s * r)) if kappa < 0 else (lambda r: 1.0 / r))
+    h = model_catalog.DEFAULT_STEP / max(s, 1.0)  # the catalog's step
+    _same_as_indexed(kappa, 1.2 / s, (0.01 / s, tube(0.01 / s)), h)  # outward
+    _same_as_indexed(kappa, 0.02 / s, (1.0 / s, tube(1.0 / s)), h)  # inward
+    if kappa <= 0:
+        fixed = math.sqrt(-kappa)
+        assert _same_as_indexed(kappa, 3.0 / s, (0.0, fixed), h) == fixed
+    for steps in (1, 2, 7):
+        r = 0.3 + (steps - 0.5) * 1e-3
+        assert math.ceil((r - 0.3) / 1e-3) == steps
+        assert isinstance(_same_as_indexed(kappa, r, (0.3, -0.7), 1e-3), float)
+
+
+@pytest.mark.parametrize("r, lambda0, step, focal", [
+    (0.005, (0.0, -2000.0), 1e-3, "0.001000"),  # u <= 0 in the first step
+    (4.0, (0.01, 1.0 / math.tan(0.01)), 1e-3, "3.142000"),  # mid-span: the step holding pi
+    (math.pi + 4e-4, (0.01, 1.0 / math.tan(0.01)), 1e-3, "3.141993"),  # in the last step
+], ids=["first-step", "mid-span", "last-step"])
+def test_oracle_names_the_indexed_loops_focal_step(r, lambda0, step, focal):
+    got = _same_as_indexed(1.0, r, lambda0, step)
+    assert got == f"focal: shape curvature passed a focal point near r = {focal}"
+
+
+def test_oracle_names_the_step_whose_lambda_turned_non_finite():
+    # one step, with no later u test: the loop runs out and the non-finite lambda is refused
+    got = _same_as_indexed(1e300, 0.01005, (0.01, 1.0))
+    assert got == "focal: shape curvature passed a focal point near r = 0.010050"
+
+
 @pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0])
 def test_linear_oracle_reports_the_focal_point(kappa):
     s = math.sqrt(kappa)
@@ -175,12 +267,17 @@ def test_linear_oracle_guards():
         riccati_shape_evolution(1.0, 1.0, (0.0, 1.0000001e6))
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                   pytest.param(10**400, id="1e400-int"),
+                                   pytest.param(-(10**400), id="-1e400-int")])
 @pytest.mark.parametrize("name", ["kappa", "r", "r0", "lambda0", "step"])
 def test_riccati_refuses_a_non_finite_argument_by_name(name, value):
-    # refused before the blow-up guard, the step count or a focal-point test can read it
+    # refused before the blow-up guard, the step count or a focal-point test can read it;
+    # an int too large for a float is named but not echoed
+    message = (f"{name} must be finite, got {value!r}" if isinstance(value, float)
+               else f"{name} is an int too large for a float")
     args = {"kappa": 1.0, "r": 1.0, "r0": 0.01, "lambda0": 1.0, "step": 1e-3, name: value}
-    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         riccati_shape_evolution(args["kappa"], args["r"], (args["r0"], args["lambda0"]),
                                 step=args["step"])
 
