@@ -229,6 +229,8 @@ def test_oracle_is_bit_identical_to_the_indexed_loop(kappa):
     if kappa <= 0:
         fixed = math.sqrt(-kappa)
         assert _same_as_indexed(kappa, 3.0 / s, (0.0, fixed), h) == fixed
+    else:  # past the focal point at pi / s
+        assert _same_as_indexed(kappa, 4.0 / s, (0.01 / s, tube(0.01 / s)), h).startswith("focal")
     for steps in (1, 2, 7):
         r = 0.3 + (steps - 0.5) * 1e-3
         assert math.ceil((r - 0.3) / 1e-3) == steps
