@@ -59,6 +59,11 @@ CASES.update({
                              "--radius", "0.5", "--deterministic"], 0),
     "verify-CH-n5-A2-k2-r0.8": (["verify", "--ambient", "CH", "--n", "5", "--family", "A2",
                                  "--k", "2", "--radius", "0.8", "--deterministic"], 0),
+    # past the radii where the oracle's iterates settle: s r = 7.15 (alpha), 13.77 and 13.95
+    "verify-CH-n3-A2-k1-r16": (["verify", "--ambient", "CH", "--n", "3", "--family", "A2",
+                                "--k", "1", "--radius", "16", "--deterministic"], 0),
+    "verify-CH-n3-B-r9": (["verify", "--ambient", "CH", "--n", "3", "--family", "B",
+                           "--radius", "9", "--deterministic"], 0),
     "catalog": (["catalog", "--deterministic"], 0),
     "jet-alpha2-beta0.5-c4": (["jet", "--alpha", "2.0", "--beta", "0.5", "--c", "4.0",
                                "--deterministic"], 0),
