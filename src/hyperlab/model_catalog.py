@@ -40,6 +40,7 @@ BLOWUP_LIMIT = 1e6
 MAX_ORACLE_STEPS = 5_000_000
 """Most RK4 steps one oracle call may take: over 10x the ~480k of a CH tube
 at s r = 12 and |c| = 1, the costliest catalog model that passes the oracle."""
+_BLOCK = 1024  # steps between the focal-free loop's repeat tests
 
 
 class CatalogError(ValueError):
@@ -64,6 +65,10 @@ def riccati_shape_evolution(kappa: float, r: float,
     forms.  A zero of u (a focal point) raises at the end of step nsteps - length_hint(steps), as
     an indexed loop would, though the loop makes no int.  Before any step, a non-finite argument
     (or an int too large for a float) and a span of over MAX_ORACLE_STEPS steps raise too.
+    With kappa <= 0, lambda0 >= 0 and r > r0 every operand is >= 0, so u >= 1 and no focal point
+    can occur: those steps skip the sign test, and once lambda equals its value _BLOCK steps
+    earlier only the remainder of the span modulo _BLOCK is stepped.  A non-finite result there
+    reruns the tested loop, so every value and message is bit for bit the tested loop's.
     """
     kappa, r, r0, lam, step = (_finite(name, value, ValueError) for name, value in (
         ("kappa", kappa), ("r", r), ("r0", lambda0[0]), ("lambda0", lambda0[1]), ("step", step)))
@@ -84,6 +89,19 @@ def riccati_shape_evolution(kappa: float, r: float,
     m = 1.0 - x / 2.0 + x * x / 24.0
     s = h * (1.0 - x / 6.0)
     ks = -kappa * s
+    if kappa <= 0.0 and span > 0.0 and lam >= 0.0:  # m >= 1, s > 0, ks >= 0: u >= 1 at every step
+        end, left = lam, nsteps
+        while left >= _BLOCK:
+            start = end
+            for _ in itertools.repeat(None, _BLOCK):
+                end = (ks + m * end) / (m + s * end)
+            left -= _BLOCK
+            if end == start:  # the step is a fixed function of lambda: the rest repeats this block
+                left %= _BLOCK
+        for _ in itertools.repeat(None, left):
+            end = (ks + m * end) / (m + s * end)
+        if math.isfinite(end):
+            return end
     steps = itertools.repeat(None, nsteps)
     for _ in steps:
         u = m + s * lam

@@ -214,7 +214,9 @@ def _outcome(oracle, *args, **kwargs):
 def _same_as_indexed(kappa, r, lambda0, step=model_catalog.DEFAULT_STEP):
     want = _outcome(_riccati_indexed, kappa, r, lambda0, step)
     got = _outcome(riccati_shape_evolution, kappa, r, lambda0, step=step)
-    assert type(got) is type(want) and got == want, (kappa, r, lambda0, step, got, want)
+    # repr tells -0.0 from 0.0 and, for floats, round-trips every bit
+    assert type(got) is type(want) and repr(got) == repr(want), (kappa, r, lambda0, step,
+                                                                  got, want)
     return got
 
 
@@ -251,6 +253,41 @@ def test_oracle_names_the_step_whose_lambda_turned_non_finite():
     # one step, with no later u test: the loop runs out and the non-finite lambda is refused
     got = _same_as_indexed(1e300, 0.01005, (0.01, 1.0))
     assert got == "focal: shape curvature passed a focal point near r = 0.010050"
+
+
+@pytest.mark.parametrize("kappa", [0.0, -0.25, -1.0, -4.0, -9.0])
+def test_focal_free_loop_is_bit_identical_to_the_indexed_loop(kappa):
+    # kappa <= 0 outward from lambda0 >= 0 skips the sign test; spans around the repeat block
+    for lam0 in (-0.0, 0.0, 1e-3, math.sqrt(-kappa), 100.0, 1e6):
+        for steps in (1023, 1024, 1025, 3077):
+            r = 0.3 + (steps - 0.5) * 1e-3
+            assert math.ceil((r - 0.3) / 1e-3) == steps
+            assert isinstance(_same_as_indexed(kappa, r, (0.3, lam0), 1e-3), float)
+
+
+@pytest.mark.parametrize("kappa, r, lambda0, step", [
+    (-4.0, 9.0, (0.01, 2.0 / math.tanh(0.02)), model_catalog.DEFAULT_STEP),  # settles mid-span
+    (-9.0, 2.0 / 3.0, (0.0, 3.0), model_catalog.DEFAULT_STEP / 1.5),  # a 2-cycle from ~2,242
+    (-9.0, 0.6667, (0.0, 3.0), model_catalog.DEFAULT_STEP / 1.5),  # 20,001 steps: the odd value
+], ids=["settles", "2-cycle", "2-cycle-odd"])
+def test_focal_free_loop_stops_on_a_repeat_as_the_indexed_loop_would(kappa, r, lambda0, step):
+    assert isinstance(_same_as_indexed(kappa, r, lambda0, step), float)
+
+
+@pytest.mark.parametrize("kappa, r, lambda0", [
+    (0.0, 3.0, (0.3, -0.5)),  # lambda0 < 0 outward: lambda = 1/(r - 2.3) meets u = 0 at 2.3
+    (-1.0, 3.0, (0.3, -1.5)),  # below -sqrt(-kappa), outward
+    (0.0, -0.5, (1.0, 1.0)),  # inward: lambda = 1/r meets u = 0 at r = 0
+    (-1.0, -0.5, (1.0, 2.0)),  # above sqrt(-kappa), inward
+])
+def test_sign_test_still_guards_the_other_kappa_le_0_spans(kappa, r, lambda0):
+    assert _same_as_indexed(kappa, r, lambda0, 1e-3).startswith("focal")
+
+
+def test_focal_free_loop_falls_back_to_name_the_focal_step():
+    # lambda overflows to nan in the second of four steps: the tested loop names that step
+    got = _same_as_indexed(-1e300, 0.0035, (0.0, 1.0), 1e-3)
+    assert got == "focal: shape curvature passed a focal point near r = 0.001750"
 
 
 @pytest.mark.parametrize("kappa", [0.25, 1.0, 4.0])
