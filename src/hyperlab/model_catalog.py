@@ -38,8 +38,8 @@ DEFAULT_STEP = 5e-5
 ORACLE_TOL = 1e-6
 BLOWUP_LIMIT = 1e6
 MAX_ORACLE_STEPS = 5_000_000
-"""Most RK4 steps one oracle call may take: over 10x the ~480k of a CH tube
-at s r = 12 and |c| = 1, the costliest catalog model that passes the oracle."""
+"""Most RK4 steps one oracle call may take: over 20x the 240k of a CH tube
+at s r = 12, at every |c|, the costliest catalog model that passes the oracle."""
 _BLOCK = 1024  # steps between the focal-free loop's repeat tests
 
 
@@ -329,17 +329,19 @@ def _oracle_deviation(spec: ModelSpec, branches) -> float:
 
     Tube branches are anchored at the closed-form value just off the core
     (s r0 = 0.01) and integrated out to the model radius; the radius-free
-    horosphere is checked as a fixed point over a unit interval.  The step
-    is DEFAULT_STEP / max(s, 1), with the constant read at call time.
+    horosphere is checked as a fixed point over s r in [0, 1].  The flow is
+    integrated in units of 1/s (kappa / s^2 over s r, lambda / s), so the
+    step count and the blow-up guard do not depend on the units of c; the
+    step is DEFAULT_STEP, read at call time.
     """
     s = spec.scale
-    h = DEFAULT_STEP / max(s, 1.0)
     r = spec.radius if spec.radius is not None else 1.0 / s
     r0 = 0.01 / s if spec.radius is not None else 0.0
     worst = 0.0
     for fn, kappa, _ in branches:
-        got = riccati_shape_evolution(kappa, r, (r0, fn(r0)), step=h)
-        worst = max(worst, abs(got - fn(r)))
+        got = riccati_shape_evolution(kappa / (s * s), s * r, (s * r0, fn(r0) / s),
+                                      step=DEFAULT_STEP)
+        worst = max(worst, abs(s * got - fn(r)))
     return worst
 
 

@@ -161,7 +161,7 @@ def test_linear_oracle_matches_the_riccati_loop(kappa):
              (0.3 / s, -0.7 * s, 0.9 / s)]
     if kappa < 0:
         cases += [(0.0, s, 3.0 / s), (2.0, s, 2.0 - 1.0 / s)]  # the fixed point sqrt(-kappa)
-    h = model_catalog.DEFAULT_STEP / max(s, 1.0)  # the catalog's step
+    h = model_catalog.DEFAULT_STEP / max(s, 1.0)  # DEFAULT_STEP, finer where s > 1
     for r0, lam0, r in cases:
         want = _riccati_rk4(kappa, r, r0, lam0, h)
         got = riccati_shape_evolution(kappa, r, (r0, lam0), step=h)
@@ -225,7 +225,7 @@ def test_oracle_is_bit_identical_to_the_indexed_loop(kappa):
     s = math.sqrt(abs(kappa)) or 1.0  # kappa = 0 is measured in units of 1
     tube = (lambda r: s / math.tan(s * r)) if kappa > 0 else (
         (lambda r: s / math.tanh(s * r)) if kappa < 0 else (lambda r: 1.0 / r))
-    h = model_catalog.DEFAULT_STEP / max(s, 1.0)  # the catalog's step
+    h = model_catalog.DEFAULT_STEP / max(s, 1.0)  # DEFAULT_STEP, finer where s > 1
     _same_as_indexed(kappa, 1.2 / s, (0.01 / s, tube(0.01 / s)), h)  # outward
     _same_as_indexed(kappa, 0.02 / s, (1.0 / s, tube(1.0 / s)), h)  # inward
     if kappa <= 0:
@@ -374,6 +374,23 @@ def test_coarse_step_trips_oracle(monkeypatch):
     monkeypatch.setattr(model_catalog, "DEFAULT_STEP", 0.1)
     with pytest.raises(OracleMismatchError):
         principal_curvatures(ModelSpec("CP", 3, "A1", radius=0.9))
+
+
+@pytest.mark.parametrize("ambient, c, radius, code, failed", [
+    # s r = 0.5 each: in units of r, 1.96e7 steps past the cap, or fn(r0) past the blow-up guard
+    ("CH", -1e-6, 1000.0, 0, []),
+    # the absolute check tolerance does not scale with c either (ROADMAP item 1)
+    ("CP", 1e9, 3.1622776601683795e-05, 1, ["codazzi/all", "phi-l-commute/ker-eta"]),
+    ("CH", -4e8, 5e-05, 1, ["codazzi/all", "phi-l-commute/ker-eta"]),
+])
+def test_the_oracle_check_does_not_depend_on_the_units_of_c(capsys, ambient, c, radius, code,
+                                                            failed):
+    assert run(["verify", "--ambient", ambient, "--n", "3", "--family", "A1", "--c", repr(c),
+                "--radius", repr(radius), "--deterministic"]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report["spectral"]["oracle_deviation"] <= model_catalog.ORACLE_TOL
+    assert [f"{row['check']}/{row['subspace']}" for row in report["checks"]
+            if not row["pass"]] == failed
 
 
 @pytest.mark.parametrize("family, k, top", [("A1", None, math.pi / 2.0),
