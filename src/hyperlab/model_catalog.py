@@ -91,15 +91,13 @@ def riccati_shape_evolution(kappa: float, r: float,
     ks = -kappa * s
     if kappa <= 0.0 and span > 0.0 and lam >= 0.0:  # m >= 1, s > 0, ks >= 0: u >= 1 at every step
         end, left = lam, nsteps
-        while left >= _BLOCK:
-            start = end
-            for _ in itertools.repeat(None, _BLOCK):
+        while left:
+            start, block = end, min(left, _BLOCK)
+            for _ in itertools.repeat(None, block):
                 end = (ks + m * end) / (m + s * end)
-            left -= _BLOCK
+            left -= block
             if end == start:  # the step is a fixed function of lambda: the rest repeats this block
-                left %= _BLOCK
-        for _ in itertools.repeat(None, left):
-            end = (ks + m * end) / (m + s * end)
+                left %= block
         if math.isfinite(end):
             return end
     steps = itertools.repeat(None, nsteps)

@@ -215,8 +215,7 @@ def _same_as_indexed(kappa, r, lambda0, step=model_catalog.DEFAULT_STEP):
     want = _outcome(_riccati_indexed, kappa, r, lambda0, step)
     got = _outcome(riccati_shape_evolution, kappa, r, lambda0, step=step)
     # repr tells -0.0 from 0.0 and, for floats, round-trips every bit
-    assert type(got) is type(want) and repr(got) == repr(want), (kappa, r, lambda0, step,
-                                                                  got, want)
+    assert type(got) is type(want) and repr(got) == repr(want), (kappa, r, lambda0, step)
     return got
 
 
