@@ -24,6 +24,7 @@ from .tensor_core import (
     AlmostContactStructure,
     StructuralError,
     _maxabs,
+    _mm,
     _of_shape,
     _read_only,
     _refuse,
@@ -55,7 +56,7 @@ class CurvatureContext(_ContextFields):
 
     def __new__(cls, acs, shape_operator, c):
         a = _of_shape(shape_operator, acs.phi.shape, "shape_operator")
-        _check_shapes(acs.gram, a, c)
+        _check_shapes(acs._metric, a, c)
         return super().__new__(cls, acs, _read_only(a), float(c))
 
     def __setattr__(self, name, value):  # the cached tensors are set only by cached_property
@@ -140,18 +141,18 @@ def decompose_A_xi(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> HopfDecom
     return HopfDecomposition(alpha, beta, u, hopf, threshold)
 
 
-def _check_shapes(gram: np.ndarray, a: np.ndarray, c):
+def _check_shapes(gram, a: np.ndarray, c):
     """Refuse c = 0 or non-finite, and a shape operator not g-symmetric to 1e-8 (1 + |A|_F)."""
     _refuse(np.asarray(c) == 0, 0, "c must be nonzero (non-flat ambient)")
     _refuse(~np.isfinite(c), c, "c must be finite, got {}")
-    sym = _maxabs(gram @ a - _t(a) @ gram)
+    sym = _maxabs(_mm(gram, a) - _mm(_t(a), gram))
     _refuse(sym > 1e-8 * (1.0 + np.sqrt(np.einsum("...ij,...ij->...", a, a))), sym,
             "shape operator is not g-symmetric (residual {:.3e})")
 
 
 def _g(gram, p, q) -> np.ndarray:
     """g(P_j, Q_j) for every column j, as a row."""
-    return np.sum(p * (gram @ q), axis=-2, keepdims=True)
+    return np.sum(p * _mm(gram, q), axis=-2, keepdims=True)
 
 
 def _gauss(gram, phi, a, c, x, y, z) -> np.ndarray:
@@ -173,8 +174,8 @@ def _closed_form(gram, xi, eta, a, c) -> np.ndarray:
     """l = (c/4)(I - xi eta) + alpha A - (A xi) g(A xi, .), alpha = g(A xi, xi); xi, eta columns."""
     w = a @ xi
     quarter = np.expand_dims(c, (-2, -1)) / 4.0
-    alpha = _t(w) @ gram @ xi
-    return quarter * (np.eye(a.shape[-1]) - xi * _t(eta)) + alpha * a - w * _t(gram @ w)
+    alpha = _mm(_t(w), gram, xi)
+    return quarter * (np.eye(a.shape[-1]) - xi * _t(eta)) + alpha * a - w * _t(_mm(gram, w))
 
 
 def _check_paths(gap, a, c):
@@ -218,7 +219,7 @@ def jacobi_closed_form(ctx: CurvatureContext) -> np.ndarray:
     with alpha = g(A xi, xi).  Valid with no Hopf assumption.
     """
     acs = ctx.acs
-    return _closed_form(acs.gram, acs.xi[:, None], acs.eta[:, None],
+    return _closed_form(acs._metric, acs.xi[:, None], acs.eta[:, None],
                         ctx.shape_operator, ctx.c)
 
 
@@ -251,7 +252,7 @@ def codazzi_residual(ctx: CurvatureContext, nabla_a: NablaAProvider,
         raise MissingNablaAError("codazzi_residual needs a nabla-A provider")
     acs = ctx.acs
     (x, y), block = _columns(ctx.dim, "x and y", (x, y))
-    out = _codazzi(acs.gram, acs.phi, acs.xi[:, None], acs.eta[:, None], ctx.c, nabla_a, x, y)
+    out = _codazzi(acs._metric, acs.phi, acs.xi[:, None], acs.eta[:, None], ctx.c, nabla_a, x, y)
     return out if block else out[:, 0]
 
 

@@ -36,30 +36,32 @@ class NotHopfError(ValueError):
     """The operation requires Hopf input (A xi proportional to xi)."""
 
 
-def _test_basis(ctx: CurvatureContext, subspace: str) -> np.ndarray:
-    """Deterministic g-orthonormal test vectors spanning the subspace, as columns."""
+def _on_test_basis(ctx: CurvatureContext, t: np.ndarray, subspace: str) -> np.ndarray:
+    """t times the subspace's deterministic g-orthonormal test vectors, as columns: on the
+    standard frame ker(eta)'s are e_1..e_{dim-1}, and the product is t's first dim-1 columns."""
     if subspace not in (KER_ETA, SPAN_XI):
         raise ValueError(f"unknown subspace {subspace!r}")
-    return ctx.ker_eta_basis if subspace == KER_ETA else ctx.acs.xi[:, None]
+    basis = ctx.ker_eta_basis if subspace == KER_ETA else ctx.acs.xi[:, None]
+    return t[:, :-1] if subspace == KER_ETA and ctx.acs._standard_frame else t @ basis
 
 
 def _worst_norm(ctx: CurvatureContext, block: np.ndarray) -> float:
     """Largest g-norm among the columns of block."""
-    sq = _g(ctx.acs.gram, block, block)
+    sq = _g(ctx.acs._metric, block, block)
     return float(np.sqrt(max(sq.max(), 0.0)))
 
 
 def check_phi_l_commute(ctx: CurvatureContext, subspace: str = KER_ETA,
                         tol: float = DEFAULT_TOL) -> ConditionReport:
     """Residual of phi l = l phi: max |(phi l - l phi)X| over the subspace basis."""
-    block = ctx.phi_l_commutator @ _test_basis(ctx, subspace)
+    block = _on_test_basis(ctx, ctx.phi_l_commutator, subspace)
     return ConditionReport("phi-l-commute", subspace, _worst_norm(ctx, block), tol)
 
 
 def check_l_A_commute(ctx: CurvatureContext, subspace: str = KER_ETA,
                       tol: float = DEFAULT_TOL) -> ConditionReport:
     """Residual of lA = Al: max |(lA - Al)X| over the subspace basis."""
-    block = ctx.l_a_commutator @ _test_basis(ctx, subspace)
+    block = _on_test_basis(ctx, ctx.l_a_commutator, subspace)
     return ConditionReport("l-A-commute", subspace, _worst_norm(ctx, block), tol)
 
 
@@ -79,8 +81,8 @@ def check_nabla_xi_l(ctx: CurvatureContext, nabla_a: NablaAProvider,
 
 def _nabla_xi_l_report(ctx, nabla_xi_l, subspace, tol) -> ConditionReport:
     acs = ctx.acs
-    block = nabla_xi_l @ _test_basis(ctx, subspace)
-    mus = _g(acs.gram, block, acs.xi[:, None])  # G xi, not G block: g is symmetric
+    block = _on_test_basis(ctx, nabla_xi_l, subspace)
+    mus = _g(acs._metric, block, acs.xi[:, None])  # G xi, not G block: g is symmetric
     residual = _worst_norm(ctx, block - np.outer(acs.xi, mus))
     return ConditionReport("nabla-xi-l", subspace, residual, tol,
                            {"mu": float(np.mean(mus)),

@@ -406,7 +406,7 @@ def type_a_nabla_a(ctx: CurvatureContext) -> NablaAProvider:
     stays Codazzi-consistent but no longer describes the context's geometry.
     """
     acs = ctx.acs
-    return _type_a(acs.gram, acs.phi, acs.xi[:, None], acs.eta[:, None], ctx.c)
+    return _type_a(acs._metric, acs.phi, acs.xi[:, None], acs.eta[:, None], ctx.c)
 
 
 def _type_a(gram, phi, xi, eta, c) -> NablaAProvider:

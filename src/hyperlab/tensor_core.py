@@ -14,6 +14,7 @@ odd in phi; the catalog and the checks all assume this fixed orientation.
 """
 from __future__ import annotations
 
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +54,11 @@ def _maxabs(m: np.ndarray) -> np.ndarray:
     return np.max(np.abs(m), axis=(-2, -1))
 
 
+def _mm(*factors) -> np.ndarray:
+    """The product of factors left to right, skipping None: a Gram that is exactly I."""
+    return reduce(np.matmul, [f for f in factors if f is not None])
+
+
 def _refuse(bad, value, message: str):
     """Raise StructuralError if any sample is bad; {} in message shows its worst value."""
     if np.any(bad):
@@ -90,7 +96,6 @@ class AlmostContactStructure(_StructureFields):
     still be constructed and measured.
     """
 
-    __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, gram, phi, xi, eta):
@@ -100,6 +105,9 @@ class AlmostContactStructure(_StructureFields):
                                _read_only(_of_shape(xi, (d,), "xi")),
                                _read_only(_of_shape(eta, (d,), "eta")))
 
+    def __setattr__(self, name, value):  # the cached fields are set only by cached_property
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
+
     @property
     def dim(self) -> int:
         return len(self.gram)
@@ -107,6 +115,18 @@ class AlmostContactStructure(_StructureFields):
     @property
     def n(self) -> int:
         return (self.dim + 1) // 2
+
+    @cached_property
+    def _metric(self) -> np.ndarray | None:
+        """gram, or None when it is exactly I, as the array kernels read the identity."""
+        return None if np.array_equal(self.gram, np.eye(self.dim)) else self.gram
+
+    @cached_property
+    def _standard_frame(self) -> bool:
+        """Whether G = I, xi = e_dim and phi e_i = e_{n-1+i} for i < n (see build_phi_basis)."""
+        k, eye = self.n - 1, np.eye(self.dim)
+        return (self._metric is None and np.array_equal(self.xi, eye[-1])
+                and np.array_equal(self.phi[:, :k], eye[:, k:2 * k]))
 
     def g(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(x @ self.gram @ y)
@@ -165,10 +185,13 @@ def structure_from_frame(gram: np.ndarray, frame: np.ndarray) -> AlmostContactSt
 
 
 def _haar_frames(rng: np.random.Generator, shape: tuple, gram=None) -> np.ndarray:
-    """Uniformly random g-orthonormal frames: the Q of a Gaussian QR, times L^-T
-    for G = L L^T when Grams are given (L^-T Q is exactly Q for the identity)."""
+    """Uniformly random g-orthonormal frames: the Q of a Gaussian QR, times L^-T for G = L L^T
+    on each sample whose Gram is given and not exactly I (L^-T Q is exactly Q for the identity)."""
     q, _ = np.linalg.qr(rng.standard_normal(shape))
-    return q if gram is None else np.linalg.solve(_t(np.linalg.cholesky(gram)), q)
+    if gram is not None:
+        on = ~np.all(gram == np.eye(shape[-1]), axis=(-2, -1))
+        q[on] = np.linalg.solve(_t(np.linalg.cholesky(gram[on])), q[on])
+    return q
 
 
 def _haar_phi_frame(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -196,15 +219,15 @@ def random_structure(n: int, rng: np.random.Generator,
 
 
 def _acs_residuals(gram, phi, xi, eta) -> dict[str, np.ndarray]:
-    eta_t = _t(eta)
+    eta_t, g = _t(eta), np.eye(phi.shape[-1]) if gram is None else gram
     return {
         "phi-square": _maxabs(phi @ phi + np.eye(phi.shape[-1]) - xi * eta_t),
         "eta-phi": _maxabs(eta_t @ phi),
         "phi-xi": _maxabs(phi @ xi),
         "eta-xi": np.abs(eta_t @ xi - 1.0)[..., 0, 0],
-        "metric-compat": _maxabs(_t(phi) @ gram @ phi - (gram - eta * eta_t)),
-        "skew": _maxabs(gram @ phi + _t(phi) @ gram),
-        "eta-from-metric": _maxabs(eta - gram @ xi),
+        "metric-compat": _maxabs(_mm(_t(phi), gram, phi) - (g - eta * eta_t)),
+        "skew": _maxabs(_mm(gram, phi) + _mm(_t(phi), gram)),
+        "eta-from-metric": _maxabs(eta - _mm(gram, xi)),
     }
 
 
@@ -215,7 +238,7 @@ def validate_acs(acs: AlmostContactStructure) -> dict[str, float]:
     the identities comes back with nonzero residuals.  The residual map is
     the zero map exactly when every identity holds exactly.
     """
-    res = _acs_residuals(acs.gram, acs.phi, acs.xi[:, None], acs.eta[:, None])
+    res = _acs_residuals(acs._metric, acs.phi, acs.xi[:, None], acs.eta[:, None])
     return {name: float(value) for name, value in res.items()}
 
 
@@ -237,8 +260,7 @@ def build_phi_basis(acs: AlmostContactStructure) -> np.ndarray:
     every norm 1: the sweep is skipped and its result, the identity, returned.
     """
     dim, k, eye = acs.dim, acs.n - 1, np.eye(acs.dim)
-    if (np.array_equal(acs.gram, eye) and np.array_equal(acs.xi, eye[-1])
-            and np.array_equal(acs.phi[:, :k], eye[:, k:2 * k])):
+    if acs._standard_frame:
         return eye
     # working order xi, V_1, phiV_1, V_2, phiV_2, ...; reordered on return
     frame = np.empty((dim, 2 * k + 1))
