@@ -41,6 +41,9 @@ MAX_ORACLE_STEPS = 5_000_000
 """Most RK4 steps one oracle call may take: over 20x the 240k of a CH tube
 at s r = 12, at every |c|, the costliest catalog model that passes the oracle."""
 _BLOCK = 1024  # steps between the focal-free loop's repeat tests
+C_MAX = 1e50
+"""Largest |c| a model accepts.  The checks square commutators such as lA - Al, of order
+|c|^(3/2), so at this bound no square passes about 1e150; from |c| near 1e150 they overflow."""
 
 
 class CatalogError(ValueError):
@@ -244,6 +247,8 @@ class ModelSpec(_SpecFields):
             raise CatalogError("CH requires c < 0")
         spec = super().__new__(cls, ambient, n, family, c, radius, k, flip_normal)
         radius = spec._checked_radius()
+        if abs(c) > C_MAX:  # after the radius, whose bound at such a c is the likelier mistake
+            raise CatalogError(f"c = {c!r} exceeds {C_MAX:g} in magnitude")
         ks = spec.entry.ks(n)
         if k is None and None not in ks:
             none = "" if ks else f", but no k is admissible at n = {n}"

@@ -320,6 +320,20 @@ def test_model_refusals_state_the_bound_and_the_missing_k(capsys, argv, message)
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("c", ["-1e200", "-1e250", "-1e300", "-1.0000000000000003e+50"])
+def test_an_oversized_c_is_refused_in_one_line(capsys, c):
+    # past C_MAX the checks' squares overflow; no numpy warning may reach stderr
+    assert run(["verify", "--ambient", "CH", "--n", "2", "--family", "A0", "--c", c]) == 2
+    assert capsys.readouterr() == ("", f"error: c = {float(c)!r} exceeds 1e+50 in magnitude\n")
+
+
+def test_c_at_its_bound_runs_to_a_report(capsys):
+    code = run(["verify", "--ambient", "CH", "--n", "2", "--family", "A0", "--c", "-1e50",
+                "--deterministic"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1) and err == "" and json.loads(out)["command"] == "verify"
+
+
 def test_catalog_lists_models(capsys):
     code, rep = _report(capsys, ["catalog", "--deterministic"])
     assert code == 0
