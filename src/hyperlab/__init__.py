@@ -19,17 +19,17 @@ _EXPORTS = {
     "tensor_core": ("AlmostContactStructure", "DegenerateSeedError", "StructuralError",
                     "build_phi_basis", "canonical_structure", "random_structure",
                     "structure_from_frame", "validate_acs"),
-    "curvature_engine": ("CurvatureContext", "MissingNablaAError", "NablaAProvider",
-                         "codazzi_residual", "commutator", "gauss_curvature",
-                         "jacobi_closed_form", "jacobi_from_curvature", "jacobi_operator",
-                         "nabla_l"),
+    "curvature_engine": ("CurvatureContext", "HopfDecomposition", "MissingNablaAError",
+                         "NablaAProvider", "codazzi_residual", "commutator", "decompose_A_xi",
+                         "gauss_curvature", "jacobi_closed_form", "jacobi_from_curvature",
+                         "jacobi_operator", "nabla_l"),
     "sampling": ("random_context", "random_gram", "random_hopf_context", "random_hopf_shape",
                  "random_symmetric_shape"),
     "hopf_conditions": ("KER_ETA", "SPAN_XI", "VERDICT_HYPOTHESIS_FAILS",
                         "VERDICT_INDETERMINATE", "VERDICT_TYPE_A", "Classification",
-                        "HopfDecomposition", "NotHopfError", "TheoremVerdict",
-                        "check_l_A_commute", "check_nabla_xi_l", "check_phi_l_commute",
-                        "classify", "decompose_A_xi", "theorem_pipeline"),
+                        "NotHopfError", "TheoremVerdict", "check_l_A_commute",
+                        "check_nabla_xi_l", "check_phi_l_commute", "classify",
+                        "theorem_pipeline"),
     "model_catalog": ("FAMILY_TABLE", "CatalogError", "FamilyEntry", "FocalPointError",
                       "ModelInstance", "ModelSpec", "OracleMismatchError", "SpectralEntry",
                       "SpectralTable", "catalog_rows", "instantiate", "principal_curvatures",

@@ -47,8 +47,8 @@ class CurvatureContext(_ContextFields):
     """Pointwise hypersurface data: a structure, a g-symmetric A, and c != 0.
 
     The context is immutable, so the tensors every check reads are derived
-    once per context and stored read-only: both Jacobi paths (each still
-    computed independently of the other), their gap, the three condition
+    once per context and stored read-only: the definitional Jacobi path, its
+    gap to the independently computed closed form, the three condition
     commutators and the ker(eta) test basis.
     """
 
@@ -80,14 +80,9 @@ class CurvatureContext(_ContextFields):
         return _read_only(jacobi_from_curvature(self))
 
     @cached_property
-    def l_closed_form(self) -> np.ndarray:
-        """`jacobi_closed_form` of this context, read-only."""
-        return _read_only(jacobi_closed_form(self))
-
-    @cached_property
     def l_path_gap(self) -> float:
         """max |l_def - l_closed| over the matrix entries: the standing self-test."""
-        return float(_maxabs(self.l_from_curvature - self.l_closed_form))
+        return float(_maxabs(self.l_from_curvature - jacobi_closed_form(self)))
 
     @cached_property
     def phi_l_commutator(self) -> np.ndarray:

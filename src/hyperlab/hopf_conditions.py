@@ -18,9 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .checks import DEFAULT_TOL, ConditionReport, alpha_vanishes
-from .curvature_engine import (  # noqa: F401  (HopfDecomposition: re-exported)
+from .curvature_engine import (
     CurvatureContext,
-    HopfDecomposition,
     MissingNablaAError,
     NablaAProvider,
     _g,
@@ -41,8 +40,9 @@ def _on_test_basis(ctx: CurvatureContext, t: np.ndarray, subspace: str) -> np.nd
     standard frame ker(eta)'s are e_1..e_{dim-1}, and the product is t's first dim-1 columns."""
     if subspace not in (KER_ETA, SPAN_XI):
         raise ValueError(f"unknown subspace {subspace!r}")
-    basis = ctx.ker_eta_basis if subspace == KER_ETA else ctx.acs.xi[:, None]
-    return t[:, :-1] if subspace == KER_ETA and ctx.acs._standard_frame else t @ basis
+    if subspace == SPAN_XI:
+        return t @ ctx.acs.xi[:, None]
+    return t[:, :-1] if ctx.acs._standard_frame else t @ ctx.ker_eta_basis
 
 
 def _worst_norm(ctx: CurvatureContext, block: np.ndarray) -> float:

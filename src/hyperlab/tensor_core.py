@@ -123,7 +123,7 @@ class AlmostContactStructure(_StructureFields):
 
     @cached_property
     def _standard_frame(self) -> bool:
-        """Whether G = I, xi = e_dim and phi e_i = e_{n-1+i} for i < n (see build_phi_basis)."""
+        """Whether G = I, xi = e_dim and phi e_i = e_{n-1+i} for i < n (build_phi_basis is I)."""
         k, eye = self.n - 1, np.eye(self.dim)
         return (self._metric is None and np.array_equal(self.xi, eye[-1])
                 and np.array_equal(self.phi[:, :k], eye[:, k:2 * k]))
@@ -255,13 +255,10 @@ def build_phi_basis(acs: AlmostContactStructure) -> np.ndarray:
     classical Gram-Schmidt passes are as stable as the modified form, and
     normalized; phiV_i is appended as the literal phi image.  A candidate
     whose projection is numerically zero is skipped.  The frame depends on
-    the structure alone.  If G = I, xi = e_dim and phi e_i = e_{n-1+i} for
-    i < n, as on the canonical structure, every projection is exactly 0 and
-    every norm 1: the sweep is skipped and its result, the identity, returned.
+    the structure alone.  On the standard frame (`_standard_frame`) every
+    projection is exactly 0 and every norm 1, so the frame is exactly I.
     """
     dim, k, eye = acs.dim, acs.n - 1, np.eye(acs.dim)
-    if acs._standard_frame:
-        return eye
     # working order xi, V_1, phiV_1, V_2, phiV_2, ...; reordered on return
     frame = np.empty((dim, 2 * k + 1))
     frame[:, 0] = acs.xi

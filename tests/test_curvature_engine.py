@@ -220,8 +220,9 @@ def test_verify_derives_l_and_test_basis_once_per_context(monkeypatch):
         code = run(["verify", "--ambient", "CP", "--n", "30", "--family", "A2",
                     "--k", "5", "--radius", "0.4", "--deterministic"])
     assert code == 0
-    # the ker(eta) test basis only: instantiate draws its frame with one QR
-    assert len(basis_calls) == 1
+    # none: instantiate draws its frame with one QR, and the ker(eta) checks slice
+    # the standard frame without building the test basis
+    assert len(basis_calls) == 0
     assert len(jacobi_calls) == 1
     (ctx,) = jacobi_calls[0]
     ell = jacobi_operator(ctx)

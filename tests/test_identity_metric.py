@@ -9,9 +9,10 @@ not exactly I must still be multiplied.
 import numpy as np
 import pytest
 
-from hyperlab import (CurvatureContext, ModelSpec, StructuralError, canonical_structure,
-                      instantiate, random_structure, validate_acs)
-from hyperlab import cli
+from hyperlab import (DEFAULT_TOL, CurvatureContext, ModelSpec, StructuralError,
+                      build_phi_basis, canonical_structure, instantiate, random_structure,
+                      validate_acs)
+from hyperlab import cli, curvature_engine
 from hyperlab.curvature_engine import _check_shapes, _closed_form, _g, nabla_l
 from hyperlab.hopf_conditions import (KER_ETA, _worst_norm, check_l_A_commute,
                                       check_nabla_xi_l, check_phi_l_commute)
@@ -71,6 +72,26 @@ def test_the_ker_eta_checks_on_the_standard_frame_are_the_general_path(n):
     assert rep.residual == _worst_norm(ctx, block - np.outer(ctx.acs.xi, mus))
     assert rep.mu == float(np.mean(mus))
     assert rep.extras["mu_spread"] == float(mus.max() - mus.min())
+
+
+def test_the_ker_eta_basis_is_built_only_off_the_standard_frame(monkeypatch, rng):
+    # the slice needs no basis; any other frame builds it once for all its checks
+    calls = []
+
+    def counted(acs):
+        calls.append(acs)
+        return build_phi_basis(acs)
+
+    monkeypatch.setattr(curvature_engine, "build_phi_basis", counted)
+    inst = instantiate(ModelSpec("CP", 30, "A2", radius=0.4, k=5), seed=0)
+    cli._context_rows(inst.ctx, inst.nabla_a, DEFAULT_TOL, 25, 0)
+    assert "ker_eta_basis" not in inst.ctx.__dict__ and calls == []
+    acs = random_structure(3, rng)  # an identity Gram in a random frame
+    ctx = CurvatureContext(acs, random_symmetric_shape(acs, rng), -4.0)
+    for _ in range(2):
+        cli._context_rows(ctx, lambda w, y: np.zeros_like(y), DEFAULT_TOL, 25, 0)
+        check_phi_l_commute(ctx, KER_ETA)
+    assert calls == [acs] and "ker_eta_basis" in ctx.__dict__
 
 
 def test_a_gram_that_is_not_the_identity_is_still_multiplied(rng):

@@ -229,8 +229,7 @@ def test_block_basis_reorthogonalises_a_nearly_dependent_seed():
 
 
 def _block_sweep_basis(acs):
-    """build_phi_basis's block sweep as it ran on every input before the identity
-    shortcut, kept verbatim: the reference for bit identity."""
+    """build_phi_basis's block sweep, kept verbatim: the reference for bit identity."""
     dim, k = acs.dim, acs.n - 1
     # working order xi, V_1, phiV_1, V_2, phiV_2, ...; reordered on return
     frame = np.empty((dim, 2 * k + 1))
@@ -280,9 +279,9 @@ def _permuted(frame_order):
 ], ids=["random-gram", "swapped-frame", "sign-flipped-frame", "xi-first", "xi-flipped",
         "scaled-gram"])
 def test_phi_basis_off_the_shortcut_is_the_sweep_bit_for_bit(acs):
-    # each misses the shortcut's test (the last three by one clause each), and
-    # the identity is not their frame
-    assert max(validate_acs(acs).values()) <= 1e-12
+    # each misses the standard-frame test of the ker(eta) slice (the last three by
+    # one clause each), and the identity is not their frame
+    assert max(validate_acs(acs).values()) <= 1e-12 and not acs._standard_frame
     basis = build_phi_basis(acs)
     assert np.array_equal(basis, _block_sweep_basis(acs))
     assert not np.array_equal(basis, np.eye(acs.dim))

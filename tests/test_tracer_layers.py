@@ -66,7 +66,7 @@ def test_one_verify_builds_the_jacobi_operator_once_per_commutator(capsys):
 
 
 _VERIFY_CALLS = {"hopf_conditions.decompose_A_xi": 2, "hopf_conditions.classify": 1,
-                 "hopf_conditions.theorem_pipeline": 1, "tensor_core.build_phi_basis": 1,
+                 "hopf_conditions.theorem_pipeline": 1, "tensor_core.build_phi_basis": 0,
                  "tensor_core.canonical_structure": 1, "tensor_core.validate_acs": 1,
                  "curvature_engine.jacobi_operator": 2,
                  # alpha and the two ker(eta) branches each run the oracle once
