@@ -185,7 +185,7 @@ def _seed(raw: str) -> int:
 
 def load_config(path: str) -> dict[str, str]:
     """Flat `key = value` UTF-8 file, a leading byte-order mark dropped; blank lines
-    and # comments skipped, an empty key refused."""
+    and # comments skipped, an empty or repeated key refused."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -195,6 +195,8 @@ def load_config(path: str) -> dict[str, str]:
             key, eq, raw = (part.strip() for part in line.partition("="))
             if not (key and eq):
                 raise ValueError(f"{path}:{lineno}: expected key = value")
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             out[key] = raw
     return out
 

@@ -600,6 +600,22 @@ def test_config_refuses_unknown_keys(capsys, tmp_path, argv, line):
     assert err.startswith("error: unknown ") and err.count("\n") == 1 and key in err
 
 
+@pytest.mark.parametrize("argv, text, key", [
+    (["verify", "--ambient", "CP", "--n", "3", "--family", "A1"],
+     "radius = 0.5\nradius = 0.9\n", "radius"),
+    (["oracle", "riccati", "--kappa", "1"], "r = 0.5\n# the later one\nr = 0.9\n", "r"),
+    (["jet", "--alpha", "1", "--beta", "1", "--c", "4"],
+     "dalpha_U = 0.25\ndbeta_xi = 0.125\ndalpha_U = 0.25\n", "dalpha_U"),
+], ids=["verify", "oracle", "jet"])
+def test_config_refuses_a_repeated_key(capsys, tmp_path, argv, text, key):
+    # the last value used to win silently; the error names the second line
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run(argv + ["--config", str(cfg), "--deterministic"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {cfg}:{text.count(chr(10))}: repeated key {key!r}\n"
+
+
 def test_config_reads_every_switch_and_refuses_a_config_key(capsys, tmp_path):
     # a switch is any store_true option; a config key could never take effect
     cfg = tmp_path / "run.cfg"
