@@ -43,7 +43,9 @@ at s r = 12, at every |c|, the costliest catalog model that passes the oracle.""
 _BLOCK = 1024  # steps between the focal-free loop's repeat tests
 C_MAX = 1e50
 """Largest |c| a model accepts.  The checks square commutators such as lA - Al, of order
-|c|^(3/2), so at this bound no square passes about 1e150; from |c| near 1e150 they overflow."""
+|c|^(3/2), so at this bound no square passes about 1e150; from |c| near 1e150 they overflow.
+ORACLE_TOL is absolute while the oracle's deviation grows like s, so from |c| near 1e14 every
+radius model fails the oracle and exits 1: up to this bound only A0 reaches a report."""
 
 
 class CatalogError(ValueError):
@@ -236,6 +238,9 @@ class ModelSpec(_SpecFields):
             raise CatalogError(
                 f"no family {family!r} in ambient {ambient!r}; the catalog has "
                 + ", ".join(" ".join(key) for key in FAMILY_TABLE))
+        # n and k as plain ints when integral (numpy's too), a bool left to be refused
+        n, k = (v if isinstance(v, bool) or not hasattr(type(v), "__index__")
+                else operator.index(v) for v in (n, k))
         if isinstance(n, bool) or not isinstance(n, int) or n < 2:  # True is an int
             raise CatalogError(f"n must be an integer >= 2, got {n!r}")
         if c is None:

@@ -87,6 +87,17 @@ def test_spec_refuses_a_bool_for_n_or_k(kwargs, message):
         ModelSpec(**{"n": 3, **kwargs})
 
 
+def test_spec_reads_numpy_integers_as_int():
+    want = ModelSpec("CP", 4, "A2", radius=0.5, k=1)
+    got = ModelSpec("CP", np.int64(4), "A2", radius=0.5, k=np.int64(1))
+    assert got == want and type(got.n) is int and type(got.k) is int
+    assert json.dumps(got.to_jsonable()) == json.dumps(want.to_jsonable())
+    with pytest.raises(CatalogError, match="does not take k = 1.0"):
+        ModelSpec("CP", 4, "A2", radius=0.5, k=1.0)
+    with pytest.raises(CatalogError, match="got 4.0"):
+        ModelSpec("CP", 4.0, "A2", radius=0.5, k=1)
+
+
 def test_spec_scale_and_dim():
     spec = ModelSpec("CP", 3, "A1", radius=0.5)
     assert spec.c == 4.0 and spec.scale == 1.0
