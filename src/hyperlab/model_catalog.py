@@ -66,14 +66,19 @@ def riccati_shape_evolution(kappa: float, r: float,
     """Integrate lambda' = -(lambda^2 + kappa) from (r0, value) to r.
 
     Classical RK4 on lambda = u'/u, u'' + kappa u = 0: from (u, u') = (1, lambda) a step is the
-    fixed matrix [[m, s], [-kappa s, m]].  This independent oracle shares no code with the closed
-    forms.  A zero of u (a focal point) raises at the end of step nsteps - length_hint(steps), as
-    an indexed loop would, though the loop makes no int.  Before any step, a non-finite argument
-    (or an int too large for a float) and a span of over MAX_ORACLE_STEPS steps raise too.
+    fixed matrix M = [[m, s], [-kappa s, m]].  This independent oracle shares no code with the
+    closed forms.  Before any step, a non-finite argument (or an int too large for a float) and
+    a span of over MAX_ORACLE_STEPS steps raise.  There are two paths.
     With kappa <= 0, lambda0 >= 0 and r > r0 every operand is >= 0, so u >= 1 and no focal point
-    can occur: those steps skip the sign test, and once lambda equals its value _BLOCK steps
+    can occur: a scalar loop skips the sign test, and once lambda equals its value _BLOCK steps
     earlier only the remainder of the span modulo _BLOCK is stepped.  A non-finite result there
-    reruns the tested loop, so every value and message is bit for bit the tested loop's.
+    falls through to the tested path, so every value and message is bit for bit the tested one's.
+    The tested path applies the product M^w to (u, u') = (1, lambda), w = isqrt(nsteps) steps at
+    a time, and steps singly through the last nsteps % w.  On kappa <= 0, u has at most one zero;
+    for kappa > 0, w |h| sqrt(kappa) <= pi/4 keeps one zero at most in a block, so u > 0 at each
+    block end tests every step.  A block whose u is not > 0 or whose lambda is not finite reruns
+    the whole span step by step, so a zero of u (a focal point) raises at the end of step
+    nsteps - length_hint(steps), bit for bit as an indexed step loop would.
     """
     kappa, r, r0, lam, step = (_finite(name, value, ValueError) for name, value in (
         ("kappa", kappa), ("r", r), ("r0", lambda0[0]), ("lambda0", lambda0[1]), ("step", step)))
@@ -105,7 +110,22 @@ def riccati_shape_evolution(kappa: float, r: float,
                 left %= block
         if math.isfinite(end):
             return end
-    steps = itertools.repeat(None, nsteps)
+    width = math.isqrt(nsteps)  # steps per block; for kappa > 0 a block turns u by <= pi/4
+    if kappa > 0.0 and width * (turn := abs(h) * math.sqrt(kappa)) > math.pi / 4.0:
+        width = max(1, int(math.pi / 4.0 / turn))
+    a, b, pa, pb, e = 1.0, 0.0, m, s, width  # M^width = aI + bJ, J = [[0, 1], [-kappa, 0]]
+    while e:  # by squaring: M^i and M^j commute, and J^2 = -kappa I
+        if e & 1:
+            a, b = a * pa - kappa * b * pb, a * pb + b * pa
+        pa, pb, e = pa * pa - kappa * pb * pb, 2.0 * pa * pb, e >> 1
+    kb, done, end = -kappa * b, 0, lam
+    for _ in itertools.repeat(None, nsteps // width):  # u at the block end; u has one zero at most
+        u = a + b * end
+        if not (u > 0.0 and math.isfinite(end := (kb + a * end) / u)):
+            done, end = 0, lam  # a zero of u, or overflow: step the whole span singly instead
+            break
+        done += width
+    lam, steps = end, itertools.repeat(None, nsteps - done)
     for _ in steps:
         u = m + s * lam
         if not u > 0.0:  # u changed sign within this step, or is nan

@@ -445,6 +445,14 @@ def test_oracle_riccati_focal_exit(capsys):
     assert rep["summary"]["all_ok"] is False
 
 
+def test_oracle_riccati_names_the_step_that_overflowed(capsys):
+    # one step whose lambda is not finite: no block product runs, and the step is named
+    code, rep = _report(capsys, ["oracle", "riccati", "--kappa", "1e300", "--r", "0.01005",
+                                 "--lambda0", "1", "--deterministic"])
+    assert code == 1
+    assert rep["oracle"] == {"error": "shape curvature passed a focal point near r = 0.010050"}
+
+
 def test_jet_report(capsys):
     code, rep = _report(capsys, ["jet", "--alpha", "2.0", "--beta", "0.5",
                                  "--c", "4.0", "--deterministic"])

@@ -230,23 +230,78 @@ def _same_as_indexed(kappa, r, lambda0, step=model_catalog.DEFAULT_STEP):
     return got
 
 
+def _close_to_indexed(kappa, r, lambda0, step=model_catalog.DEFAULT_STEP):
+    """The tested path: a value within 1e-9 relative of the indexed loop's, a focal text equal."""
+    want = _outcome(_riccati_indexed, kappa, r, lambda0, step)
+    got = _outcome(riccati_shape_evolution, kappa, r, lambda0, step=step)
+    if isinstance(want, str):
+        assert got == want, (kappa, r, lambda0, step)
+    else:
+        assert isinstance(got, float) and abs(got - want) <= 1e-9 * max(1.0, abs(want)), (
+            kappa, r, lambda0, step, got, want)
+    return got
+
+
 @pytest.mark.parametrize("kappa", [-4.0, -1.0, -0.25, 0.0, 0.25, 1.0, 4.0])
 def test_oracle_is_bit_identical_to_the_indexed_loop(kappa):
+    # where bit identity holds: the focal-free loop, every focal point, and spans of under 4
+    # steps, whose blocks are single steps; the tested path's values are compared by tolerance
     s = math.sqrt(abs(kappa)) or 1.0  # kappa = 0 is measured in units of 1
     tube = (lambda r: s / math.tan(s * r)) if kappa > 0 else (
         (lambda r: s / math.tanh(s * r)) if kappa < 0 else (lambda r: 1.0 / r))
     h = model_catalog.DEFAULT_STEP / max(s, 1.0)  # DEFAULT_STEP, finer where s > 1
-    _same_as_indexed(kappa, 1.2 / s, (0.01 / s, tube(0.01 / s)), h)  # outward
-    _same_as_indexed(kappa, 0.02 / s, (1.0 / s, tube(1.0 / s)), h)  # inward
     if kappa <= 0:
+        _same_as_indexed(kappa, 1.2 / s, (0.01 / s, tube(0.01 / s)), h)  # outward
         fixed = math.sqrt(-kappa)
         assert _same_as_indexed(kappa, 3.0 / s, (0.0, fixed), h) == fixed
     else:  # past the focal point at pi / s
         assert _same_as_indexed(kappa, 4.0 / s, (0.01 / s, tube(0.01 / s)), h).startswith("focal")
-    for steps in (1, 2, 7):
+    for steps in (1, 2, 3):
         r = 0.3 + (steps - 0.5) * 1e-3
         assert math.ceil((r - 0.3) / 1e-3) == steps
         assert isinstance(_same_as_indexed(kappa, r, (0.3, -0.7), 1e-3), float)
+
+
+@pytest.mark.parametrize("kappa", [-4.0, -1.0, -0.25, 0.0, 0.25, 1.0, 4.0])
+def test_tested_path_matches_the_indexed_loop(kappa):
+    s = math.sqrt(abs(kappa)) or 1.0
+    tube = (lambda r: s / math.tan(s * r)) if kappa > 0 else (
+        (lambda r: s / math.tanh(s * r)) if kappa < 0 else (lambda r: 1.0 / r))
+    h = model_catalog.DEFAULT_STEP / max(s, 1.0)
+    if kappa > 0:
+        _close_to_indexed(kappa, 1.2 / s, (0.01 / s, tube(0.01 / s)), h)  # outward
+    _close_to_indexed(kappa, 0.02 / s, (1.0 / s, tube(1.0 / s)), h)  # inward
+    for steps in (4, 7):  # one and three blocks of 2, then a single step
+        r = 0.3 + (steps - 0.5) * 1e-3
+        assert math.ceil((r - 0.3) / 1e-3) == steps
+        assert isinstance(_close_to_indexed(kappa, r, (0.3, -0.7), 1e-3), float)
+
+
+@pytest.mark.parametrize("kappa", [-4.0, -1.0, -0.25, 0.25, 1.0, 4.0])
+def test_blocked_product_on_both_sides_of_a_focal_point(kappa):
+    # u = cos(s t) - cot(0.5) sin(s t), or cosh and coth for kappa < 0, vanishes at s t = 0.5;
+    # N of 10,000 steps is 100 blocks of 100, and 10,001 leaves one step past the last block
+    s = math.sqrt(abs(kappa))
+    lam0 = -s / (math.tan(0.5) if kappa > 0 else math.tanh(0.5))
+    for st, focal in ((0.45, False), (0.55, True)):
+        for steps in (1, 2, 100 ** 2, 100 ** 2 + 1):
+            r = st / s
+            step = r / (steps - 0.5)
+            assert math.ceil(r / step) == steps
+            got = _close_to_indexed(kappa, r, (0.0, lam0), step)
+            if steps > 2:  # one or two steps this long overshoot the focal point or miss it
+                assert isinstance(got, str) == focal, (st, steps, got)
+
+
+def test_a_block_holds_one_zero_of_u_at_most():
+    # u = cos t - cot(0.5) sin t vanishes at t = 0.5 + j pi.  Over 44^2 steps of 2 pi / 44, an
+    # uncapped block of isqrt(N) = 44 steps turns u by 2 pi and holds two zeros, so u > 0 at
+    # every block end and no block would fail; the pi/4 cap takes 5 steps a block
+    step = 2.0 * math.pi / 44
+    r = (44 ** 2 - 0.5) * step
+    assert math.ceil(r / step) == 44 ** 2
+    got = _close_to_indexed(1.0, r, (0.0, -1.0 / math.tan(0.5)), step)
+    assert got == "focal: shape curvature passed a focal point near r = 0.571051"  # step 4
 
 
 @pytest.mark.parametrize("r, lambda0, step, focal", [
@@ -411,6 +466,16 @@ def test_near_edge_models_pass_the_oracle(family, k, top):
     for r in (0.002, top - 0.002):
         t = principal_curvatures(ModelSpec("CP", 3, family, radius=r, k=k))
         assert t.oracle_deviation <= model_catalog.ORACLE_TOL
+
+
+def test_the_cp_edge_passes_the_oracle(capsys):
+    # the scalar loop's rounding refused both models, by 7.66e-6 and 1.91e-6
+    run(["verify", "--ambient", "CP", "--n", "3", "--family", "A2", "--k", "1",
+         "--radius", "1.5707", "--deterministic"])
+    report = json.loads(capsys.readouterr().out)
+    assert [row["pass"] for row in report["checks"] if row["check"] == "spectral-oracle"] == [True]
+    assert run(["verify", "--ambient", "CP", "--n", "3", "--family", "B", "--radius", "0.7852",
+                "--deterministic"]) == 0
 
 
 def test_alpha_zero_radius_is_flagged():
