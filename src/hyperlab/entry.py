@@ -48,34 +48,46 @@ def _fmt(x: float) -> str:
 
 def to_canonical_json(value, indent: int = 0) -> str:
     """Hand-rolled JSON with %.17g floats; dict order is emission order."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    out: list[str] = []
+    _emit_json(value, "  " * indent, out)
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring_ascii  # exactly json.dumps(str)
+
+
+def _emit_json(value, pad: str, out: list[str]) -> None:
+    """Append value's JSON to out, in one pass over the tree."""
     if type(value) is float:  # builtins first; only numpy scalars reach the numbers ABCs
-        return _fmt(value)
-    if type(value) is int:
-        return str(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        rows = [f'{inner}{to_canonical_json(str(k))}: {to_canonical_json(v, indent + 1)}'
-                for k, v in value.items()]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not len(value):
-            return "[]"
-        rows = [f"{inner}{to_canonical_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    if isinstance(value, numbers.Real):
-        return _fmt(float(value))
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        out.append(_fmt(value))
+    elif type(value) is int:
+        out.append(str(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, dict):
+        inner, sep = pad + "  ", "{\n"
+        for k, v in value.items():
+            out += (sep, inner, _quote(str(k)), ": ")
+            _emit_json(v, inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}}}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner, sep = pad + "  ", "[\n"
+        for v in value:
+            out += (sep, inner)
+            _emit_json(v, inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}]" if len(value) else "[]")
+    elif isinstance(value, numbers.Integral):
+        out.append(str(int(value)))
+    elif isinstance(value, numbers.Real):
+        out.append(_fmt(float(value)))
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _md_scalar(v) -> str:
