@@ -14,6 +14,7 @@ odd in phi; the catalog and the checks all assume this fixed orientation.
 """
 from __future__ import annotations
 
+import operator
 from functools import cached_property, reduce
 from typing import NamedTuple
 
@@ -150,7 +151,9 @@ def canonical_structure(n: int) -> AlmostContactStructure:
     rotation sending V_i to phiV_i and phiV_i to -V_i, and xi spans its
     kernel.  Its fields are exact, so its identity Gram is not re-checked.
     """
-    if n < 2:
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):  # True is an int, 3.0 is not
+        raise StructuralError(f"n must be an integer, got {n!r}")
+    if (n := operator.index(n)) < 2:  # numpy's integers read as int, as ModelSpec reads them
         raise StructuralError(f"n must be >= 2, got {n}")
     dim = 2 * n - 1
     k = n - 1

@@ -1,4 +1,6 @@
 """Structure-tensor axioms, adapted bases, and the identities of phi."""
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,18 @@ def test_canonical_structure_refuses_n_below_two():
     for n in (1, 0, -1):
         with pytest.raises(StructuralError, match=f"^n must be >= 2, got {n}$"):
             canonical_structure(n)
+
+
+@pytest.mark.parametrize("n", [True, False, 3.0, 2.5, "3", None])
+def test_canonical_structure_refuses_a_bool_or_non_integral_n(n):
+    # as ModelSpec does: a bool is an int but not a count, and a float escaped from numpy
+    with pytest.raises(StructuralError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+        canonical_structure(n)
+
+
+def test_canonical_structure_reads_numpy_integers_as_int():
+    got, want = canonical_structure(np.int64(3)), canonical_structure(3)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_structure_rejects_bad_gram():
