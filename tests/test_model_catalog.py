@@ -271,7 +271,7 @@ def test_tested_path_matches_the_indexed_loop(kappa):
     if kappa > 0:
         _close_to_indexed(kappa, 1.2 / s, (0.01 / s, tube(0.01 / s)), h)  # outward
     _close_to_indexed(kappa, 0.02 / s, (1.0 / s, tube(1.0 / s)), h)  # inward
-    for steps in (4, 7):  # one and three blocks of 2, then a single step
+    for steps in (4, 7):  # two blocks of 2; three blocks of 2 and a single step
         r = 0.3 + (steps - 0.5) * 1e-3
         assert math.ceil((r - 0.3) / 1e-3) == steps
         assert isinstance(_close_to_indexed(kappa, r, (0.3, -0.7), 1e-3), float)
