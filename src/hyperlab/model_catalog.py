@@ -331,9 +331,6 @@ class SpectralTable(NamedTuple):
     oracle_deviation: float
     flipped: bool = False
 
-    def multiplicity_total(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
-
     def to_jsonable(self) -> dict:
         """The fields in declaration order, each entry as its fields, flipped only when set."""
         out = {**self._asdict(), "entries": [e._asdict() for e in self.entries]}
@@ -343,12 +340,13 @@ class SpectralTable(NamedTuple):
 
 
 def _branches(spec: ModelSpec) -> list[tuple[Callable[[float], float], float, tuple[int, int]]]:
-    """(closed form in r, kappa, (a, b) of the layout): alpha first, on xi and so
-    (0, 0), then each ker(eta) branch that fills part of V or phi V."""
-    entry, s = spec.entry, spec.scale
+    """(closed form in r, kappa in units of s^2, (a, b) of the layout): alpha first, on xi
+    (kappa = c = 4 sgn(c) s^2) and so (0, 0), then each ker(eta) branch that fills part of
+    V or phi V (kappa = c/4 = sgn(c) s^2)."""
+    entry, s, unit = spec.entry, spec.scale, math.copysign(1.0, spec.c)
     layout = entry.layout(spec.n, spec.k or 0)
-    forms = [(entry.alpha, spec.c, (0, 0))] + [(fn, spec.c / 4.0, ab)
-                                               for fn, ab in zip(entry.branches, layout) if any(ab)]
+    forms = [(entry.alpha, 4.0 * unit, (0, 0))] + [(fn, unit, ab)
+                                                   for fn, ab in zip(entry.branches, layout) if any(ab)]
     return [(functools.partial(fn, s), kappa, ab) for fn, kappa, ab in forms]
 
 
@@ -358,17 +356,16 @@ def _oracle_deviation(spec: ModelSpec, branches) -> float:
     Tube branches are anchored at the closed-form value just off the core
     (s r0 = 0.01) and integrated out to the model radius; the radius-free
     horosphere is checked as a fixed point over s r in [0, 1].  The flow is
-    integrated in units of 1/s (kappa / s^2 over s r, lambda / s), so the
-    step count and the blow-up guard do not depend on the units of c; the
-    step is DEFAULT_STEP, read at call time.
+    integrated in units of 1/s (kappa = 4 sgn(c) or sgn(c) over s r, lambda / s),
+    so the step count and the blow-up guard do not depend on the units of c;
+    the step is DEFAULT_STEP, read at call time.
     """
     s = spec.scale
     r = spec.radius if spec.radius is not None else 1.0 / s
     r0 = 0.01 / s if spec.radius is not None else 0.0
     worst = 0.0
     for fn, kappa, _ in branches:
-        got = riccati_shape_evolution(kappa / (s * s), s * r, (s * r0, fn(r0) / s),
-                                      step=DEFAULT_STEP)
+        got = riccati_shape_evolution(kappa, s * r, (s * r0, fn(r0) / s), step=DEFAULT_STEP)
         worst = max(worst, abs(s * got - fn(r)))
     return worst
 
@@ -385,11 +382,8 @@ def principal_curvatures(spec: ModelSpec) -> SpectralTable:
     (alpha_fn, _, _), *lams = branches
     alpha = alpha_fn(r)
     entries = tuple(SpectralEntry(sign * fn(r), a + b, a == b) for fn, _, (a, b) in lams)
-    table = SpectralTable(sign * alpha, alpha_vanishes(alpha, spec.c), entries, deviation,
-                          sign < 0)
-    if table.multiplicity_total() != 2 * spec.n - 2:
-        raise OracleMismatchError("spectral multiplicities do not fill ker(eta)")
-    return table
+    return SpectralTable(sign * alpha, alpha_vanishes(alpha, spec.c), entries, deviation,
+                         sign < 0)
 
 
 class ModelInstance(NamedTuple):

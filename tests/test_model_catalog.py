@@ -420,7 +420,7 @@ def test_spectral_tables_spot_values():
 
 def test_spectral_table_bookkeeping():
     t = principal_curvatures(ModelSpec("CP", 3, "A2", radius=0.8, k=1))
-    assert t.multiplicity_total() == 4
+    assert sum(e.multiplicity for e in t.entries) == 4
     assert len(t.entries) == 2  # distinct ker(eta) values
     block = t.to_jsonable()
     assert block["alpha"] == t.alpha
@@ -432,7 +432,7 @@ def test_every_model_passes_construction_oracle():
         t = principal_curvatures(spec)
         assert t.oracle_deviation is not None
         assert t.oracle_deviation <= 1e-6
-        assert t.multiplicity_total() == 2 * spec.n - 2
+        assert sum(e.multiplicity for e in t.entries) == 2 * spec.n - 2
 
 
 def test_coarse_step_trips_oracle(monkeypatch):
@@ -567,8 +567,8 @@ def test_catalog_rows_cover_all_families(capsys):
                         ("CH", "A0"), ("CH", "A1"), ("CH", "A2"), ("CH", "B")}
     assert [(r["ambient"], r["family"]) for r in rows] == list(FAMILY_TABLE)
     # every table entry, at mid-domain and each admissible k, passes the oracle, and
-    # its layout fills V and phi V and alone decides phi-invariance, the nabla-A
-    # provider and whether A commutes with phi
+    # its layout places each branch once, fills V and phi V and alone decides
+    # phi-invariance, the nabla-A provider and whether A commutes with phi
     for n in range(2, 7):
         for (ambient, family), entry in FAMILY_TABLE.items():
             for k in entry.ks(n):
@@ -579,7 +579,8 @@ def test_catalog_rows_cover_all_families(capsys):
                 spec = ModelSpec(ambient, n, family, radius=radius, k=k)
                 inst = instantiate(spec, seed=3)
                 assert inst.spectral.oracle_deviation <= 1e-6
-                assert inst.spectral.multiplicity_total() == 2 * n - 2
+                assert sum(e.multiplicity for e in inst.spectral.entries) == 2 * n - 2
+                assert len(entry.branches) == len(entry.layout(n, k or 0))  # zipped by _branches
                 layout = [ab for ab in entry.layout(n, k or 0) if any(ab)]
                 assert [sum(side) for side in zip(*layout)] == [n - 1, n - 1]
                 entries = inst.spectral.entries
