@@ -138,6 +138,8 @@ def riccati_shape_evolution(kappa: float, r: float,
 
 
 def _finite(name: str, value, error: type[Exception]) -> float:
+    if isinstance(value, bool):  # float(True) is 1.0
+        raise error(f"{name} must be a number, got {value!r}")
     try:
         if math.isfinite(number := float(value)):
             return number
@@ -263,6 +265,8 @@ class ModelSpec(_SpecFields):
                 else operator.index(v) for v in (n, k))
         if isinstance(n, bool) or not isinstance(n, int) or n < 2:  # True is an int
             raise CatalogError(f"n must be an integer >= 2, got {n!r}")
+        if not isinstance(flip_normal, bool):
+            raise CatalogError(f"flip_normal must be a bool, got {flip_normal!r}")
         if c is None:
             c = 4.0 if ambient == "CP" else -4.0
         c = _finite("c", c, CatalogError)

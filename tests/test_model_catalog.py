@@ -87,6 +87,20 @@ def test_spec_refuses_a_bool_for_n_or_k(kwargs, message):
         ModelSpec(**{"n": 3, **kwargs})
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"c": True, "radius": 0.5}, "^c must be a number, got True$"),
+    ({"radius": True}, "^radius must be a number, got True$"),
+    ({"radius": True, "c": True}, "^c must be a number, got True$"),
+    ({"radius": 0.5, "flip_normal": "no"}, "^flip_normal must be a bool, got 'no'$"),
+    ({"radius": 0.5, "flip_normal": 0}, "^flip_normal must be a bool, got 0$"),
+    ({"radius": 0.5, "flip_normal": None}, "^flip_normal must be a bool, got None$"),
+])
+def test_spec_refuses_a_bool_number_or_a_non_bool_flip(kwargs, message):
+    # float(True) is 1.0 and "no" is truthy, so either would build, and echo, another model
+    with pytest.raises(CatalogError, match=message):
+        ModelSpec("CP", 3, "A1", **kwargs)
+
+
 def test_spec_reads_numpy_integers_as_int():
     want = ModelSpec("CP", 4, "A2", radius=0.5, k=1)
     got = ModelSpec("CP", np.int64(4), "A2", radius=0.5, k=np.int64(1))
@@ -382,6 +396,14 @@ def test_riccati_refuses_a_non_finite_argument_by_name(name, value):
                else f"{name} is an int too large for a float")
     args = {"kappa": 1.0, "r": 1.0, "r0": 0.01, "lambda0": 1.0, "step": 1e-3, name: value}
     with pytest.raises(ValueError, match=f"^{message}$"):
+        riccati_shape_evolution(args["kappa"], args["r"], (args["r0"], args["lambda0"]),
+                                step=args["step"])
+
+
+@pytest.mark.parametrize("name", ["kappa", "r", "r0", "lambda0", "step"])
+def test_riccati_refuses_a_bool_argument_by_name(name):
+    args = {"kappa": 1.0, "r": 1.0, "r0": 0.01, "lambda0": 1.0, "step": 1e-3, name: True}
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got True$"):
         riccati_shape_evolution(args["kappa"], args["r"], (args["r0"], args["lambda0"]),
                                 step=args["step"])
 
