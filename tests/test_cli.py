@@ -770,6 +770,24 @@ def test_non_finite_flags_are_usage_errors(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+TINY_C_A0 = ["verify", "--ambient", "CH", "--n", "2", "--family", "A0", "--c", "-5e-324"]
+TINY_C_A1 = ["verify", "--ambient", "CP", "--n", "3", "--family", "A1", "--radius", "0.5",
+             "--c", "5e-324"]
+
+
+def test_a_subnormal_c_reaches_the_oracle_without_a_traceback(capsys):
+    # the oracle's curvatures are 4 sgn(c) and sgn(c) in units of 1/s, never c / s^2,
+    # which at |c| = 5e-324 divided by s^2 = 0
+    code, rep = _report(capsys, TINY_C_A0)
+    assert code == 0 and rep["config"]["c"] == -5e-324
+    assert rep["spectral"]["oracle_deviation"] <= 1e-6
+    code = run(TINY_C_A1)  # the anchor s r0 = 0.01 lies past r, so the flow meets the tube's core
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: shape curvature passed a focal point") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, key, value", [
     (["jet", "--alpha", "-1e50", "--beta", "1", "--c", "4"], "alpha", -1e50),
     (["jet", "--alpha", "-2.0", "--beta", "0.5", "--c", "-4e0"], "c", -4.0),

@@ -13,7 +13,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from hyperlab.cli import run  # noqa: E402
 
@@ -79,6 +79,10 @@ def argvs(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(argvs())
+# the draws hold --c 5e-324 but never pair it with a valid family and radius
+@example(["verify", "--ambient", "CH", "--n", "2", "--family", "A0", "--c", "-5e-324"])
+@example(["verify", "--ambient", "CP", "--n", "3", "--family", "A1", "--radius", "0.5",
+          "--c", "5e-324"])
 def test_any_argv_exits_0_1_or_2_without_a_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
