@@ -46,10 +46,10 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def to_canonical_json(value, indent: int = 0) -> str:
+def to_canonical_json(value) -> str:
     """Hand-rolled JSON with %.17g floats; dict order is emission order."""
     out: list[str] = []
-    _emit_json(value, "  " * indent, out)
+    _emit_json(value, "", out)
     return "".join(out)
 
 
