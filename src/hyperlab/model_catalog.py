@@ -349,8 +349,8 @@ def _branches(spec: ModelSpec) -> list[tuple[Callable[[float], float], float, tu
     V or phi V (kappa = c/4 = sgn(c) s^2)."""
     entry, s, unit = spec.entry, spec.scale, math.copysign(1.0, spec.c)
     layout = entry.layout(spec.n, spec.k or 0)
-    forms = [(entry.alpha, 4.0 * unit, (0, 0))] + [(fn, unit, ab)
-                                                   for fn, ab in zip(entry.branches, layout) if any(ab)]
+    forms = [(entry.alpha, 4.0 * unit, (0, 0))] + [
+        (fn, unit, ab) for fn, ab in zip(entry.branches, layout) if any(ab)]
     return [(functools.partial(fn, s), kappa, ab) for fn, kappa, ab in forms]
 
 

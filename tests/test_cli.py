@@ -770,18 +770,16 @@ def test_non_finite_flags_are_usage_errors(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-TINY_C_A0 = ["verify", "--ambient", "CH", "--n", "2", "--family", "A0", "--c", "-5e-324"]
-TINY_C_A1 = ["verify", "--ambient", "CP", "--n", "3", "--family", "A1", "--radius", "0.5",
-             "--c", "5e-324"]
-
-
 def test_a_subnormal_c_reaches_the_oracle_without_a_traceback(capsys):
     # the oracle's curvatures are 4 sgn(c) and sgn(c) in units of 1/s, never c / s^2,
     # which at |c| = 5e-324 divided by s^2 = 0
-    code, rep = _report(capsys, TINY_C_A0)
+    code, rep = _report(capsys, ["verify", "--ambient", "CH", "--n", "2", "--family", "A0",
+                                 "--c", "-5e-324"])
     assert code == 0 and rep["config"]["c"] == -5e-324
     assert rep["spectral"]["oracle_deviation"] <= 1e-6
-    code = run(TINY_C_A1)  # the anchor s r0 = 0.01 lies past r, so the flow meets the tube's core
+    # the anchor s r0 = 0.01 lies past s r, so the flow runs into the tube's core
+    code = run(["verify", "--ambient", "CP", "--n", "3", "--family", "A1", "--radius", "0.5",
+                "--c", "5e-324"])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert "Traceback" not in err
