@@ -73,6 +73,9 @@ CASES.update({
                               "--deterministic"], 1),
     "random-dim5-s50-seed3": (["random", "--dim", "5", "--samples", "50", "--seed", "3",
                                "--deterministic"], 0),
+    # the benchmark's largest random shape: its stacks take other BLAS paths than dim 5's
+    "random-dim41-s6-seed3": (["random", "--dim", "41", "--samples", "6", "--seed", "3",
+                               "--deterministic"], 0),
     "verify-CP-n4-A2-k2-r0.6-checks": (
         ["verify", "--ambient", "CP", "--n", "4", "--family", "A2", "--k", "2",
          "--radius", "0.6", "--checks",
