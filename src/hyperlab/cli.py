@@ -23,7 +23,7 @@ from .hopf_conditions import (SPAN_XI, VERDICT_HYPOTHESIS_FAILS, VERDICT_INDETER
 from .model_catalog import ModelSpec, ORACLE_TOL, instantiate
 from .sampling import _contexts, _grams
 from .tensor_core import (_acs_residuals, _check_grams, _frame_structures, _haar_frames,
-                          _maxabs, validate_acs)
+                          _maxabs, _skew, validate_acs)
 
 VERIFY_CHECKS = ("structure-axioms", "hopf-decomposition", "shape-phi-commute",
                  "phi-l-commute", "l-A-commute", "nabla-xi-l", "mu-vanishes",
@@ -125,12 +125,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _structures(rng, dim, first, size):
-    """Identity residuals of random structures, odd-numbered samples on random Grams."""
-    grams = np.tile(np.eye(dim), (size, 1, 1))
+    """(gram, phi, xi, eta) of random structures, odd-numbered samples on random Grams."""
+    grams, factors = np.tile(np.eye(dim), (2, size, 1, 1))
     odd = np.arange(first, first + size) % 2 == 1
     grams[odd] = _grams(rng, (int(odd.sum()), dim, dim))
-    _check_grams(grams[odd])  # the others are exactly I, as _haar_frames also finds
-    return _acs_residuals(grams, *_frame_structures(grams, _haar_frames(rng, grams.shape, grams)))
+    factors[odd] = _check_grams(grams[odd])  # the others are exactly I, as _haar_frames finds
+    return (grams, *_frame_structures(grams, _haar_frames(rng, grams.shape, factors)))
 
 
 def _jacobi_paths(rng, dim, size, hopf):
@@ -161,11 +161,11 @@ def _gauss_symmetry(rng, dim, first, size):
 # property -> batch function (rng, dim, first, size) returning the residuals of
 # samples first .. first + size - 1, keyed in RANDOM_PROPERTIES order
 _PROPERTIES = dict(zip(RANDOM_PROPERTIES, (
-    lambda *draw: np.max([*_structures(*draw).values()], axis=0),
+    lambda *draw: np.max([*_acs_residuals(*_structures(*draw)).values()], axis=0),
     _gauss_symmetry,
     _hopf_commutator,
     lambda rng, dim, first, size: _jacobi_paths(rng, dim, size, False)[-1],
-    lambda *draw: _structures(*draw)["skew"],
+    lambda *draw: _skew(*_structures(*draw)[:2]),
 )))
 BUDGET = 2 ** 16  # doubles per stack: a chunk holds BUDGET // (doubles per sample) samples, or one
 

@@ -26,19 +26,19 @@ def random_gram(dim: int, rng: np.random.Generator) -> np.ndarray:
     return _grams(rng, (dim, dim))
 
 
-def _shapes(rng: np.random.Generator, frame: np.ndarray, gram: np.ndarray,
-            hopf: bool) -> np.ndarray:
+def _shapes(rng: np.random.Generator, frame: np.ndarray, gram, hopf: bool) -> np.ndarray:
     """f S f^T G on g-orthonormal frames f ending in xi, S a symmetric Gaussian block;
     a Hopf S is that block on ker(eta) and alpha uniform in [-2, 2] on xi.  The law of
     S is invariant under orthogonal changes of frame (for a Hopf S, those fixing xi),
-    so the law of A does not depend on which such frame is given."""
+    so the law of A does not depend on which such frame is given.  A gram of None is I:
+    f^T is copied contiguous, as the product by I leaves it, so A keeps its bits."""
     k = frame.shape[-1] - hopf
     s = np.zeros(frame.shape)
     blk = rng.standard_normal(frame.shape[:-2] + (k, k))
     s[..., :k, :k] = (blk + _t(blk)) / 2.0
     if hopf:
         s[..., k, k] = rng.uniform(-2.0, 2.0, frame.shape[:-2])
-    return frame @ s @ (_t(frame) @ gram)
+    return frame @ s @ (np.ascontiguousarray(_t(frame)) if gram is None else _t(frame) @ gram)
 
 
 def random_symmetric_shape(acs: AlmostContactStructure,
@@ -54,22 +54,23 @@ def random_hopf_shape(acs: AlmostContactStructure, rng: np.random.Generator) -> 
 
 
 def _contexts(rng: np.random.Generator, lead: tuple, dim: int, hopf: bool):
-    """(gram, phi, xi, eta, A, c) of random contexts with leading shape lead, in the
-    identity metric: A is built on the Haar frame q the structure is adapted to,
-    c is uniform in +-[0.5, 8], and each sample is checked as CurvatureContext does."""
-    gram = np.eye(dim)
-    q = _haar_frames(rng, lead + gram.shape)
-    phi, xi, eta = _frame_structures(gram, q)
-    a = _shapes(rng, q, gram, hopf)
+    """(None, phi, xi, eta, A, c) of random contexts with leading shape lead, in the
+    identity metric, which the array kernels read as a Gram of None: A is built on the
+    Haar frame q the structure is adapted to, c is uniform in +-[0.5, 8], and each
+    sample is checked as CurvatureContext does."""
+    q = _haar_frames(rng, lead + (dim, dim))
+    phi, xi, eta = _frame_structures(None, q)
+    a = _shapes(rng, q, None, hopf)
     c = rng.uniform(0.5, 8.0, lead)
     c = np.where(rng.integers(2, size=lead) == 0, c, -c)
-    _check_shapes(gram, a, c)
-    return gram, phi, xi, eta, a, c
+    _check_shapes(None, a, c)
+    return None, phi, xi, eta, a, c
 
 
 def _one_context(rng: np.random.Generator, n: int, hopf: bool) -> CurvatureContext:
-    gram, phi, xi, eta, a, c = _contexts(rng, (), 2 * n - 1, hopf)
-    return CurvatureContext(AlmostContactStructure(gram, phi, xi[:, 0], eta[:, 0]), a, float(c))
+    _, phi, xi, eta, a, c = _contexts(rng, (), 2 * n - 1, hopf)
+    acs = AlmostContactStructure(np.eye(2 * n - 1), phi, xi[:, 0], eta[:, 0])
+    return CurvatureContext(acs, a, float(c))
 
 
 def random_context(n: int, rng: np.random.Generator) -> CurvatureContext:

@@ -66,19 +66,23 @@ def _refuse(bad, value, message: str):
         raise StructuralError(message.format(np.max(np.where(bad, value, -np.inf))))
 
 
-def _check_grams(gram: np.ndarray):
+def _check_grams(gram: np.ndarray) -> np.ndarray:
+    """The Cholesky factors L, G = L L^T, of Grams symmetric to 1e-12; a Gram with no
+    factor is not positive definite and is refused.  The factor of an exact I is exactly I."""
     _refuse(_maxabs(gram - _t(gram)) > 1e-12, 0, "gram matrix must be symmetric")
-    _refuse(np.linalg.eigvalsh(gram)[..., 0] <= 0, 0, "gram matrix must be positive definite")
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise StructuralError("gram matrix must be positive definite") from None
 
 
-def _checked_gram(gram, dim: int) -> np.ndarray:
-    """gram (None for the identity) as a read-only array, refused unless dim is odd
-    and >= 3 and gram is a symmetric positive-definite (dim, dim) matrix."""
+def _checked_gram(gram, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """gram (None for the identity) as a read-only array, and its Cholesky factor, refused
+    unless dim is odd and >= 3 and gram is a symmetric positive-definite (dim, dim) matrix."""
     if dim < 3 or dim % 2 == 0:
         raise StructuralError(f"dimension must be odd and >= 3, got {dim}")
     gram = np.eye(dim) if gram is None else _of_shape(gram, (dim, dim), "gram")
-    _check_grams(gram)
-    return _read_only(gram)
+    return _read_only(gram), _check_grams(gram)
 
 
 class _StructureFields(NamedTuple):
@@ -100,7 +104,7 @@ class AlmostContactStructure(_StructureFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, gram, phi, xi, eta):
-        gram = _checked_gram(gram, len(gram))
+        gram, _ = _checked_gram(gram, len(gram))
         d = len(gram)
         return super().__new__(cls, gram, _read_only(_of_shape(phi, (d, d), "phi")),
                                _read_only(_of_shape(xi, (d,), "xi")),
@@ -166,13 +170,15 @@ def canonical_structure(n: int) -> AlmostContactStructure:
                                     *map(_read_only, (np.eye(dim), phi, xi, xi)))
 
 
-def _frame_structures(gram: np.ndarray, frame: np.ndarray):
-    """phi, xi and eta (columns) of the structures adapted to g-orthonormal frames."""
-    _refuse(_maxabs(_t(frame) @ gram @ frame - np.eye(frame.shape[-1])) > 1e-6, 0,
+def _frame_structures(gram, frame: np.ndarray):
+    """phi, xi and eta (columns) of the structures adapted to g-orthonormal frames.  For a gram
+    of None (I), V and phiV are copied contiguous, as the product by I leaves them: phi's bits."""
+    _refuse(_maxabs(_mm(_t(frame), gram, frame) - np.eye(frame.shape[-1])) > 1e-6, 0,
             "frame columns are not g-orthonormal")
     k = frame.shape[-1] // 2
     v, w, xi = frame[..., :k], frame[..., k:2 * k], frame[..., -1:]
-    return w @ _t(gram @ v) - v @ _t(gram @ w), xi, gram @ xi
+    gv, gw = map(np.ascontiguousarray, (v, w)) if gram is None else (gram @ v, gram @ w)
+    return w @ _t(gv) - v @ _t(gw), xi, _mm(gram, xi)
 
 
 def structure_from_frame(gram: np.ndarray, frame: np.ndarray) -> AlmostContactStructure:
@@ -182,18 +188,18 @@ def structure_from_frame(gram: np.ndarray, frame: np.ndarray) -> AlmostContactSt
     satisfies the structure identities exactly to the extent that the frame
     is exactly g-orthonormal.
     """
-    gram = _checked_gram(gram, len(gram))
+    gram, _ = _checked_gram(gram, len(gram))
     phi, xi, eta = _frame_structures(gram, _of_shape(frame, gram.shape, "frame"))
     return AlmostContactStructure(gram, phi, xi[:, 0], eta[:, 0])
 
 
-def _haar_frames(rng: np.random.Generator, shape: tuple, gram=None) -> np.ndarray:
-    """Uniformly random g-orthonormal frames: the Q of a Gaussian QR, times L^-T for G = L L^T
-    on each sample whose Gram is given and not exactly I (L^-T Q is exactly Q for the identity)."""
+def _haar_frames(rng: np.random.Generator, shape: tuple, factor=None) -> np.ndarray:
+    """Uniformly random g-orthonormal frames: the Q of a Gaussian QR, times L^-T on each sample
+    whose Cholesky factor L (from _check_grams) is given and not exactly I, where L^-T Q is Q."""
     q, _ = np.linalg.qr(rng.standard_normal(shape))
-    if gram is not None:
-        on = ~np.all(gram == np.eye(shape[-1]), axis=(-2, -1))
-        q[on] = np.linalg.solve(_t(np.linalg.cholesky(gram[on])), q[on])
+    if factor is not None:
+        on = ~np.all(factor == np.eye(shape[-1]), axis=(-2, -1))
+        q[on] = np.linalg.solve(_t(factor[on]), q[on])
     return q
 
 
@@ -217,8 +223,13 @@ def _haar_phi_frame(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_structure(n: int, rng: np.random.Generator,
                      gram: np.ndarray | None = None) -> AlmostContactStructure:
     """A valid structure in a uniformly random g-orthonormal frame."""
-    gram = _checked_gram(gram, 2 * n - 1)  # before any draw
-    return structure_from_frame(gram, _haar_frames(rng, gram.shape, gram))
+    gram, factor = _checked_gram(gram, 2 * n - 1)  # before any draw
+    return structure_from_frame(gram, _haar_frames(rng, gram.shape, factor))
+
+
+def _skew(gram, phi) -> np.ndarray:
+    """max |G phi + phi^T G|: how far phi is from g-skew."""
+    return _maxabs(_mm(gram, phi) + _mm(_t(phi), gram))
 
 
 def _acs_residuals(gram, phi, xi, eta) -> dict[str, np.ndarray]:
@@ -229,7 +240,7 @@ def _acs_residuals(gram, phi, xi, eta) -> dict[str, np.ndarray]:
         "phi-xi": _maxabs(phi @ xi),
         "eta-xi": np.abs(eta_t @ xi - 1.0)[..., 0, 0],
         "metric-compat": _maxabs(_mm(_t(phi), gram, phi) - (g - eta * eta_t)),
-        "skew": _maxabs(_mm(gram, phi) + _mm(_t(phi), gram)),
+        "skew": _skew(gram, phi),
         "eta-from-metric": _maxabs(eta - _mm(gram, xi)),
     }
 

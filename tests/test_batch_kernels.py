@@ -50,8 +50,9 @@ def _loop_closed_form(gram, xi, eta, a, c):
             - np.outer(w, gram @ w))
 
 
-def _context(gram, phi, xi, eta, a, c, i):
-    acs = AlmostContactStructure(gram, phi[i], xi[i, :, 0], eta[i, :, 0])
+def _context(gram, phi, xi, eta, a, c, i):  # a gram of None is I
+    acs = AlmostContactStructure(np.eye(len(a[i])) if gram is None else gram,
+                                 phi[i], xi[i, :, 0], eta[i, :, 0])
     return CurvatureContext(acs, a[i], float(c[i]))
 
 
@@ -59,8 +60,7 @@ def _context(gram, phi, xi, eta, a, c, i):
 def test_stacked_acs_residuals_match_validate_acs(rng, dim):
     grams = _grams(rng, (6, dim, dim))
     grams[::2] = np.eye(dim)
-    _check_grams(grams)
-    phi, xi, eta = _frame_structures(grams, _haar_frames(rng, grams.shape, grams))
+    phi, xi, eta = _frame_structures(grams, _haar_frames(rng, grams.shape, _check_grams(grams)))
     stacked = _acs_residuals(grams, phi, xi, eta)
     for i in range(6):
         acs = AlmostContactStructure(grams[i], phi[i], xi[i, :, 0], eta[i, :, 0])
@@ -83,12 +83,12 @@ def test_stacked_jacobi_gap_and_gauss_columns_match_the_context(rng, dim, hopf):
         ctx = _context(*stack, i)
         scale = 1.0 + abs(ctx.c) + np.linalg.norm(ctx.shape_operator) ** 2
         assert abs(gap[i] - ctx.l_path_gap) <= 64 * EPS * scale
-        v = (gram, phi[i], a[i], c[i])
+        v = (np.eye(dim), phi[i], a[i], c[i])  # the loop reference multiplies by I
         loop_ell = np.column_stack([_loop_gauss(*v, e, xi[i, :, 0], xi[i, :, 0])
                                     for e in np.eye(dim)])
         assert np.max(np.abs(ell[i] - loop_ell)) <= 64 * EPS * scale
         assert np.max(np.abs(closed[i] - _loop_closed_form(
-            gram, xi[i, :, 0], eta[i, :, 0], a[i], c[i]))) <= 64 * EPS * scale
+            np.eye(dim), xi[i, :, 0], eta[i, :, 0], a[i], c[i]))) <= 64 * EPS * scale
         if hopf:
             assert np.allclose(ctx.a_xi, ctx.alpha * ctx.acs.xi, atol=1e-12)
         for j in range(4):
@@ -115,13 +115,13 @@ def test_each_kept_check_refuses_one_bad_sample_in_a_stack(rng):
         _check_shapes(gram, a, np.where(np.arange(4) == 1, 0.0, c))
 
     grams = _grams(rng, (4, dim, dim))
-    _check_grams(grams)
+    factors = _check_grams(grams)
     with pytest.raises(StructuralError, match="positive definite"):
         _check_grams(_break(grams, 3, lambda m: m.__setitem__((0, 0), -1.0)))
     with pytest.raises(StructuralError, match="symmetric"):
         _check_grams(_break(grams, 0, lambda m: m.__setitem__((0, 1), m[0, 1] + 1e-9)))
 
-    frames = _haar_frames(rng, grams.shape, grams)
+    frames = _haar_frames(rng, grams.shape, factors)
     _frame_structures(grams, frames)
     with pytest.raises(StructuralError, match="not g-orthonormal"):
         _frame_structures(grams, _break(frames, 1, lambda m: m.__setitem__((..., 0), 2 * m[:, 0])))
@@ -181,3 +181,29 @@ def test_a_bad_sample_in_the_sweep_exits_2(capsys, monkeypatch, prop, module, na
     assert out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _counted(monkeypatch, module, name: str) -> list:
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_sweep_chunk_factors_each_random_gram_once(capsys, monkeypatch):
+    # eigvalsh only scales _grams' draws; one Cholesky factor per Gram decides positive
+    # definiteness and solves for the frames, and phi-skew measures the skew alone
+    eigvalsh = _counted(monkeypatch, np.linalg, "eigvalsh")
+    cholesky = _counted(monkeypatch, np.linalg, "cholesky")
+    argv = ["random", "--dim", "5", "--samples", "40", "--deterministic", "--property"]
+    assert cli._chunks(5 ** 2, 40) == [(0, 40)]
+    assert run([*argv, "acs-axioms"]) == 0
+    assert (len(eigvalsh), len(cholesky)) == (1, 1)
+    residuals = _counted(monkeypatch, cli, "_acs_residuals")
+    assert run([*argv, "phi-skew"]) == 0
+    assert residuals == []
+    capsys.readouterr()

@@ -88,6 +88,20 @@ def test_random_structure_refuses_a_bad_gram_before_drawing(rng):
         assert rng.bit_generator.state == state
 
 
+def test_a_gram_with_no_cholesky_factor_is_refused_by_name():
+    # its smallest eigenvalue reads 1.1e-16 > 0, but the draw could not factor it
+    q = np.linalg.qr(np.random.default_rng(8).standard_normal((5, 5)))[0]
+    gram = (q * [1.0, 1.0, 1.0, 1.0, 1e-17]) @ q.T
+    gram = (gram + gram.T) / 2.0
+    assert np.linalg.eigvalsh(gram)[0] > 0
+    acs = canonical_structure(3)
+    message = "^gram matrix must be positive definite$"
+    with pytest.raises(StructuralError, match=message):
+        AlmostContactStructure(gram, acs.phi, acs.xi, acs.eta)
+    with pytest.raises(StructuralError, match=message):
+        random_structure(3, np.random.default_rng(1), gram=gram)
+
+
 @pytest.mark.parametrize("n", [2, 3, 60])
 def test_canonical_structure_is_the_checked_record(n):
     # built without the constructor's checks, it equals the checked structure
