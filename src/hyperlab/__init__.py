@@ -15,7 +15,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "checks": ("DEFAULT_TOL", "ConditionReport", "alpha_vanishes"),
+    "checks": ("DEFAULT_TOL", "VERDICT_HYPOTHESIS_FAILS", "VERDICT_INDETERMINATE",
+               "VERDICT_TYPE_A", "ConditionReport", "alpha_vanishes"),
     "tensor_core": ("AlmostContactStructure", "DegenerateSeedError", "StructuralError",
                     "build_phi_basis", "canonical_structure", "random_structure",
                     "structure_from_frame", "validate_acs"),
@@ -25,11 +26,9 @@ _EXPORTS = {
                          "jacobi_operator", "nabla_l"),
     "sampling": ("random_context", "random_gram", "random_hopf_context", "random_hopf_shape",
                  "random_symmetric_shape"),
-    "hopf_conditions": ("KER_ETA", "SPAN_XI", "VERDICT_HYPOTHESIS_FAILS",
-                        "VERDICT_INDETERMINATE", "VERDICT_TYPE_A", "Classification",
-                        "NotHopfError", "TheoremVerdict", "check_l_A_commute",
-                        "check_nabla_xi_l", "check_phi_l_commute", "classify",
-                        "theorem_pipeline"),
+    "hopf_conditions": ("KER_ETA", "SPAN_XI", "Classification", "NotHopfError",
+                        "TheoremVerdict", "check_l_A_commute", "check_nabla_xi_l",
+                        "check_phi_l_commute", "classify", "theorem_pipeline"),
     "model_catalog": ("FAMILY_TABLE", "CatalogError", "FamilyEntry", "FocalPointError",
                       "ModelInstance", "ModelSpec", "OracleMismatchError", "SpectralEntry",
                       "SpectralTable", "catalog_rows", "instantiate", "principal_curvatures",

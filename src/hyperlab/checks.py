@@ -1,4 +1,4 @@
-"""Check rows and the thresholds the array and scalar layers share.
+"""Check rows, the thresholds the layers share, and what verify expects of each model.
 
 No arrays here: the catalog and the jet analysis read these without
 loading numpy, and the tensor layers read the same definitions.
@@ -9,6 +9,25 @@ import math
 from typing import NamedTuple
 
 DEFAULT_TOL = 1e-9
+
+VERDICT_TYPE_A = "type-A-compatible"
+VERDICT_HYPOTHESIS_FAILS = "phi-l-hypothesis-fails"
+VERDICT_INDETERMINATE = "indeterminate-eta-A-xi-zero"
+
+VERIFY_CHECKS = ("structure-axioms", "hopf-decomposition", "shape-phi-commute",
+                 "phi-l-commute", "l-A-commute", "nabla-xi-l", "mu-vanishes",
+                 "codazzi", "spectral-oracle", "jacobi-cross-check",
+                 "theorem-verdict")
+# the (check, subspace) rows a negative control (phi swaps its ker(eta) branches) must fail
+CONTROL_FAILS = frozenset({("shape-phi-commute", "all"), ("phi-l-commute", "ker-eta")})
+
+
+def expected_verdict(alpha_is_zero: bool, phi_invariant: bool) -> str:
+    """The verdict a catalog model must reach: indeterminate where alpha vanishes,
+    otherwise type A exactly when every ker(eta) branch is phi-invariant."""
+    if alpha_is_zero:
+        return VERDICT_INDETERMINATE
+    return VERDICT_TYPE_A if phi_invariant else VERDICT_HYPOTHESIS_FAILS
 
 
 def alpha_vanishes(alpha: float, c: float) -> bool:

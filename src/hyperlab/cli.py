@@ -13,22 +13,15 @@ import argparse
 import numpy as np
 
 from . import lemma_lab  # noqa: F401  (see the module docstring)
-from .checks import ConditionReport
+from .checks import VERDICT_HYPOTHESIS_FAILS, VERIFY_CHECKS, ConditionReport, expected_verdict
 from .curvature_engine import _check_paths, _closed_form, _g, _gauss, codazzi_residual, commutator
 from .entry import RANDOM_PROPERTIES, _finalize, _required, _skeleton
 from .entry import build_parser, run, to_canonical_json, to_markdown  # noqa: F401
-from .hopf_conditions import (SPAN_XI, VERDICT_HYPOTHESIS_FAILS, VERDICT_INDETERMINATE,
-                              VERDICT_TYPE_A, _worst_norm, classify, decompose_A_xi,
-                              theorem_pipeline)
+from .hopf_conditions import SPAN_XI, _worst_norm, classify, decompose_A_xi, theorem_pipeline
 from .model_catalog import ModelSpec, ORACLE_TOL, instantiate
 from .sampling import _contexts, _grams
 from .tensor_core import (_acs_residuals, _check_grams, _frame_structures, _haar_frames,
                           _maxabs, _skew, validate_acs)
-
-VERIFY_CHECKS = ("structure-axioms", "hopf-decomposition", "shape-phi-commute",
-                 "phi-l-commute", "l-A-commute", "nabla-xi-l", "mu-vanishes",
-                 "codazzi", "spectral-oracle", "jacobi-cross-check",
-                 "theorem-verdict")
 
 # Caps on the size options.  verify --n: 4x the benchmark's largest n of 60
 # (cost grows about as n^2.4 from n = 120; a run at the cap takes about 0.15 s on one core);
@@ -86,11 +79,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
 
     inst = instantiate(spec, seed=seed)
-    negative_control = (not all(e.phi_invariant for e in inst.spectral.entries)
-                        and not inst.spectral.alpha_is_zero)
-    expected_false = ({("shape-phi-commute", "all"), ("phi-l-commute", "ker-eta")}
-                      if negative_control else set())
-
     config = spec.to_jsonable()
     config.update({"seed": seed, "samples": samples, "tolerance": tol,
                    "checks": ",".join(names) if names != VERIFY_CHECKS else "all"})
@@ -101,16 +89,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     rows, cls, verdict = _context_rows(inst.ctx, inst.nabla_a, tol, samples, seed)
     rows.append(ConditionReport("spectral-oracle", "all", inst.spectral.oracle_deviation,
                                 ORACLE_TOL))
-    if negative_control:
-        expected_verdict = VERDICT_HYPOTHESIS_FAILS
-    elif inst.spectral.alpha_is_zero:
-        expected_verdict = VERDICT_INDETERMINATE
-    else:
-        expected_verdict = VERDICT_TYPE_A
-    matches = verdict.verdict == expected_verdict
+    expected = expected_verdict(inst.spectral.alpha_is_zero,
+                                all(e.phi_invariant for e in inst.spectral.entries))
+    matches = verdict.verdict == expected
     rows.append(ConditionReport("theorem-verdict", "all", 0.0 if matches else 1.0, 0.5))
     if "theorem-verdict" in names:
-        report["theorem"] = {**verdict.to_jsonable(), "expected_verdict": expected_verdict}
+        report["theorem"] = {**verdict.to_jsonable(), "expected_verdict": expected}
 
     report["classification"] = {"labels": sorted(cls.labels),
                                 "unknown": sorted(cls.unknown)}
@@ -121,7 +105,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     if args.emit_structure:
         report["structure"] = inst.ctx.to_jsonable()
     rows = [rep for rep in rows if rep.name in names]
-    return report, _finalize(report, rows, expected_false, args)
+    return report, _finalize(report, rows, args, control=expected == VERDICT_HYPOTHESIS_FAILS)
 
 
 def _structures(rng, dim, first, size):
@@ -195,6 +179,6 @@ def cmd_random(args: argparse.Namespace) -> tuple[dict, int]:
     report = _skeleton("random", config, args)
     rows = [ConditionReport(name, "all", _run_property(name, dim, samples, seed), tol)
             for name in props]
-    return report, _finalize(report, rows, set(), args)
+    return report, _finalize(report, rows, args)
 
 

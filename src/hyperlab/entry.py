@@ -28,7 +28,7 @@ import re
 import sys
 
 from . import __version__
-from .checks import DEFAULT_TOL, ConditionReport
+from .checks import CONTROL_FAILS, DEFAULT_TOL, ConditionReport
 from .model_catalog import (AMBIENTS, DEFAULT_STEP, FAMILIES, FocalPointError,
                             OracleMismatchError, catalog_rows, riccati_shape_evolution)
 
@@ -343,11 +343,12 @@ def _skeleton(command: str, config: dict, args: argparse.Namespace) -> dict:
             "config": config}
 
 
-def _finalize(report: dict, reports: list[ConditionReport], failing: set,
-              args: argparse.Namespace) -> int:
-    """Serialise the check rows sorted by (check, subspace); a row expected to
-    fail is one whose (check, subspace) is in failing."""
-    rows = [{**rep.to_jsonable(), "expected": (rep.name, rep.subspace) not in failing}
+def _finalize(report: dict, reports: list[ConditionReport], args: argparse.Namespace,
+              control: bool = False) -> int:
+    """Serialise the check rows sorted by (check, subspace); on a negative control
+    a row expected to fail is one whose (check, subspace) is in CONTROL_FAILS."""
+    rows = [{**rep.to_jsonable(), "expected": not (control and (rep.name, rep.subspace)
+                                                   in CONTROL_FAILS)}
             for rep in sorted(reports, key=lambda r: (r.name, r.subspace))]
     report["checks"] = rows
     unexpected = sum(1 for r in rows if r["pass"] != r["expected"])
@@ -374,7 +375,7 @@ def _emit(report: dict, args: argparse.Namespace):
 def cmd_catalog(args: argparse.Namespace) -> tuple[dict, int]:
     report = _skeleton("catalog", {}, args)
     report["catalog"] = catalog_rows()
-    return report, _finalize(report, [], set(), args)
+    return report, _finalize(report, [], args)
 
 
 def _default_anchor(kappa: float, r0: float) -> float:
@@ -401,11 +402,11 @@ def cmd_oracle_riccati(args: argparse.Namespace) -> tuple[dict, int]:
         value = riccati_shape_evolution(kappa, r, (r0, lambda0), step=step)
     except FocalPointError as exc:
         report["oracle"] = {"error": str(exc)}
-        _finalize(report, [], set(), args)
+        _finalize(report, [], args)
         report["summary"]["all_ok"] = False
         return report, 1
     report["oracle"] = {"value": value}
-    return report, _finalize(report, [], set(), args)
+    return report, _finalize(report, [], args)
 
 
 def cmd_jet(args: argparse.Namespace) -> tuple[dict, int]:
@@ -425,7 +426,7 @@ def cmd_jet(args: argparse.Namespace) -> tuple[dict, int]:
     report["jet"] = jet.to_jsonable()
     report["certificate"] = contradiction_certificate(
         c, alpha, beta, w1_norm_sq=jet.w1_norm_sq).to_jsonable()
-    return report, _finalize(report, jet_residuals(jet, tol), set(), args)
+    return report, _finalize(report, jet_residuals(jet, tol), args)
 
 
 # ------------------------------------------------------------- entry points

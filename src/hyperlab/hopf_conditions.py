@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import DEFAULT_TOL, ConditionReport, alpha_vanishes
+from .checks import (DEFAULT_TOL, VERDICT_HYPOTHESIS_FAILS, VERDICT_INDETERMINATE,
+                     VERDICT_TYPE_A, ConditionReport, alpha_vanishes)
 from .curvature_engine import (
     CurvatureContext,
     MissingNablaAError,
@@ -127,11 +128,6 @@ def classify(ctx: CurvatureContext, nabla_a: NablaAProvider | None = None,
               if shared and key in reports and reports[key].passed}
     unknown = {"C", "D"} if shared and nabla_a is None else set()
     return Classification(frozenset(labels), frozenset(unknown), reports)
-
-
-VERDICT_TYPE_A = "type-A-compatible"
-VERDICT_HYPOTHESIS_FAILS = "phi-l-hypothesis-fails"
-VERDICT_INDETERMINATE = "indeterminate-eta-A-xi-zero"
 
 
 class TheoremVerdict(NamedTuple):

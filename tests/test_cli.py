@@ -17,7 +17,10 @@ from hyperlab import (DEFAULT_TOL, KER_ETA, SPAN_XI, CatalogError, CurvatureCont
                       ModelSpec, NotHopfError, OracleMismatchError, StructuralError,
                       TheoremVerdict, cli, entry, instantiate, random_gram, random_hopf_context,
                       structure_from_frame, type_a_nabla_a)
+from hyperlab.checks import (CONTROL_FAILS, VERDICT_HYPOTHESIS_FAILS, VERDICT_INDETERMINATE,
+                             VERDICT_TYPE_A, VERIFY_CHECKS)
 from hyperlab.cli import run, to_canonical_json, to_markdown
+from hyperlab.model_catalog import FAMILY_TABLE
 from test_golden import CASES as GOLDEN_CASES
 
 
@@ -83,6 +86,41 @@ def test_verify_alpha_just_past_zero_radius_agrees_with_catalog(capsys):
     assert rep["spectral"]["alpha_is_zero"] is False
     assert rep["theorem"]["verdict"] == rep["theorem"]["expected_verdict"] \
         == "type-A-compatible"
+
+
+def _policy_models():
+    """(argv, verdict the family must reach) over every family at n = 2 and 3, every
+    admissible k and both normals, at an interior radius, and the CP tubes where alpha
+    vanishes (s r = pi/4)."""
+    models = []
+    for (ambient, family), entry in FAMILY_TABLE.items():
+        radius = [] if entry.sr_max is None else ["--radius", repr(min(0.6, entry.sr_max / 2))]
+        verdict = VERDICT_HYPOTHESIS_FAILS if family == "B" else VERDICT_TYPE_A
+        models += [([ambient, family, n, k, *radius], verdict)
+                   for n in (2, 3) for k in entry.ks(n)]
+    models += [(["CP", family, n, k, "--radius", repr(math.pi / 4)], VERDICT_INDETERMINATE)
+               for family, n, k in (("A1", 2, None), ("A1", 3, None), ("A2", 3, 1))]
+    return [(["verify", "--ambient", ambient, "--family", family, "--n", str(n),
+              *([] if k is None else ["--k", str(k)]), *rest, *flip, "--deterministic"], verdict)
+            for (ambient, family, n, k, *rest), verdict in models
+            for flip in ([], ["--flip-normal"])]
+
+
+def test_verify_expectations_hold_over_the_whole_catalog(capsys):
+    # the control rows are expected to fail on exactly the models whose verdict
+    # is that the hypothesis fails, and every model reaches its expected verdict
+    models = _policy_models()
+    assert len(models) == 2 * 19
+    for argv, verdict in models:
+        code, rep = _report(capsys, argv)
+        assert code == 0, argv
+        assert {row["check"] for row in rep["checks"]} <= set(VERIFY_CHECKS)
+        theorem = rep["theorem"]
+        assert theorem["verdict"] == theorem["expected_verdict"] == verdict, argv
+        control = {(row["check"], row["subspace"]) for row in rep["checks"]
+                   if row["expected"] is False}
+        assert control == (CONTROL_FAILS if verdict == VERDICT_HYPOTHESIS_FAILS else set()), argv
+        assert all(row["pass"] == row["expected"] for row in rep["checks"]), argv
 
 
 def test_verify_check_subset_and_structure_emission(capsys):

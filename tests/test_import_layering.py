@@ -69,6 +69,19 @@ def test_package_exports_every_public_name():
         getattr(hyperlab, "no_such_name")
 
 
+def test_verdict_names_load_no_numpy(child_env):
+    # they live with the other numpy-free check definitions, not in the condition layer
+    probe = ("import sys, hyperlab\n"
+             "names = [name for name in hyperlab.__all__ if name.startswith('VERDICT_')]\n"
+             "print(len(names), *(getattr(hyperlab, name) for name in names))\n"
+             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "3 phi-l-hypothesis-fails indeterminate-eta-A-xi-zero type-A-compatible", "[]"]
+
+
 def test_ker_eta_basis_needs_no_condition_layer(child_env):
     # the Hopf split that seeds the basis lives in curvature_engine itself
     probe = ("import sys, numpy as np\n"
