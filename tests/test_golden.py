@@ -55,6 +55,9 @@ CASES.update({
     "verify-CP-n60-A2-k5-r0.4": (["verify", "--ambient", "CP", "--n", "60",
                                   "--family", "A2", "--k", "5", "--radius", "0.4",
                                   "--deterministic"], 0),
+    # the negative control at a BLAS-blocked size: its commutators are O(1), not rounding noise
+    "verify-CH-n40-B-r0.7": (["verify", "--ambient", "CH", "--n", "40", "--family", "B",
+                              "--radius", "0.7", "--deterministic"], 0),
     "verify-CP-n5-B-r0.5": (["verify", "--ambient", "CP", "--n", "5", "--family", "B",
                              "--radius", "0.5", "--deterministic"], 0),
     "verify-CH-n5-A2-k2-r0.8": (["verify", "--ambient", "CH", "--n", "5", "--family", "A2",
