@@ -120,7 +120,7 @@ def _structures(rng, dim, first, size):
 def _jacobi_paths(rng, dim, size, hopf):
     """Random contexts, the definitional l of each and its max-abs gap to the closed form."""
     gram, phi, xi, eta, a, c = _contexts(rng, (size,), dim, hopf)
-    ell = _gauss(gram, phi, a, c, np.eye(dim), xi, xi)
+    ell = _gauss(gram, phi, a, c, None, xi, xi)
     return gram, phi, xi, a, c, ell, _maxabs(ell - _closed_form(gram, xi, eta, a, c))
 
 

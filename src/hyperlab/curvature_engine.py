@@ -77,7 +77,7 @@ class CurvatureContext(_ContextFields):
     @cached_property
     def l_from_curvature(self) -> np.ndarray:
         """`jacobi_from_curvature` of this context, read-only."""
-        return _read_only(jacobi_from_curvature(self))
+        return _read_only(jacobi_from_curvature(self), copy=False)
 
     @cached_property
     def l_path_gap(self) -> float:
@@ -87,17 +87,19 @@ class CurvatureContext(_ContextFields):
     @cached_property
     def phi_l_commutator(self) -> np.ndarray:
         """phi l - l phi, with l from `jacobi_operator`, read-only."""
-        return _read_only(commutator(self.acs.phi, jacobi_operator(self)))
+        ell = jacobi_operator(self)
+        return _read_only(self.acs._phi_times(ell) - self.acs._phi_times(ell, right=True), False)
 
     @cached_property
     def l_a_commutator(self) -> np.ndarray:
         """lA - Al, with l from `jacobi_operator`, read-only."""
-        return _read_only(commutator(jacobi_operator(self), self.shape_operator))
+        return _read_only(commutator(jacobi_operator(self), self.shape_operator), copy=False)
 
     @cached_property
     def a_phi_commutator(self) -> np.ndarray:
         """A phi - phi A, read-only."""
-        return _read_only(commutator(self.shape_operator, self.acs.phi))
+        a = self.shape_operator
+        return _read_only(self.acs._phi_times(a, right=True) - self.acs._phi_times(a), False)
 
     @cached_property
     def ker_eta_basis(self) -> np.ndarray:
@@ -151,10 +153,12 @@ def _g(gram, p, q) -> np.ndarray:
 
 
 def _gauss(gram, phi, a, c, x, y, z) -> np.ndarray:
-    """R(X_j, Y_j)Z_j column by column for (d, m) blocks, or stacks of them."""
+    """R(X_j, Y_j)Z_j column by column for (d, m) blocks, or stacks of them.  An x of None is
+    the identity block taken as given: phi I is phi and A I is A, with no product by I."""
     quarter = np.expand_dims(c, (-2, -1)) / 4.0
-    px, py, pz = phi @ x, phi @ y, phi @ z
-    ax, ay = a @ x, a @ y
+    px, ax = (phi, a) if x is None else (phi @ x, a @ x)
+    x = np.eye(phi.shape[-1]) if x is None else x
+    py, pz, ay = phi @ y, phi @ z, a @ y
     out = (quarter * _g(gram, y, z)) * x
     out = out - (quarter * _g(gram, x, z)) * y
     out += (quarter * _g(gram, py, z)) * px
@@ -203,8 +207,8 @@ def gauss_curvature(ctx: CurvatureContext, x: np.ndarray, y: np.ndarray,
 
 def jacobi_from_curvature(ctx: CurvatureContext) -> np.ndarray:
     """l as a matrix: the definition l X = R(X, xi)xi on the columns of the identity."""
-    xi = ctx.acs.xi
-    return gauss_curvature(ctx, np.eye(ctx.dim), xi, xi)
+    acs, xi = ctx.acs, ctx.acs.xi.reshape(-1, 1)
+    return _gauss(acs._metric, acs.phi, ctx.shape_operator, ctx.c, None, xi, xi)
 
 
 def jacobi_closed_form(ctx: CurvatureContext) -> np.ndarray:

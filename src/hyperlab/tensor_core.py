@@ -29,8 +29,10 @@ class DegenerateSeedError(ValueError):
     """A drawn seed, or every remaining candidate of build_phi_basis, lies in the chosen span."""
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+def _read_only(arr: np.ndarray, copy: bool = True) -> np.ndarray:
+    """arr as a read-only float array.  An array from a caller is copied, so the caller's
+    own stays writable; a fresh tensor that nothing else holds is frozen in place (copy=False)."""
+    out = np.array(arr, dtype=float) if copy else arr
     out.flags.writeable = False
     return out
 
@@ -128,10 +130,25 @@ class AlmostContactStructure(_StructureFields):
 
     @cached_property
     def _standard_frame(self) -> bool:
-        """Whether G = I, xi = e_dim and phi e_i = e_{n-1+i} for i < n (build_phi_basis is I)."""
+        """Whether G = I, xi = e_dim and phi is canonical_structure's block rotation, phi xi = 0
+        included: then build_phi_basis is I and a product by phi is `_phi_times`'s block swap."""
         k, eye = self.n - 1, np.eye(self.dim)
         return (self._metric is None and np.array_equal(self.xi, eye[-1])
-                and np.array_equal(self.phi[:, :k], eye[:, k:2 * k]))
+                and np.array_equal(self.phi[:, :k], eye[:, k:2 * k])
+                and np.array_equal(self.phi[:, k:2 * k], -eye[:, :k])
+                and not self.phi[:, -1].any())
+
+    def _phi_times(self, m: np.ndarray, right: bool = False) -> np.ndarray:
+        """phi m, or m phi when right.  On the standard frame each is a signed block swap of
+        m, which equals the product exactly (one +-1 per row), signs of zeros aside."""
+        if not self._standard_frame:
+            return m @ self.phi if right else self.phi @ m
+        k, out = self.n - 1, np.zeros(m.shape)
+        if right:
+            out[:, :k], out[:, k:2 * k] = m[:, k:2 * k], -m[:, :k]
+        else:
+            out[:k], out[k:2 * k] = -m[k:2 * k], m[:k]
+        return out
 
     def g(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(x @ self.gram @ y)
@@ -232,14 +249,16 @@ def _skew(gram, phi) -> np.ndarray:
     return _maxabs(_mm(gram, phi) + _mm(_t(phi), gram))
 
 
-def _acs_residuals(gram, phi, xi, eta) -> dict[str, np.ndarray]:
+def _acs_residuals(gram, phi, xi, eta, squares=None) -> dict[str, np.ndarray]:
+    """validate_acs's residuals per sample; squares (phi phi, phi^T G phi) default to products."""
     eta_t, g = _t(eta), np.eye(phi.shape[-1]) if gram is None else gram
+    pp, ptgp = squares or (phi @ phi, _mm(_t(phi), gram, phi))
     return {
-        "phi-square": _maxabs(phi @ phi + np.eye(phi.shape[-1]) - xi * eta_t),
+        "phi-square": _maxabs(pp + np.eye(phi.shape[-1]) - xi * eta_t),
         "eta-phi": _maxabs(eta_t @ phi),
         "phi-xi": _maxabs(phi @ xi),
         "eta-xi": np.abs(eta_t @ xi - 1.0)[..., 0, 0],
-        "metric-compat": _maxabs(_mm(_t(phi), gram, phi) - (g - eta * eta_t)),
+        "metric-compat": _maxabs(ptgp - (g - eta * eta_t)),
         "skew": _skew(gram, phi),
         "eta-from-metric": _maxabs(eta - _mm(gram, xi)),
     }
@@ -252,7 +271,8 @@ def validate_acs(acs: AlmostContactStructure) -> dict[str, float]:
     the identities comes back with nonzero residuals.  The residual map is
     the zero map exactly when every identity holds exactly.
     """
-    res = _acs_residuals(acs._metric, acs.phi, acs.xi[:, None], acs.eta[:, None])
+    squares = acs._phi_times(acs.phi), acs._phi_times(_mm(acs.phi.T, acs._metric), right=True)
+    res = _acs_residuals(acs._metric, acs.phi, acs.xi[:, None], acs.eta[:, None], squares)
     return {name: float(value) for name, value in res.items()}
 
 

@@ -2,16 +2,19 @@
 
 Each kernel that multiplies by G skips the product when the structure's Gram
 is exactly I, and the ker(eta) checks take a matrix's first dim-1 columns on
-the standard frame.  A product by an exact identity copies each entry, so
-each shortcut must give the values of the product it skips; a Gram that is
-not exactly I must still be multiplied.
+the standard frame.  There, too, the definitional Jacobi operator takes its
+identity block as given, and a product by phi is a signed block swap.  A
+product by an exact identity, or by a matrix with one +-1 per row, copies
+each entry up to sign, so each shortcut must give the values of the product
+it skips; a Gram that is not exactly I must still be multiplied.
 """
 import numpy as np
 import pytest
 
-from hyperlab import (DEFAULT_TOL, CurvatureContext, ModelSpec, StructuralError,
-                      build_phi_basis, canonical_structure, instantiate, random_structure,
-                      validate_acs)
+from hyperlab import (DEFAULT_TOL, FAMILY_TABLE, AlmostContactStructure, CurvatureContext,
+                      ModelSpec, StructuralError, build_phi_basis, canonical_structure,
+                      commutator, gauss_curvature, instantiate, jacobi_from_curvature,
+                      jacobi_operator, random_structure, validate_acs)
 from hyperlab import cli, curvature_engine
 from hyperlab.curvature_engine import _check_shapes, _closed_form, _g, nabla_l
 from hyperlab.hopf_conditions import (KER_ETA, _worst_norm, check_l_A_commute,
@@ -72,6 +75,67 @@ def test_the_ker_eta_checks_on_the_standard_frame_are_the_general_path(n):
     assert rep.residual == _worst_norm(ctx, block - np.outer(ctx.acs.xi, mus))
     assert rep.mu == float(np.mean(mus))
     assert rep.extras["mu_spread"] == float(mus.max() - mus.min())
+
+
+def _catalog_contexts():
+    """Every FAMILY_TABLE entry at n = 2, 3, 9 and 40, with its first and last admissible k
+    and both normals, at an interior radius."""
+    for (ambient, family), entry in FAMILY_TABLE.items():
+        radius = None if entry.sr_max is None else min(0.6, entry.sr_max / 2)
+        for n in (2, 3, 9, 40):
+            ks = list(entry.ks(n))
+            for k in dict.fromkeys(ks[:1] + ks[-1:]):
+                for flip in (False, True):
+                    spec = ModelSpec(ambient, n, family, radius=radius, k=k, flip_normal=flip)
+                    yield spec, instantiate(spec, seed=n).ctx
+
+
+def test_the_standard_frame_index_maps_are_the_products():
+    # the swaps and the identity block taken as given, against the plain products
+    specs = set()
+    for spec, ctx in _catalog_contexts():
+        acs, xi = ctx.acs, ctx.acs.xi
+        phi, a, ell = acs.phi, ctx.shape_operator, jacobi_operator(ctx)
+        assert acs._standard_frame, spec
+        assert _same(ctx.phi_l_commutator, commutator(phi, ell)), spec
+        assert _same(ctx.a_phi_commutator, commutator(a, phi)), spec
+        plain = _acs_residuals(None, phi, xi[:, None], acs.eta[:, None],
+                               (phi @ phi, phi.T @ phi))
+        assert validate_acs(acs) == {key: float(value) for key, value in plain.items()}, spec
+        assert _same(jacobi_from_curvature(ctx), gauss_curvature(ctx, np.eye(acs.dim), xi, xi))
+        specs.add((spec.ambient, spec.family, spec.n))
+    assert len(specs) == 4 * len(FAMILY_TABLE) - 2  # A2 has no k at n = 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_a_phi_that_differs_in_one_entry_is_not_the_standard_frame(n):
+    acs = canonical_structure(n)
+    assert acs._standard_frame
+    for i, j in np.ndindex(acs.phi.shape):
+        phi = acs.phi.copy()
+        phi[i, j] += 0.5
+        bent = AlmostContactStructure(acs.gram, phi, acs.xi, acs.eta)
+        assert not bent._standard_frame, (i, j)
+        # off the standard frame a product by phi is the product
+        m = np.arange(float(acs.dim ** 2)).reshape(acs.dim, acs.dim)
+        assert _same(bent._phi_times(m), phi @ m) and _same(bent._phi_times(m, True), m @ phi)
+
+
+def test_the_context_freezes_its_own_tensors_in_place_and_copies_a_callers(monkeypatch):
+    acs, a = canonical_structure(3), np.diag([1.0, 2.0, 1.0, 2.0, 3.0])
+    ctx = CurvatureContext(acs, a, 4.0)
+    assert ctx.shape_operator is not a and a.flags.writeable
+    made = []
+
+    def fresh(ctx):
+        made.append(jacobi_from_curvature(ctx))
+        return made[-1]
+
+    monkeypatch.setattr(curvature_engine, "jacobi_from_curvature", fresh)
+    assert ctx.l_from_curvature is made[0] and not made[0].flags.writeable
+    for name in ("phi_l_commutator", "l_a_commutator", "a_phi_commutator"):
+        assert not getattr(ctx, name).flags.writeable
+    assert jacobi_from_curvature(ctx).flags.writeable  # the public result is the caller's
 
 
 def test_the_ker_eta_basis_is_built_only_off_the_standard_frame(monkeypatch, rng):
