@@ -211,9 +211,12 @@ def structure_from_frame(gram: np.ndarray, frame: np.ndarray) -> AlmostContactSt
 
 
 def _haar_frames(rng: np.random.Generator, shape: tuple, factor=None) -> np.ndarray:
-    """Uniformly random g-orthonormal frames: the Q of a Gaussian QR, times L^-T on each sample
-    whose Cholesky factor L (from _check_grams) is given and not exactly I, where L^-T Q is Q."""
-    q, _ = np.linalg.qr(rng.standard_normal(shape))
+    """Uniformly random g-orthonormal frames: the Q of a Gaussian QR, its columns signed so that
+    R's diagonal is positive (Householder fixes its sign, and Q is Haar only once that choice is
+    undone; Mezzadri, Notices AMS 54, 2007), times L^-T on each sample whose Cholesky factor L
+    (from _check_grams) is given and not exactly I, where L^-T Q is Q."""
+    q, r = np.linalg.qr(rng.standard_normal(shape))
+    q *= np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0, -1.0, 1.0)[..., None, :]
     if factor is not None:
         on = ~np.all(factor == np.eye(shape[-1]), axis=(-2, -1))
         q[on] = np.linalg.solve(_t(factor[on]), q[on])

@@ -20,7 +20,7 @@ from hyperlab.curvature_engine import _check_shapes, _closed_form, _g, nabla_l
 from hyperlab.hopf_conditions import (KER_ETA, _worst_norm, check_l_A_commute,
                                       check_nabla_xi_l, check_phi_l_commute)
 from hyperlab.sampling import _contexts, _grams, random_gram, random_symmetric_shape
-from hyperlab.tensor_core import _acs_residuals, _check_grams, _frame_structures, _t
+from hyperlab.tensor_core import _acs_residuals, _check_grams, _frame_structures, _haar_frames, _t
 
 
 def _same(x, y) -> bool:
@@ -180,8 +180,7 @@ def _all_samples_structures(rng, dim, first, size):
     odd = np.arange(first, first + size) % 2 == 1
     grams[odd] = _grams(rng, (int(odd.sum()), dim, dim))
     _check_grams(grams)
-    q, _ = np.linalg.qr(rng.standard_normal(grams.shape))
-    frames = np.linalg.solve(_t(np.linalg.cholesky(grams)), q)
+    frames = np.linalg.solve(_t(np.linalg.cholesky(grams)), _haar_frames(rng, grams.shape))
     return _acs_residuals(grams, *_frame_structures(grams, frames))
 
 

@@ -15,7 +15,7 @@ from hyperlab import (
     validate_acs,
 )
 from hyperlab.sampling import random_gram
-from hyperlab.tensor_core import _haar_phi_frame
+from hyperlab.tensor_core import _haar_frames, _haar_phi_frame
 
 
 def test_structure_rejects_bad_dimensions(rng):
@@ -346,3 +346,20 @@ def test_haar_phi_frame_refuses_a_degenerate_draw(rng):
                 np.vstack([np.eye(5)[4], w[1]])):  # the first seed is xi
         with pytest.raises(DegenerateSeedError):
             _haar_phi_frame(_FixedDraws(bad), 3)
+
+
+def test_haar_frames_are_haar():
+    # a Householder QR makes R's diagonal one sign, so an unsigned Q has q[0, 0] < 0 in
+    # every draw; a Haar Q has each diagonal entry negative in half of them, and the
+    # signs do not change how many doubles are drawn
+    rng = np.random.default_rng(0)
+    q = _haar_frames(rng, (4000, 5, 5))
+    negative = (np.diagonal(q, axis1=-2, axis2=-1) < 0).mean(axis=0)
+    assert np.all(np.abs(negative - 0.5) < 0.05), negative
+    assert rng.bit_generator.state == _drawn(4000 * 25).bit_generator.state
+
+
+def _drawn(count: int) -> np.random.Generator:
+    rng = np.random.default_rng(0)
+    rng.standard_normal(count)
+    return rng
