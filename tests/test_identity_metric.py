@@ -111,13 +111,13 @@ def test_the_standard_frame_index_maps_are_the_products():
 def test_a_phi_that_differs_in_one_entry_is_not_the_standard_frame(n):
     acs = canonical_structure(n)
     assert acs._standard_frame
+    m = np.arange(float(acs.dim ** 2)).reshape(acs.dim, acs.dim)
     for i, j in np.ndindex(acs.phi.shape):
         phi = acs.phi.copy()
         phi[i, j] += 0.5
         bent = AlmostContactStructure(acs.gram, phi, acs.xi, acs.eta)
         assert not bent._standard_frame, (i, j)
         # off the standard frame a product by phi is the product
-        m = np.arange(float(acs.dim ** 2)).reshape(acs.dim, acs.dim)
         assert _same(bent._phi_times(m), phi @ m) and _same(bent._phi_times(m, True), m @ phi)
 
 
