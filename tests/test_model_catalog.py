@@ -101,6 +101,21 @@ def test_spec_refuses_a_bool_number_or_a_non_bool_flip(kwargs, message):
         ModelSpec("CP", 3, "A1", **kwargs)
 
 
+@pytest.mark.parametrize("args, kwargs, message", [
+    # the radius before C_MAX: at such a c its bound is the likelier mistake
+    (("CP", 3, "A1"), {"c": 1e60, "radius": 10.0},
+     r"^CP family A1 requires 0 < r < 3\.141593e-30 for c = 1e\+60$"),
+    (("CH", 3, "A0"), {"c": -1e60, "radius": 1.0}, "^family A0 takes no radius$"),
+    # C_MAX before the missing k
+    (("CP", 3, "A2"), {"c": 1e60, "radius": 1e-40}, r"^c = 1e\+60 exceeds 1e\+50 in magnitude$"),
+    (("CP", 3, "A1"), {"c": -4.0, "radius": 10.0}, "^CP requires c > 0$"),
+    (("CP", 1, "A1"), {"c": math.nan}, "^n must be an integer >= 2, got 1$"),
+])
+def test_spec_refuses_the_first_of_two_wrong_inputs(args, kwargs, message):
+    with pytest.raises(CatalogError, match=message):
+        ModelSpec(*args, **kwargs)
+
+
 def test_spec_reads_numpy_integers_as_int():
     want = ModelSpec("CP", 4, "A2", radius=0.5, k=1)
     got = ModelSpec("CP", np.int64(4), "A2", radius=0.5, k=np.int64(1))
