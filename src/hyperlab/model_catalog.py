@@ -232,6 +232,10 @@ AMBIENTS = tuple(sorted({ambient for ambient, _ in FAMILY_TABLE}))
 FAMILIES = tuple(sorted({family for _, family in FAMILY_TABLE}))
 
 
+def _scale(c: float) -> float:
+    return math.sqrt(abs(c)) / 2.0
+
+
 class _SpecFields(NamedTuple):
     ambient: str
     n: int
@@ -256,7 +260,8 @@ class ModelSpec(_SpecFields):
 
     def __new__(cls, ambient: str, n: int, family: str, c: float | None = None,
                 radius: float | None = None, k: int | None = None, flip_normal: bool = False):
-        if (ambient, family) not in FAMILY_TABLE:
+        entry = FAMILY_TABLE.get((ambient, family))
+        if entry is None:
             raise CatalogError(
                 f"no family {family!r} in ambient {ambient!r}; the catalog has "
                 + ", ".join(" ".join(key) for key in FAMILY_TABLE))
@@ -274,35 +279,28 @@ class ModelSpec(_SpecFields):
             raise CatalogError("CP requires c > 0")
         if ambient == "CH" and c >= 0:
             raise CatalogError("CH requires c < 0")
-        spec = super().__new__(cls, ambient, n, family, c, radius, k, flip_normal)
-        radius = spec._checked_radius()
+        if entry.sr_max is None:
+            if radius is not None:
+                raise CatalogError(f"family {family} takes no radius")
+        elif radius is None:
+            raise CatalogError(f"family {family} requires a radius")
+        else:
+            radius = _finite("radius", radius, CatalogError)
+            bound = entry.sr_max / _scale(c)
+            if not 0 < radius < bound:
+                raise CatalogError(f"{ambient} family {family} requires "
+                                   f"0 < r < {bound:.7g} for c = {c}")
         if abs(c) > C_MAX:  # after the radius, whose bound at such a c is the likelier mistake
             raise CatalogError(f"c = {c!r} exceeds {C_MAX:g} in magnitude")
-        ks = spec.entry.ks(n)
+        ks = entry.ks(n)
         if k is None and None not in ks:
             none = "" if ks else f", but no k is admissible at n = {n}"
             raise CatalogError(f"{ambient} {family} requires --k{none} "
-                               f"({spec.entry.radius_domain})")
+                               f"({entry.radius_domain})")
         if isinstance(k, bool) or not (k is None or isinstance(k, int)) or k not in ks:
             raise CatalogError(f"{ambient} {family} does not take k = {k!r} "
-                               f"at n = {n} ({spec.entry.core}; {spec.entry.radius_domain})")
+                               f"at n = {n} ({entry.core}; {entry.radius_domain})")
         return super().__new__(cls, ambient, n, family, c, radius, k, flip_normal)
-
-    def _checked_radius(self) -> float | None:
-        """The radius as a float, refused outside the family's domain (None if it takes none)."""
-        sr_max = self.entry.sr_max
-        if sr_max is None:
-            if self.radius is not None:
-                raise CatalogError(f"family {self.family} takes no radius")
-            return None
-        if self.radius is None:
-            raise CatalogError(f"family {self.family} requires a radius")
-        r = _finite("radius", self.radius, CatalogError)
-        bound = sr_max / self.scale
-        if not 0 < r < bound:
-            raise CatalogError(f"{self.ambient} family {self.family} requires "
-                               f"0 < r < {bound:.7g} for c = {self.c}")
-        return r
 
     @property
     def entry(self) -> FamilyEntry:
@@ -311,7 +309,7 @@ class ModelSpec(_SpecFields):
     @property
     def scale(self) -> float:
         """s = sqrt(|c|)/2; radius formulas are stated for |c| = 4 and rescaled by s."""
-        return math.sqrt(abs(self.c)) / 2.0
+        return _scale(self.c)
 
     def to_jsonable(self) -> dict:
         """The fields in declaration order, less None and False, tested by identity
