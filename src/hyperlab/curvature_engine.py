@@ -201,7 +201,7 @@ def gauss_curvature(ctx: CurvatureContext, x: np.ndarray, y: np.ndarray,
     """R(X,Y)Z from the Gauss equation; x, y and z are (dim,) vectors or (dim, m)
     blocks, and column j of the result is R(X_j, Y_j)Z_j (a vector fills every column)."""
     (x, y, z), block = _columns(ctx.dim, "x, y and z", (x, y, z))
-    out = _gauss(ctx.acs.gram, ctx.acs.phi, ctx.shape_operator, ctx.c, x, y, z)
+    out = _gauss(ctx.acs._metric, ctx.acs.phi, ctx.shape_operator, ctx.c, x, y, z)
     return out if block else out[:, 0]
 
 

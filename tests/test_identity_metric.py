@@ -16,7 +16,7 @@ from hyperlab import (DEFAULT_TOL, FAMILY_TABLE, AlmostContactStructure, Curvatu
                       commutator, gauss_curvature, instantiate, jacobi_from_curvature,
                       jacobi_operator, random_structure, validate_acs)
 from hyperlab import cli, curvature_engine
-from hyperlab.curvature_engine import _check_shapes, _closed_form, _g, nabla_l
+from hyperlab.curvature_engine import _check_shapes, _closed_form, _g, _gauss, nabla_l
 from hyperlab.hopf_conditions import (KER_ETA, _worst_norm, check_l_A_commute,
                                       check_nabla_xi_l, check_phi_l_commute)
 from hyperlab.sampling import _contexts, _grams, random_gram, random_symmetric_shape
@@ -102,7 +102,10 @@ def test_the_standard_frame_index_maps_are_the_products():
         plain = _acs_residuals(None, phi, xi[:, None], acs.eta[:, None],
                                (phi @ phi, phi.T @ phi))
         assert validate_acs(acs) == {key: float(value) for key, value in plain.items()}, spec
-        assert _same(jacobi_from_curvature(ctx), gauss_curvature(ctx, np.eye(acs.dim), xi, xi))
+        # the reference multiplies by the explicit Gram and by an explicit identity block
+        want = _gauss(acs.gram, phi, a, ctx.c, np.eye(acs.dim), xi[:, None], xi[:, None])
+        assert _same(jacobi_from_curvature(ctx), want), spec
+        assert _same(gauss_curvature(ctx, np.eye(acs.dim), xi, xi), want), spec
         specs.add((spec.ambient, spec.family, spec.n))
     assert len(specs) == 4 * len(FAMILY_TABLE) - 2  # A2 has no k at n = 2
 
