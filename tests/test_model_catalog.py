@@ -152,6 +152,18 @@ def test_riccati_matches_trig_solutions():
     assert abs(got - math.tanh(2.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("kappa, form", [
+    (-4.0, lambda t: 2.0 / math.tanh(2.0 * t)), (-4.0, lambda t: 2.0 * math.tanh(2.0 * t)),
+    (-1.0, lambda t: 1.0 / math.tanh(t)), (-1.0, math.tanh),
+])
+def test_the_oracle_holds_the_ch_closed_forms_out_to_s_r_12(kappa, form):
+    # in units of 1/s, as the construction check runs it: from s r0 = 0.01 out to s r = 12,
+    # where the benchmark's CH radii stop, each branch within 1e-10 relative (about 1e-12 is read)
+    for t in (0.02, 0.5, 2.0, 6.0, 10.0, 12.0):
+        got = riccati_shape_evolution(kappa, t, (0.01, form(0.01)))
+        assert abs(got - form(t)) <= 1e-10 * abs(form(t)), t
+
+
 def test_riccati_fixed_points():
     assert abs(riccati_shape_evolution(-1.0, 3.0, (0.0, 1.0)) - 1.0) <= 1e-12
     assert abs(riccati_shape_evolution(-4.0, 3.0, (0.0, 2.0)) - 2.0) <= 1e-12
