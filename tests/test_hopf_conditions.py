@@ -204,6 +204,14 @@ def test_theorem_pipeline_verdicts():
         == VERDICT_INDETERMINATE
 
 
+def test_theorem_pipeline_tests_the_hypothesis_before_alpha():
+    # alpha = 1e-13 counts as zero, but phi l - l phi = alpha (phi A - A phi) is about
+    # 2e-13: under a tolerance that sees it, the hypothesis fails before alpha is read
+    ctx = CurvatureContext(canonical_structure(3), np.diag([1.0, 1.0, 2.0, 2.0, 1e-13]), 4.0)
+    assert theorem_pipeline(ctx, 1e-9).verdict == VERDICT_INDETERMINATE
+    assert theorem_pipeline(ctx, 1e-20).verdict == VERDICT_HYPOTHESIS_FAILS
+
+
 def test_theorem_pipeline_rejects_tilted():
     with pytest.raises(NotHopfError):
         theorem_pipeline(_tilted_context())

@@ -602,6 +602,20 @@ def test_b_family_theorem_norms_are_the_closed_form_gap(ambient):
                     abs(entry.alpha(1.0, r)) * gap, rel=1e-12, abs=0)
 
 
+def test_type_a_models_are_exactly_those_with_a_derivative_provider():
+    # instantiate ships a nabla-A provider exactly when every ker(eta) branch is
+    # phi-invariant, on either normal: verify reads the model's kind from the provider
+    for n in (2, 3, 5):
+        for (ambient, family), entry in FAMILY_TABLE.items():
+            radius = None if entry.sr_max is None else 0.4 * min(entry.sr_max, 2.0)
+            for k in entry.ks(n):
+                for flip in (False, True):
+                    spec = ModelSpec(ambient, n, family, radius=radius, k=k, flip_normal=flip)
+                    inst = instantiate(spec, seed=n)
+                    assert (inst.nabla_a is not None) == all(
+                        e.phi_invariant for e in inst.spectral.entries), spec
+
+
 def test_catalog_rows_cover_all_families(capsys):
     rows = catalog_rows()
     families = {(r["ambient"], r["family"]) for r in rows}
