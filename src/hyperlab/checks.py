@@ -1,4 +1,4 @@
-"""Check rows, the thresholds the layers share, and what verify expects of each model.
+"""Check rows, the thresholds the layers share, and the theorem's verdict rule.
 
 No arrays here: the catalog and the jet analysis read these without
 loading numpy, and the tensor layers read the same definitions.
@@ -22,12 +22,13 @@ VERIFY_CHECKS = ("structure-axioms", "hopf-decomposition", "shape-phi-commute",
 CONTROL_FAILS = frozenset({("shape-phi-commute", "all"), ("phi-l-commute", "ker-eta")})
 
 
-def expected_verdict(alpha_is_zero: bool, phi_invariant: bool) -> str:
-    """The verdict a catalog model must reach: indeterminate where alpha vanishes,
-    otherwise type A exactly when every ker(eta) branch is phi-invariant."""
-    if alpha_is_zero:
-        return VERDICT_INDETERMINATE
-    return VERDICT_TYPE_A if phi_invariant else VERDICT_HYPOTHESIS_FAILS
+def theorem_verdict(alpha_is_zero: bool, commutes: bool) -> str:
+    """The paper's pointwise rule on Hopf data: the hypothesis phi l = l phi fails
+    unless it commutes, otherwise alpha = eta(A xi) = 0 leaves A phi = phi A
+    undecided, and alpha != 0 forces it (type A)."""
+    if not commutes:
+        return VERDICT_HYPOTHESIS_FAILS
+    return VERDICT_INDETERMINATE if alpha_is_zero else VERDICT_TYPE_A
 
 
 def alpha_vanishes(alpha: float, c: float) -> bool:

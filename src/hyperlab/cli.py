@@ -13,7 +13,7 @@ import argparse
 import numpy as np
 
 from . import lemma_lab  # noqa: F401  (see the module docstring)
-from .checks import VERDICT_HYPOTHESIS_FAILS, VERIFY_CHECKS, ConditionReport, expected_verdict
+from .checks import VERIFY_CHECKS, ConditionReport, theorem_verdict
 from .curvature_engine import _check_paths, _closed_form, _g, _gauss, codazzi_residual, commutator
 from .entry import RANDOM_PROPERTIES, _finalize, _required, _skeleton
 from .entry import build_parser, run, to_canonical_json, to_markdown  # noqa: F401
@@ -89,8 +89,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     rows, cls, verdict = _context_rows(inst.ctx, inst.nabla_a, tol, samples, seed)
     rows.append(ConditionReport("spectral-oracle", "all", inst.spectral.oracle_deviation,
                                 ORACLE_TOL))
-    expected = expected_verdict(inst.spectral.alpha_is_zero,
-                                all(e.phi_invariant for e in inst.spectral.entries))
+    type_a = inst.nabla_a is not None  # instantiate ships a provider exactly for type A
+    expected = theorem_verdict(inst.spectral.alpha_is_zero, type_a)
     matches = verdict.verdict == expected
     rows.append(ConditionReport("theorem-verdict", "all", 0.0 if matches else 1.0, 0.5))
     if "theorem-verdict" in names:
@@ -99,13 +99,13 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     report["classification"] = {"labels": sorted(cls.labels),
                                 "unknown": sorted(cls.unknown)}
     skipped = [n for n in ("nabla-xi-l", "mu-vanishes", "codazzi") if n in names]
-    if inst.nabla_a is None and skipped:
+    if not type_a and skipped:
         report["notes"] = [", ".join(skipped) + f" omitted: family {spec.family} "
                            "ships no derivative provider"]
     if args.emit_structure:
         report["structure"] = inst.ctx.to_jsonable()
     rows = [rep for rep in rows if rep.name in names]
-    return report, _finalize(report, rows, args, control=expected == VERDICT_HYPOTHESIS_FAILS)
+    return report, _finalize(report, rows, args, control=not type_a)
 
 
 def _structures(rng, dim, first, size):

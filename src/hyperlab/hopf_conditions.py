@@ -3,8 +3,8 @@
 The conditions live on two distinguished subspaces: ker(eta) and span{xi}.
 A point is Hopf when A xi has no ker(eta) component (beta below threshold);
 on Hopf data phi l - l phi = alpha (phi A - A phi) holds identically, which
-is what the verdict pipeline exploits.  The span{xi} reading of lA = Al is
-the vector identity lA(xi) = Al(xi).
+is what the verdict pipeline exploits (its verdict is `checks.theorem_verdict`).
+The span{xi} reading of lA = Al is the vector identity lA(xi) = Al(xi).
 
 Only pointwise data exists here, so the derivative condition
 (nabla_xi l)X = mu xi is checked with a shared fitted mu per subspace and
@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import (DEFAULT_TOL, VERDICT_HYPOTHESIS_FAILS, VERDICT_INDETERMINATE,
-                     VERDICT_TYPE_A, ConditionReport, alpha_vanishes)
+from .checks import DEFAULT_TOL, ConditionReport, alpha_vanishes, theorem_verdict
 from .curvature_engine import (
     CurvatureContext,
     MissingNablaAError,
@@ -154,9 +153,10 @@ def theorem_pipeline(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> Theorem
     """Pointwise forward direction: Hopf + phi l = l phi + alpha != 0 force A phi = phi A.
 
     Non-Hopf input raises NotHopfError (the Hopf property is an input
-    requirement here, not a conclusion).  When alpha vanishes the verdict
-    is indeterminate: the argument divides by eta(A xi), and the catalog's
-    zero-alpha radius is exactly the case it cannot see (`alpha_vanishes`).
+    requirement here, not a conclusion).  The verdict is `checks.theorem_verdict`'s:
+    the hypothesis fails unless phi l = l phi, and otherwise, where alpha
+    vanishes, it is indeterminate: the argument divides by eta(A xi), and the
+    catalog's zero-alpha radius is the case it cannot see (`alpha_vanishes`).
     Norms reported are spectral (`_spectral_norm`), with Frobenius (which
     dominates) used for pass/fail.
     """
@@ -164,13 +164,8 @@ def theorem_pipeline(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> Theorem
     if not dec.is_hopf:
         raise NotHopfError(f"A xi has ker(eta) component beta = {dec.beta:.3e}")
     scale = 1.0 + float(np.linalg.norm(ctx.shape_operator)) ** 2 + abs(ctx.c)
-    if float(np.linalg.norm(ctx.phi_l_commutator)) > tol * scale:
-        verdict = VERDICT_HYPOTHESIS_FAILS
-    elif alpha_vanishes(dec.alpha, ctx.c):
-        verdict = VERDICT_INDETERMINATE
-    else:
-        verdict = VERDICT_TYPE_A
+    commutes = float(np.linalg.norm(ctx.phi_l_commutator)) <= tol * scale
     return TheoremVerdict(hopf=True, alpha=dec.alpha, beta_residual=dec.beta,
                           phi_l_commutator_norm=_spectral_norm(ctx.phi_l_commutator),
                           commutator_A_phi_norm=_spectral_norm(ctx.a_phi_commutator),
-                          verdict=verdict)
+                          verdict=theorem_verdict(alpha_vanishes(dec.alpha, ctx.c), commutes))

@@ -18,7 +18,7 @@ from hyperlab import (DEFAULT_TOL, KER_ETA, SPAN_XI, CatalogError, CurvatureCont
                       TheoremVerdict, cli, entry, instantiate, random_gram, random_hopf_context,
                       structure_from_frame, type_a_nabla_a)
 from hyperlab.checks import (CONTROL_FAILS, VERDICT_HYPOTHESIS_FAILS, VERDICT_INDETERMINATE,
-                             VERDICT_TYPE_A, VERIFY_CHECKS)
+                             VERDICT_TYPE_A, VERIFY_CHECKS, theorem_verdict)
 from hyperlab.cli import run, to_canonical_json, to_markdown
 from hyperlab.model_catalog import FAMILY_TABLE
 from test_golden import CASES as GOLDEN_CASES
@@ -86,6 +86,14 @@ def test_verify_alpha_just_past_zero_radius_agrees_with_catalog(capsys):
     assert rep["spectral"]["alpha_is_zero"] is False
     assert rep["theorem"]["verdict"] == rep["theorem"]["expected_verdict"] \
         == "type-A-compatible"
+
+
+def test_theorem_verdict_truth_table():
+    # the hypothesis is read before alpha: a non-commuting model fails it whatever alpha is
+    assert theorem_verdict(alpha_is_zero=False, commutes=True) == VERDICT_TYPE_A
+    assert theorem_verdict(alpha_is_zero=True, commutes=True) == VERDICT_INDETERMINATE
+    assert theorem_verdict(alpha_is_zero=False, commutes=False) == VERDICT_HYPOTHESIS_FAILS
+    assert theorem_verdict(alpha_is_zero=True, commutes=False) == VERDICT_HYPOTHESIS_FAILS
 
 
 def _policy_models():
