@@ -1,4 +1,4 @@
-"""Check rows, the thresholds the layers share, and the theorem's verdict rule.
+"""Check rows, the thresholds the layers share, the verdict rule, and what verify expects.
 
 No arrays here: the catalog and the jet analysis read these without
 loading numpy, and the tensor layers read the same definitions.
@@ -23,8 +23,8 @@ CONTROL_FAILS = frozenset({("shape-phi-commute", "all"), ("phi-l-commute", "ker-
 
 
 def theorem_verdict(alpha_is_zero: bool, commutes: bool) -> str:
-    """The paper's pointwise rule on Hopf data: the hypothesis phi l = l phi fails
-    unless it commutes, otherwise alpha = eta(A xi) = 0 leaves A phi = phi A
+    """The paper's pointwise rule on Hopf data: the hypothesis fails unless
+    phi l = l phi (commutes); otherwise alpha = eta(A xi) = 0 leaves A phi = phi A
     undecided, and alpha != 0 forces it (type A)."""
     if not commutes:
         return VERDICT_HYPOTHESIS_FAILS
