@@ -113,31 +113,6 @@ class CurvatureContext(_ContextFields):
                 "c": float(self.c)}
 
 
-class HopfDecomposition(NamedTuple):
-    """A xi = alpha xi + beta U with U a g-unit vector in ker(eta)."""
-
-    alpha: float
-    beta: float
-    u: np.ndarray | None
-    is_hopf: bool
-    tolerance: float
-
-
-def decompose_A_xi(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> HopfDecomposition:
-    """Split A xi into its xi component and its ker(eta) remainder.
-
-    The Hopf threshold is relative: beta <= tol * (1 + |A|_F), so scaling
-    the shape operator does not flip the verdict.
-    """
-    alpha = ctx.alpha
-    rem = ctx.a_xi - alpha * ctx.acs.xi
-    beta = ctx.acs.norm(rem)
-    threshold = tol * (1.0 + float(np.linalg.norm(ctx.shape_operator)))
-    hopf = beta <= threshold
-    u = None if hopf else rem / beta
-    return HopfDecomposition(alpha, beta, u, hopf, threshold)
-
-
 def _check_shapes(gram, a: np.ndarray, c):
     """Refuse c = 0 or non-finite, and a shape operator not g-symmetric to 1e-8 (1 + |A|_F)."""
     _refuse(np.asarray(c) == 0, 0, "c must be nonzero (non-flat ambient)")

@@ -436,7 +436,8 @@ _COMMANDS = {"catalog": cmd_catalog, "oracle": cmd_oracle_riccati, "jet": cmd_je
 
 def run(argv: list[str] | None = None) -> int:
     """Exit 1 only where a check failed; every error class a command raises
-    for bad input or configuration is a ValueError (or an OSError): exit 2."""
+    for bad input or configuration is a ValueError (or an OSError), and verify
+    and random without numpy raise ModuleNotFoundError: exit 2."""
     try:
         args = _parse(argv)
         if args.command in _COMMANDS:
@@ -451,7 +452,7 @@ def run(argv: list[str] | None = None) -> int:
     except (OracleMismatchError, FocalPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (ModuleNotFoundError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -346,6 +346,17 @@ def test_one_parser_serves_every_run_in_a_process(child_env):
     assert first > 0 and rest == [first, first]
 
 
+def test_array_commands_without_numpy_exit_2_in_one_line(child_env):
+    # a missing numpy is a configuration error, not a failed check
+    script = "import sys\nsys.modules['numpy'] = None\nfrom hyperlab.entry import main\nmain()"
+    for argv in (["verify", "--ambient", "CP", "--n", "2", "--family", "A1", "--radius", "0.5"],
+                 ["random"]):
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--deterministic"],
+                              capture_output=True, text=True, timeout=120, env=child_env)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert re.fullmatch(r"error: [^\n]*numpy[^\n]*\n", proc.stderr), proc.stderr
+
+
 def test_verify_bad_radius_is_usage_error(capsys):
     assert run(["verify", "--ambient", "CP", "--n", "2", "--family", "A1", "--radius", "2.0"]) == 2
     assert capsys.readouterr() == (

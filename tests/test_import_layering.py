@@ -83,7 +83,7 @@ def test_verdict_names_load_no_numpy(child_env):
 
 
 def test_ker_eta_basis_needs_no_condition_layer(child_env):
-    # the Hopf split that seeds the basis lives in curvature_engine itself
+    # the basis is the structure's phi basis: no Hopf split seeds it, so no condition layer loads
     probe = ("import sys, numpy as np\n"
              "from hyperlab.curvature_engine import CurvatureContext\n"
              "from hyperlab.tensor_core import canonical_structure\n"

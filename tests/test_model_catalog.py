@@ -588,12 +588,14 @@ def test_b_family_ships_no_derivative_provider():
 @pytest.mark.parametrize("ambient", ["CP", "CH"])
 def test_b_family_theorem_norms_are_the_closed_form_gap(ambient):
     # A phi - phi A maps V_i to (mu - lambda) phi V_i and phi V_i to (mu - lambda) V_i,
-    # and phi l - l phi = alpha (phi A - A phi) on Hopf data: the spectral norms
-    # are the branch gap and |alpha| times it, whatever the frame or the normal
+    # and phi l - l phi = alpha (phi A - A phi) on Hopf data: over the 2(n - 1) unit
+    # vectors of ker(eta) the Frobenius norms are the branch gap times sqrt(2(n - 1))
+    # and |alpha| times that, whatever the frame or the normal
     entry = FAMILY_TABLE[ambient, "B"]
     for n in (2, 3, 6, 20):
         for r in (0.1, 0.4, 0.7, 1.5 if ambient == "CH" else 0.75):  # s = 1 at the default c
-            gap = abs(entry.branches[0](1.0, r) - entry.branches[1](1.0, r))
+            gap = abs(entry.branches[0](1.0, r) - entry.branches[1](1.0, r)) \
+                * math.sqrt(2 * (n - 1))
             for flip in (False, True):
                 spec = ModelSpec(ambient, n, "B", radius=r, flip_normal=flip)
                 verdict = theorem_pipeline(instantiate(spec, seed=n).ctx)
