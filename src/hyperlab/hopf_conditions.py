@@ -185,6 +185,8 @@ def theorem_pipeline(ctx: CurvatureContext, tol: float = DEFAULT_TOL) -> Theorem
         raise NotHopfError(f"A xi has ker(eta) component beta = {dec.beta:.3e}")
     scale = 1.0 + float(np.linalg.norm(ctx.shape_operator)) ** 2 + abs(ctx.c)
     phi_l = float(np.linalg.norm(ctx.phi_l_commutator))
-    return TheoremVerdict(True, dec.alpha, dec.beta, phi_l,
-                          float(np.linalg.norm(ctx.a_phi_commutator)),
-                          theorem_verdict(alpha_vanishes(dec.alpha, ctx.c), phi_l <= tol * scale))
+    commutes = phi_l <= tol * scale
+    return TheoremVerdict(hopf=True, alpha=dec.alpha, beta_residual=dec.beta,
+                          phi_l_commutator_norm=phi_l,
+                          commutator_A_phi_norm=float(np.linalg.norm(ctx.a_phi_commutator)),
+                          verdict=theorem_verdict(alpha_vanishes(dec.alpha, ctx.c), commutes))

@@ -594,14 +594,14 @@ def test_b_family_theorem_norms_are_the_closed_form_gap(ambient):
     entry = FAMILY_TABLE[ambient, "B"]
     for n in (2, 3, 6, 20):
         for r in (0.1, 0.4, 0.7, 1.5 if ambient == "CH" else 0.75):  # s = 1 at the default c
-            gap = abs(entry.branches[0](1.0, r) - entry.branches[1](1.0, r)) \
-                * math.sqrt(2 * (n - 1))
+            gap = abs(entry.branches[0](1.0, r) - entry.branches[1](1.0, r))
+            a_phi = gap * math.sqrt(2 * (n - 1))
             for flip in (False, True):
                 spec = ModelSpec(ambient, n, "B", radius=r, flip_normal=flip)
                 verdict = theorem_pipeline(instantiate(spec, seed=n).ctx)
-                assert verdict.commutator_A_phi_norm == pytest.approx(gap, rel=1e-12, abs=0)
+                assert verdict.commutator_A_phi_norm == pytest.approx(a_phi, rel=1e-12, abs=0)
                 assert verdict.phi_l_commutator_norm == pytest.approx(
-                    abs(entry.alpha(1.0, r)) * gap, rel=1e-12, abs=0)
+                    abs(entry.alpha(1.0, r)) * a_phi, rel=1e-12, abs=0)
 
 
 def test_type_a_models_are_exactly_those_with_a_derivative_provider():
