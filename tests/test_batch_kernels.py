@@ -7,6 +7,8 @@ vector formulas the one-sample code used before the kernels (kept below as
 the reference), and each check the sweep keeps must still refuse a single
 bad sample inside a stack.
 """
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from hyperlab import (AlmostContactStructure, CurvatureContext, StructuralError,
                       validate_acs)
 from hyperlab import cli, sampling
 from hyperlab.cli import run
-from hyperlab.curvature_engine import _check_paths, _check_shapes, _closed_form, _gauss
+from hyperlab.curvature_engine import _check_shapes, _closed_form, _gauss
 from hyperlab.sampling import _contexts, _grams
 from hyperlab.tensor_core import (_acs_residuals, _check_grams, _frame_structures,
                                   _haar_frames, _maxabs)
@@ -126,13 +128,6 @@ def test_each_kept_check_refuses_one_bad_sample_in_a_stack(rng):
     with pytest.raises(StructuralError, match="not g-orthonormal"):
         _frame_structures(grams, _break(frames, 1, lambda m: m.__setitem__((..., 0), 2 * m[:, 0])))
 
-    ell = _gauss(gram, phi, a, c, np.eye(dim), xi, xi)
-    _check_paths(_maxabs(ell - _closed_form(gram, xi, eta, a, c)), a, c)
-    skewed = _closed_form(gram, xi, eta, a, c)
-    skewed[3] += 1e-3
-    with pytest.raises(StructuralError, match="Jacobi operator paths disagree"):
-        _check_paths(_maxabs(ell - skewed), a, c)
-
 
 def _bad_shapes(original):
     def shapes(rng, frame, gram, hopf):
@@ -170,7 +165,6 @@ def _bad_closed_form(original):
     ("jacobi-cross-check", sampling, "_shapes", _bad_shapes, "not g-symmetric"),
     ("acs-axioms", cli, "_grams", _bad_grams, "gram matrix must be positive definite"),
     ("phi-skew", cli, "_haar_frames", _bad_frames, "not g-orthonormal"),
-    ("hopf-commutator", cli, "_closed_form", _bad_closed_form, "paths disagree"),
 ])
 def test_a_bad_sample_in_the_sweep_exits_2(capsys, monkeypatch, prop, module, name,
                                            breaker, message):
@@ -181,6 +175,31 @@ def test_a_bad_sample_in_the_sweep_exits_2(capsys, monkeypatch, prop, module, na
     assert out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _random_report(capsys, prop):
+    code = run(["random", "--dim", "5", "--samples", "40", "--deterministic", "--property", prop])
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, json.loads(out)
+
+
+def test_a_bad_closed_form_in_the_sweep_fails_the_cross_check(capsys, monkeypatch):
+    # the gap between the two Jacobi paths is a measurement: its row fails, nothing raises
+    monkeypatch.setattr(cli, "_closed_form", _bad_closed_form(cli._closed_form))
+    code, report = _random_report(capsys, "jacobi-cross-check")
+    assert code == 1
+    [row] = report["checks"]
+    assert (row["check"], row["pass"]) == ("jacobi-cross-check", False)
+    assert row["residual"] == pytest.approx(1e-3, rel=1e-9)
+
+
+def test_the_hopf_commutator_property_builds_l_one_way(capsys, monkeypatch):
+    # the jacobi-cross-check property tests _gauss against the closed form
+    calls = _counted(monkeypatch, cli, "_closed_form")
+    code, report = _random_report(capsys, "hopf-commutator")
+    assert (code, report["checks"][0]["pass"]) == (0, True)
+    assert calls == []
 
 
 def _counted(monkeypatch, module, name: str) -> list:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hyperlab import (
+    DEFAULT_TOL,
     AlmostContactStructure,
     CurvatureContext,
     MissingNablaAError,
@@ -25,6 +26,7 @@ from hyperlab import (
     random_structure,
     type_a_nabla_a,
 )
+from hyperlab import cli
 from hyperlab.cli import run
 from hyperlab.sampling import (random_context, random_gram, random_hopf_shape,
                                random_symmetric_shape)
@@ -256,14 +258,18 @@ def test_jacobi_kills_xi_and_is_self_adjoint(rng):
 
 
 def test_jacobi_cross_check_catches_broken_structure():
-    # phi xi = xi wrecks the closed form's derivation; the two paths split.
+    # phi xi = xi wrecks the closed form's derivation; the two paths split, and the
+    # cross-check row, not a raise, reports it beside the structure row
     acs = canonical_structure(2)
     phi = np.array(acs.phi)
     phi[:, 2] = acs.xi
     broken = AlmostContactStructure(acs.gram, phi, acs.xi, acs.eta)
     ctx = CurvatureContext(broken, np.eye(3), 4.0)
-    with pytest.raises(StructuralError):
-        jacobi_operator(ctx)
+    assert jacobi_operator(ctx) is ctx.l_from_curvature
+    assert ctx.l_path_gap == 2.0
+    rows, _, _ = cli._context_rows(ctx, None, DEFAULT_TOL, 25, 0)
+    assert {rep.name for rep in rows if not rep.passed} == {"jacobi-cross-check",
+                                                           "structure-axioms"}
 
 
 def test_codazzi_residual_of_trivial_provider():

@@ -25,7 +25,8 @@ MODELS = [ModelSpec(ambient, 3, family, radius=_PARAMS[ambient, family][0],
                     k=_PARAMS[ambient, family][1], flip_normal=flip)
           for ambient, family in FAMILY_TABLE for flip in (False, True)]
 
-CODAZZI, STRUCTURE = ("codazzi", "all"), ("structure-axioms", "all")
+CODAZZI, STRUCTURE, JACOBI = (("codazzi", "all"), ("structure-axioms", "all"),
+                              ("jacobi-cross-check", "all"))
 DERIVATIVE = {CODAZZI, ("mu-vanishes", KER_ETA), ("mu-vanishes", SPAN_XI),
               ("nabla-xi-l", KER_ETA), ("nabla-xi-l", SPAN_XI)}
 NOT_HOPF = {("hopf-decomposition", SPAN_XI), ("l-A-commute", KER_ETA), ("l-A-commute", SPAN_XI)}
@@ -41,10 +42,11 @@ def _on_ker_eta(ctx, s):
     return p @ s @ p
 
 
-def _phi(ctx, eps):
-    phi = np.array(ctx.acs.phi)
-    phi[0, 1] += eps
-    return ctx._replace(acs=ctx.acs._replace(phi=phi))
+def _moved(ctx, field, index, eps):
+    """ctx with one entry of phi, xi or eta moved by eps."""
+    v = np.array(getattr(ctx.acs, field))
+    v[index] += eps
+    return ctx._replace(acs=ctx.acs._replace(**{field: v}))
 
 
 # mutation -> (ctx, provider, eps) -> (ctx, provider); the provider of type A is built
@@ -55,7 +57,9 @@ MUTATIONS = {
     "A-on-ker-eta": lambda ctx, nabla_a, eps: (
         ctx._replace(shape_operator=ctx.shape_operator
                      + eps * _on_ker_eta(ctx, _symmetric(ctx.dim))), nabla_a),
-    "phi": lambda ctx, nabla_a, eps: (_phi(ctx, eps), nabla_a),
+    "phi": lambda ctx, nabla_a, eps: (_moved(ctx, "phi", (0, 1), eps), nabla_a),
+    "xi": lambda ctx, nabla_a, eps: (_moved(ctx, "xi", 0, eps), nabla_a),
+    "eta": lambda ctx, nabla_a, eps: (_moved(ctx, "eta", 0, eps), nabla_a),
     "c": lambda ctx, nabla_a, eps: (ctx._replace(c=ctx.c * (1.0 + eps)), nabla_a),
     "nabla-A": lambda ctx, nabla_a, eps: (
         ctx, None if nabla_a is None else lambda w, y: (1.0 + eps) * nabla_a(w, y)),
@@ -66,6 +70,10 @@ TYPE_A_FAILS = {
     "A": (NOT_HOPF | CONTROL_FAILS | {("mu-vanishes", KER_ETA), ("nabla-xi-l", SPAN_XI)}, None),
     "A-on-ker-eta": (set(CONTROL_FAILS), VERDICT_HYPOTHESIS_FAILS),
     "phi": ({CODAZZI, STRUCTURE} | CONTROL_FAILS, VERDICT_HYPOTHESIS_FAILS),
+    # a moved xi or eta splits the two Jacobi paths; the cross-check row names it
+    "xi": ({CODAZZI, STRUCTURE, JACOBI, ("mu-vanishes", KER_ETA), ("nabla-xi-l", SPAN_XI),
+            ("phi-l-commute", KER_ETA), ("phi-l-commute", SPAN_XI)} | NOT_HOPF, None),
+    "eta": ({CODAZZI, STRUCTURE, JACOBI}, VERDICT_TYPE_A),
     "c": ({CODAZZI}, VERDICT_TYPE_A),
     "nabla-A": ({CODAZZI}, VERDICT_TYPE_A),
 }
