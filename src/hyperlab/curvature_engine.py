@@ -113,12 +113,15 @@ class CurvatureContext(_ContextFields):
 
 
 def _check_shapes(gram, a: np.ndarray, c):
-    """Refuse c = 0 or non-finite, and a shape operator not g-symmetric to 1e-8 (1 + |A|_F)."""
+    """Refuse c = 0 or non-finite, and a shape operator with |A|_F above 1e50 or not
+    g-symmetric to 1e-8 (1 + |A|_F)."""
     _refuse(np.asarray(c) == 0, 0, "c must be nonzero (non-flat ambient)")
     _refuse(~np.isfinite(c), c, "c must be finite, got {}")
+    norm = np.sqrt(np.einsum("...ij,...ij->...", a, a))
+    # |lA - Al|_F^2 grows like |A|_F^6, so below the bound it stays under 1e300
+    _refuse(norm > 1e50, norm, "shape_operator norm {:.3e} exceeds 1e50")
     sym = _maxabs(_mm(gram, a) - _mm(_t(a), gram))
-    _refuse(sym > 1e-8 * (1.0 + np.sqrt(np.einsum("...ij,...ij->...", a, a))), sym,
-            "shape operator is not g-symmetric (residual {:.3e})")
+    _refuse(sym > 1e-8 * (1.0 + norm), sym, "shape operator is not g-symmetric (residual {:.3e})")
 
 
 def _g(gram, p, q) -> np.ndarray:

@@ -115,6 +115,8 @@ def test_each_kept_check_refuses_one_bad_sample_in_a_stack(rng):
         _check_shapes(gram, bad_a, c)
     with pytest.raises(StructuralError, match="c must be nonzero"):
         _check_shapes(gram, a, np.where(np.arange(4) == 1, 0.0, c))
+    with pytest.raises(StructuralError, match="shape_operator norm"):
+        _check_shapes(gram, _break(a, 3, lambda m: m.__imul__(1e51)), c)
 
     grams = _grams(rng, (4, dim, dim))
     factors = _check_grams(grams)

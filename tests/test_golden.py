@@ -115,6 +115,11 @@ def test_golden_report(name):
         pytest.fail("\n".join([f"{path.name} changed:", *moved]), pytrace=False)
 
 
+def test_the_golden_directory_holds_exactly_the_cases():
+    # a file that no case renders would never be compared
+    assert {path.name for path in GOLDEN_DIR.iterdir()} == {_golden_path(n).name for n in CASES}
+
+
 _ABSENT = "(absent)"
 
 

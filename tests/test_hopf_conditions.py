@@ -1,4 +1,6 @@
 """Commutation checks, condition-class assignment, and the forward pipeline."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from hyperlab import (
     CurvatureContext,
     MissingNablaAError,
     NotHopfError,
+    StructuralError,
     canonical_structure,
     check_l_A_commute,
     check_nabla_xi_l,
@@ -239,13 +242,22 @@ def test_theorem_reports_the_norm_that_decides():
     assert verdicts == {VERDICT_TYPE_A, VERDICT_HYPOTHESIS_FAILS}
 
 
-def test_theorem_pipeline_reads_overflowing_products_as_a_failed_hypothesis():
-    # the context accepts this A although l's products overflow; the verdict still
-    # reads the inf norm instead of raising from a linear-algebra solve
-    v = 1e100
-    with np.errstate(over="ignore", invalid="ignore"):
-        ctx = CurvatureContext(canonical_structure(3), np.diag([v, v, 2 * v, 2 * v, v]), 4.0)
-        assert theorem_pipeline(ctx).verdict == VERDICT_HYPOTHESIS_FAILS
+def test_the_context_refuses_a_shape_operator_whose_products_overflow():
+    # |A|_F above 1e50 is refused at the boundary; just below it every norm the rows and
+    # the verdict read, up to |lA - Al|_F of order |A|_F^3, is finite, with no warning
+    def context(v):
+        return CurvatureContext(canonical_structure(3), np.diag([v, v, 2 * v, 2 * v, v]), 4.0)
+
+    with pytest.raises(StructuralError, match=r"shape_operator norm 3\.317e\+100 exceeds 1e50"):
+        context(1e100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ctx = context(1e49)
+        verdict = theorem_pipeline(ctx)
+        residuals = [rep.residual for rep in classify(ctx).reports.values()]
+    assert np.isfinite([verdict.phi_l_commutator_norm, verdict.commutator_A_phi_norm,
+                        *residuals]).all()
+    assert verdict.verdict == VERDICT_HYPOTHESIS_FAILS
 
 
 def test_hopf_commutator_identity_samples(rng):
