@@ -108,7 +108,7 @@ def _break(arr, i, how):
 
 def test_each_kept_check_refuses_one_bad_sample_in_a_stack(rng):
     dim = 5
-    gram, phi, xi, eta, a, c = _contexts(rng, (4,), dim, hopf=True)
+    gram, _, _, _, a, c = _contexts(rng, (4,), dim, hopf=True)
     _check_shapes(gram, a, c)
     bad_a = _break(a, 2, lambda m: m.__setitem__((0, 1), m[0, 1] + 1e-3))
     with pytest.raises(StructuralError, match="not g-symmetric"):
