@@ -1,4 +1,4 @@
-"""Check rows, the thresholds the layers share, the verdict rule, and what verify expects.
+"""Check rows, shared thresholds, the rule for an outside scalar, the verdict rule, verify's rows.
 
 No arrays here: the catalog and the jet analysis read these without
 loading numpy, and the tensor layers read the same definitions.
@@ -9,6 +9,9 @@ import math
 from typing import NamedTuple
 
 DEFAULT_TOL = 1e-9
+SCALAR_MAX = 1e50
+"""Largest magnitude of an outside scalar (c, a jet's alpha, beta and c) and of |A|_F.  No
+check raises an input past the sixth power (|lA - Al|_F^2 ~ |A|_F^6), which stays below 1e300."""
 
 VERDICT_TYPE_A = "type-A-compatible"
 VERDICT_HYPOTHESIS_FAILS = "phi-l-hypothesis-fails"
@@ -39,6 +42,22 @@ def alpha_vanishes(alpha: float, c: float) -> bool:
     scales with the ambient curvature, as alpha does on the catalog.
     """
     return abs(alpha) <= 1e-12 * (1.0 + math.sqrt(abs(c)))
+
+
+def finite(name: str, value, error: type[ValueError], bound: float = math.inf) -> float:
+    """value as a float, or an error of the caller's class that names it: a bool (float(True)
+    is 1.0), a value that is not a number, a non-finite one and one above bound in magnitude."""
+    try:
+        number = float(None if isinstance(value, bool) else value)  # float(True) is 1.0
+    except OverflowError:  # not echoed: past 4300 digits even repr refuses the int
+        raise error(f"{name} is an int too large for a float") from None
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise error(f"{name} must be finite, got {number!r}")
+    if abs(number) > bound:
+        raise error(f"{name} = {number!r} exceeds {bound:g} in magnitude")
+    return number
 
 
 class _ReportFields(NamedTuple):

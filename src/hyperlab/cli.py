@@ -3,8 +3,8 @@
 hyperlab.entry parses argv and runs catalog, oracle riccati and jet without
 numpy; its run() comes here for the other two.  Importing this module loads
 every hyperlab module: the whole array engine, and lemma_lab, which entry
-loads only for jet.  It re-exports run, build_parser and the two
-emitters for callers that import them from here.
+loads only for jet.  It re-exports run and the two emitters for callers
+that import them from here.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from . import lemma_lab  # noqa: F401  (see the module docstring)
 from .checks import VERIFY_CHECKS, ConditionReport, theorem_verdict
 from .curvature_engine import _closed_form, _g, _gauss, codazzi_residual, commutator
 from .entry import RANDOM_PROPERTIES, _finalize, _required, _skeleton
-from .entry import build_parser, run, to_canonical_json, to_markdown  # noqa: F401
+from .entry import run, to_canonical_json, to_markdown  # noqa: F401
 from .hopf_conditions import SPAN_XI, _worst_norm, classify, decompose_A_xi, theorem_pipeline
 from .model_catalog import ModelSpec, ORACLE_TOL, instantiate
 from .sampling import _contexts, _grams

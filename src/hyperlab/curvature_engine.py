@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .checks import SCALAR_MAX, finite
 from .tensor_core import (
     AlmostContactStructure,
     StructuralError,
@@ -43,7 +44,8 @@ class _ContextFields(NamedTuple):
 
 
 class CurvatureContext(_ContextFields):
-    """Pointwise hypersurface data: a structure, a g-symmetric A, and c != 0.
+    """Pointwise hypersurface data: a structure, a g-symmetric A, and c != 0 read by
+    checks.finite within SCALAR_MAX.
 
     The context is immutable, so the tensors every check reads are derived
     once per context and stored read-only: the definitional Jacobi path, its
@@ -55,8 +57,8 @@ class CurvatureContext(_ContextFields):
 
     def __new__(cls, acs, shape_operator, c):
         a = _of_shape(shape_operator, acs.phi.shape, "shape_operator")
-        _check_shapes(acs._metric, a, c)
-        return super().__new__(cls, acs, _read_only(a), float(c))
+        _check_shapes(acs._metric, a, c := finite("c", c, StructuralError, SCALAR_MAX))
+        return super().__new__(cls, acs, _read_only(a), c)
 
     def __setattr__(self, name, value):  # the cached tensors are set only by cached_property
         raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
@@ -113,13 +115,12 @@ class CurvatureContext(_ContextFields):
 
 
 def _check_shapes(gram, a: np.ndarray, c):
-    """Refuse c = 0 or non-finite, and a shape operator with |A|_F above 1e50 or not
-    g-symmetric to 1e-8 (1 + |A|_F)."""
+    """Refuse c = 0, and a shape operator with |A|_F above SCALAR_MAX or not g-symmetric to
+    1e-8 (1 + |A|_F); a, c and gram may be stacks, as random draws them.  c is finite here:
+    the context reads it by checks.finite, and random draws it in +-[0.5, 8]."""
     _refuse(np.asarray(c) == 0, 0, "c must be nonzero (non-flat ambient)")
-    _refuse(~np.isfinite(c), c, "c must be finite, got {}")
     norm = np.sqrt(np.einsum("...ij,...ij->...", a, a))
-    # |lA - Al|_F^2 grows like |A|_F^6, so below the bound it stays under 1e300
-    _refuse(norm > 1e50, norm, "shape_operator norm {:.3e} exceeds 1e50")
+    _refuse(norm > SCALAR_MAX, norm, "shape_operator norm {:.3e} exceeds 1e50")
     sym = _maxabs(_mm(gram, a) - _mm(_t(a), gram))
     _refuse(sym > 1e-8 * (1.0 + norm), sym, "shape operator is not g-symmetric (residual {:.3e})")
 
@@ -159,11 +160,12 @@ NablaAProvider = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _columns(d: int, names: str, vectors) -> tuple[list[np.ndarray], bool]:
-    """(d,) vectors or (d, m) blocks of one m as (d, m) blocks, and whether any was a block."""
+    """Finite (d,) vectors or (d, m) blocks of one m as (d, m) blocks, and whether any was one."""
     args = [np.asarray(v, dtype=float) for v in vectors]
     if (any(v.ndim not in (1, 2) or v.shape[0] != d for v in args)
             or len({v.shape[1] for v in args if v.ndim == 2}) > 1):
         raise StructuralError(f"{names} must be ({d},) vectors or ({d}, m) blocks of one m")
+    _refuse(not all(np.isfinite(v).all() for v in args), 0, f"{names} must be finite")
     return [v.reshape(d, -1) for v in args], any(v.ndim == 2 for v in args)
 
 

@@ -23,19 +23,14 @@ public entry points check their inputs and call them with floats.
 """
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
-from .checks import DEFAULT_TOL, ConditionReport
+from .checks import DEFAULT_TOL, SCALAR_MAX, ConditionReport, finite
 
 WITNESSED = "contradiction-witnessed"
 NO_WITNESS = "no-witness-at-this-beta"
 
 FIRST_ORDER_DIRECTIONS = ("xi", "U", "phiU")
-
-JET_SCALAR_MAX = 1e50
-"""Largest |alpha|, |beta|, |c| a jet accepts: the jet formulas raise them to
-at most the fourth power, which stays near 1e200, far from float overflow."""
 
 
 class JetError(ValueError):
@@ -47,16 +42,16 @@ def _require(cond: bool, msg: str):
         raise JetError(msg)
 
 
-def _require_tilted(alpha: float, beta: float, c: float, what: str):
-    """alpha, beta and c within JET_SCALAR_MAX in magnitude (NaN fails too), and
-    none of c, alpha**2 and alpha beta zero: the tilted-set formulas divide by each."""
-    for name, value in (("alpha", alpha), ("beta", beta), ("c", c)):
-        _require(abs(value) <= JET_SCALAR_MAX,
-                 f"jet scalar {name} = {value!r} exceeds {JET_SCALAR_MAX:g} in magnitude")
+def _require_tilted(alpha, beta, c, what: str) -> tuple[float, float, float]:
+    """alpha, beta and c as floats within SCALAR_MAX by checks.finite, and none of c,
+    alpha**2 and alpha beta zero: the tilted-set formulas divide by each."""
+    alpha, beta, c = (finite(name, value, JetError, SCALAR_MAX)
+                      for name, value in (("alpha", alpha), ("beta", beta), ("c", c)))
     _require(c != 0.0, "c must be nonzero")
     _require(alpha * alpha != 0.0, f"{what} needs alpha**2 > 0, got alpha = {alpha!r}")
     _require(alpha * beta != 0.0,
              f"{what} needs alpha beta != 0, got alpha = {alpha!r}, beta = {beta!r}")
+    return alpha, beta, c
 
 
 def _tilted_forms(alpha, beta, c, kappa3=0, kappa1=None) -> dict:
@@ -164,36 +159,27 @@ class LocalJet(_JetFields):
     copies of the dicts it is given.  The mandatory directions are xi, U,
     phiU (zero when absent); phiW2 and W3 (for alpha) and phiW1 (for beta)
     unlock the corresponding optional rows, as do the two mixed second
-    derivatives and the squared norm of W1.
+    derivatives and the squared norm of W1.  Every value is read by checks.finite.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+    _keyed = lambda self: _keyed_values(self._asdict())
 
     def __new__(cls, *args, **kwargs):
         fields = super().__new__(cls, *args, **kwargs)._asdict()
-        _require_tilted(fields["alpha"], fields["beta"], fields["c"], "the tilted set")
-        _require(fields["beta"] > 0.0, "beta must be positive on the tilted set")
-        forms = _tilted_forms(fields["alpha"], fields["beta"], fields["c"])
+        tilted = _require_tilted(fields["alpha"], fields["beta"], fields["c"], "the tilted set")
+        _require(tilted[1] > 0.0, "beta must be positive on the tilted set")
+        forms = _tilted_forms(*tilted)
         for key in ("gamma", "lambda", "kappa1", "kappa2"):
             if fields[_MAPPING_KEYS[key]] is None:
                 fields[_MAPPING_KEYS[key]] = forms[key]
         for name in ("d_alpha", "d_beta"):
             fields[name] = {**dict.fromkeys(FIRST_ORDER_DIRECTIONS, 0.0), **fields[name]}
-        jet = super().__new__(cls, **fields)
-        for key, value in jet._keyed().items():
-            _require(math.isfinite(value), f"jet value {key} = {value!r} is not finite")
-        return jet
-
-    def _keyed(self) -> dict[str, float]:
-        """The jet's values keyed as in _MAPPING_KEYS; absent optional data is left out."""
-        out = {}
-        for key, target in _MAPPING_KEYS.items():
-            value = (getattr(self, target[0]).get(target[1]) if isinstance(target, tuple)
-                     else getattr(self, target))
-            if value is not None:
-                out[key] = value
-        return out
+        for key, value in _keyed_values(fields).items():
+            entries, name = _slot(fields, key)
+            entries[name] = finite(key, value, JetError)
+        return super().__new__(cls, **fields)
 
     def to_jsonable(self) -> dict:
         """The fields in declaration order, lam as lambda, the direction dicts
@@ -218,9 +204,9 @@ def alpha_zero_commutator_norm(c: float, beta: float) -> float:
     from .tensor_core import canonical_structure
 
     a = np.zeros((3, 3))
-    a[0, 2] = a[2, 0] = float(beta)
+    a[0, 2] = a[2, 0] = finite("beta", beta, JetError)
     # U is the first vector of the canonical frame, so (phi l - l phi)U is column 0
-    ctx = CurvatureContext(canonical_structure(2), a, float(c))
+    ctx = CurvatureContext(canonical_structure(2), a, c)
     return float(np.linalg.norm(ctx.phi_l_commutator[:, 0]))
 
 
@@ -234,7 +220,8 @@ def consistent_jet(alpha: float, beta: float, c: float,
     the point: that row is the contradiction detector, not a consistency
     check on the jet itself.  |W1|^2 is carried only where it is nonnegative.
     """
-    _require_tilted(alpha, beta, c, "the tilted set")
+    alpha, beta, c = _require_tilted(alpha, beta, c, "the tilted set")
+    kappa3 = finite("kappa3", kappa3, JetError)
     forms = _tilted_forms(alpha, beta, c, kappa3)
     values = {key: forms[key] for key in _MAPPING_KEYS if key in forms}
     if not values["w1_norm_sq"] >= 0.0:
@@ -284,9 +271,10 @@ class ContradictionCertificate(NamedTuple):
 def contradiction_certificate(c: float, alpha: float, beta: float,
                               w1_norm_sq: float | None = None) -> ContradictionCertificate:
     """Evaluate both branch certificates at one scalar triple."""
-    _require_tilted(alpha, beta, c, "the certificate (it lives on the tilted set)")
+    alpha, beta, c = _require_tilted(alpha, beta, c, "the certificate (it lives on the tilted set)")
     forms = _tilted_forms(alpha, beta, c)
-    residual = None if w1_norm_sq is None else abs(w1_norm_identity(c, alpha, beta, w1_norm_sq))
+    residual = None if w1_norm_sq is None else abs(
+        w1_norm_identity(c, alpha, beta, finite("w1_norm_sq", w1_norm_sq, JetError)))
     return ContradictionCertificate(
         c=c, alpha=alpha, beta=beta, factor=forms["factor"], sum_sq=forms["sum_sq"],
         degenerate_branch_rejected=forms["sum_sq"] > DEFAULT_TOL * (1.0 + alpha ** 2 + beta ** 2),
@@ -312,8 +300,8 @@ def jet_from_mapping(mapping: dict) -> LocalJet:
     """Build a jet from a flat scalar mapping (the CLI's input format).
 
     alpha, beta, c are required; gamma, lambda, kappa1 and kappa2 default to
-    their closed forms, every other scalar to zero or absent.  Unknown keys,
-    values that are not numbers and non-finite values raise, naming the key.
+    their closed forms, every other scalar to zero or absent.  Unknown keys raise, and
+    LocalJet reads every value by checks.finite, naming the key.
     """
     unknown = sorted(set(mapping) - set(_MAPPING_KEYS))
     if unknown:
@@ -322,15 +310,19 @@ def jet_from_mapping(mapping: dict) -> LocalJet:
         if need not in mapping:
             raise JetError(f"jet mapping is missing {need!r}")
     kwargs = {"d_alpha": {}, "d_beta": {}}
-    for key, raw in mapping.items():
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            raise JetError(f"jet value {key} = {raw!r} is not a number") from None
-        _require(math.isfinite(value), f"jet value {key} = {raw!r} is not finite")
-        target = _MAPPING_KEYS[key]
-        if isinstance(target, tuple):
-            kwargs[target[0]][target[1]] = value
-        else:
-            kwargs[target] = value
+    for key, value in mapping.items():
+        entries, name = _slot(kwargs, key)
+        entries[name] = value
     return LocalJet(**kwargs)
+
+
+def _slot(fields: dict, key: str) -> tuple[dict, str]:
+    """Where jet fields keep the value of a _MAPPING_KEYS key: fields, or a direction dict."""
+    target = _MAPPING_KEYS[key]
+    return (fields[target[0]], target[1]) if isinstance(target, tuple) else (fields, target)
+
+
+def _keyed_values(fields: dict) -> dict:
+    """The values of jet fields keyed as in _MAPPING_KEYS; absent optional data is left out."""
+    slots = {key: _slot(fields, key) for key in _MAPPING_KEYS}
+    return {key: d[name] for key, (d, name) in slots.items() if d.get(name) is not None}

@@ -29,7 +29,7 @@ import operator
 from collections.abc import Callable, Container
 from typing import TYPE_CHECKING, NamedTuple
 
-from .checks import alpha_vanishes
+from .checks import SCALAR_MAX, alpha_vanishes, finite
 
 if TYPE_CHECKING:
     from .curvature_engine import CurvatureContext, NablaAProvider
@@ -41,11 +41,6 @@ MAX_ORACLE_STEPS = 5_000_000
 """Most RK4 steps one oracle call may take: over 20x the 240k of a CH tube
 at s r = 12, at every |c|, the costliest catalog model that passes the oracle."""
 _BLOCK = 1024  # steps between the focal-free loop's repeat tests
-C_MAX = 1e50
-"""Largest |c| a model accepts.  The checks square commutators such as lA - Al, of order
-|c|^(3/2), so at this bound no square passes about 1e150; from |c| near 1e150 they overflow.
-ORACLE_TOL is absolute while the oracle's deviation grows like s, so from |c| near 1e14 every
-radius model fails the oracle and exits 1: up to this bound only A0 reaches a report."""
 
 
 class CatalogError(ValueError):
@@ -80,7 +75,7 @@ def riccati_shape_evolution(kappa: float, r: float,
     the whole span step by step, so a zero of u (a focal point) raises at the end of step
     nsteps - length_hint(steps), bit for bit as an indexed step loop would.
     """
-    kappa, r, r0, lam, step = (_finite(name, value, ValueError) for name, value in (
+    kappa, r, r0, lam, step = (finite(name, value, ValueError) for name, value in (
         ("kappa", kappa), ("r", r), ("r0", lambda0[0]), ("lambda0", lambda0[1]), ("step", step)))
     if step <= 0:
         raise ValueError("step must be positive")
@@ -135,17 +130,6 @@ def riccati_shape_evolution(kappa: float, r: float,
         return lam
     i = nsteps - operator.length_hint(steps)  # the step the loop stopped in, counted from 1
     raise FocalPointError(f"shape curvature passed a focal point near r = {r0 + i * h:.6f}")
-
-
-def _finite(name: str, value, error: type[Exception]) -> float:
-    if isinstance(value, bool):  # float(True) is 1.0
-        raise error(f"{name} must be a number, got {value!r}")
-    try:
-        if math.isfinite(number := float(value)):
-            return number
-    except OverflowError:  # not echoed: past 4300 digits even repr refuses the int
-        raise error(f"{name} is an int too large for a float") from None
-    raise error(f"{name} must be finite, got {number!r}")
 
 
 def _cot(x: float) -> float:
@@ -274,7 +258,7 @@ class ModelSpec(_SpecFields):
             raise CatalogError(f"flip_normal must be a bool, got {flip_normal!r}")
         if c is None:
             c = 4.0 if ambient == "CP" else -4.0
-        c = _finite("c", c, CatalogError)
+        c = finite("c", c, CatalogError)
         if ambient == "CP" and c <= 0:
             raise CatalogError("CP requires c > 0")
         if ambient == "CH" and c >= 0:
@@ -285,13 +269,12 @@ class ModelSpec(_SpecFields):
         elif radius is None:
             raise CatalogError(f"family {family} requires a radius")
         else:
-            radius = _finite("radius", radius, CatalogError)
+            radius = finite("radius", radius, CatalogError)
             bound = entry.sr_max / _scale(c)
             if not 0 < radius < bound:
                 raise CatalogError(f"{ambient} family {family} requires "
                                    f"0 < r < {bound:.7g} for c = {c}")
-        if abs(c) > C_MAX:  # after the radius, whose bound at such a c is the likelier mistake
-            raise CatalogError(f"c = {c!r} exceeds {C_MAX:g} in magnitude")
+        finite("c", c, CatalogError, SCALAR_MAX)  # after the radius, the likelier mistake
         ks = entry.ks(n)
         if k is None and None not in ks:
             none = "" if ks else f", but no k is admissible at n = {n}"
@@ -391,7 +374,6 @@ def principal_curvatures(spec: ModelSpec) -> SpectralTable:
 class ModelInstance(NamedTuple):
     """Realized tangent-space data for one model at one point."""
 
-    spec: ModelSpec
     ctx: CurvatureContext
     spectral: SpectralTable
     nabla_a: NablaAProvider | None
@@ -420,7 +402,7 @@ def instantiate(spec: ModelSpec, seed: int = 0) -> ModelInstance:
                      for _ in range(ab[side])] + [table.alpha])
     ctx = CurvatureContext(acs, (f * diag) @ f.T, spec.c)
     type_a = all(e.phi_invariant for e in table.entries)
-    return ModelInstance(spec, ctx, table, type_a_nabla_a(ctx) if type_a else None)
+    return ModelInstance(ctx, table, type_a_nabla_a(ctx) if type_a else None)
 
 
 def type_a_nabla_a(ctx: CurvatureContext) -> NablaAProvider:

@@ -293,7 +293,7 @@ def test_an_empty_out_or_config_path_is_refused(capsys, tmp_path, argv, line):
      + ", ".join(repr(p) for p in entry.RANDOM_PROPERTIES + ("all",)) + ")"),
     (["catalog"], "deterministic = maybe", "deterministic = 'maybe' in {cfg} is not a boolean"),
     (["jet", "--alpha", "1", "--beta", "0.5", "--c", "4"], "dalpha_U = abc",
-     "jet value dalpha_U = 'abc' is not a number"),
+     "dalpha_U must be a number, got 'abc'"),
 ])
 def test_config_values_pass_the_choices_check(capsys, tmp_path, argv, line, message):
     cfg = tmp_path / "run.cfg"
@@ -685,7 +685,7 @@ def test_config_reads_every_switch_and_refuses_a_config_key(capsys, tmp_path):
     # a switch is any store_true option; a config key could never take effect
     cfg = tmp_path / "run.cfg"
     switches = []
-    for leaf in _leaf_parsers(cli.build_parser()):
+    for leaf in _leaf_parsers(entry.build_parser()):
         words = leaf.prog.split()[1:]
         for action in leaf._actions:
             if isinstance(action, argparse._StoreTrueAction):
@@ -782,7 +782,7 @@ def test_each_leaf_has_exactly_its_options():
         "jet": sorted(common + ["alpha", "beta", "c", "kappa3", "tolerance"]),
     }
     got = {leaf.prog.split(maxsplit=1)[1]: sorted(a.dest for a in leaf._actions if a.dest != "help")
-           for leaf in _leaf_parsers(cli.build_parser())}
+           for leaf in _leaf_parsers(entry.build_parser())}
     assert got == want
 
 
@@ -870,7 +870,7 @@ def _leaf_parsers(parser):
 @pytest.mark.parametrize("spelling", ["-1e50", "-4e0", "-1.5E-3"])
 def test_every_float_option_takes_a_negative_exponent(spelling):
     checked = []
-    for leaf in _leaf_parsers(cli.build_parser()):
+    for leaf in _leaf_parsers(entry.build_parser()):
         for action in leaf._actions:
             if action.type is entry._finite:
                 args = leaf.parse_args([action.option_strings[0], spelling])
@@ -889,7 +889,7 @@ def test_every_float_option_refuses_a_negative_non_finite_value(spelling):
     # a negative non-finite spelling is a value that _finite refuses, not a
     # missing argument followed by an unknown option
     checked = []
-    for leaf in _leaf_parsers(cli.build_parser()):
+    for leaf in _leaf_parsers(entry.build_parser()):
         for action in leaf._actions:
             if action.type in (entry._finite, entry._tolerance):
                 with pytest.raises(ValueError) as err:
@@ -948,7 +948,7 @@ def test_overflowing_jet_value_names_its_key(capsys):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert err.startswith("error: jet value dalpha_phiW2 = ") and err.count("\n") == 1
+    assert err.startswith("error: dalpha_phiW2 must be finite, got ") and err.count("\n") == 1
     assert "non-finite value in report" not in err
 
 

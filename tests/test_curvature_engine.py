@@ -175,6 +175,24 @@ def test_codazzi_residual_rejects_bad_blocks():
         codazzi_residual(ctx, provider, np.ones((5, 3)), np.ones((5, 4)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_block_kernels_refuse_a_non_finite_entry(bad):
+    # a non-finite entry would give a non-finite column; it is refused as nabla_l refuses it
+    ctx = _flat_shape_context(n=3)
+    provider = lambda w, y: np.zeros_like(y)
+    for shape in ((5,), (5, 3)):
+        for i in range(3):
+            args = [np.ones(shape) for _ in range(3)]
+            args[i][(1,) * len(shape)] = bad
+            with pytest.raises(StructuralError, match="^x, y and z must be finite$"):
+                gauss_curvature(ctx, *args)
+            if i < 2:
+                with pytest.raises(StructuralError, match="^x and y must be finite$"):
+                    codazzi_residual(ctx, provider, *args[:2])
+    with pytest.raises(StructuralError, match="^w must be finite$"):
+        nabla_l(ctx, provider, np.array([1.0, bad, 0.0, 0.0, 0.0]))
+
+
 def test_type_a_provider_columns_and_broadcast_column(rng):
     # column j is -(c/4)[eta(Y_j) phi W_j + g(phi W_j, Y_j) xi]; a (dim, 1) W
     # stands for every column, which is how nabla_l reads the matrix of nabla_W A

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import sys
 
 if __name__ == "__main__":  # regeneration skips conftest.py: pin OpenBLAS as it does
@@ -118,6 +119,17 @@ def test_golden_report(name):
 def test_the_golden_directory_holds_exactly_the_cases():
     # a file that no case renders would never be compared
     assert {path.name for path in GOLDEN_DIR.iterdir()} == {_golden_path(n).name for n in CASES}
+
+
+def test_the_no_numpy_job_runs_every_numpy_free_case():
+    # the CI job that runs without numpy repeats these argv and exit codes by hand
+    workflow = pathlib.Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
+    calls = [shlex.split(line) for line in workflow.read_text(encoding="utf-8").splitlines()
+             if line.strip().startswith("golden ")]  # `golden WANT NAME ARGV...`
+    got = {words[2]: (words[3:], int(words[1])) for words in calls}
+    want = {name: case for name, case in CASES.items()
+            if case[0][0] in ("catalog", "jet", "oracle")}
+    assert got == want and len(got) == 4
 
 
 _ABSENT = "(absent)"

@@ -18,7 +18,8 @@ from hyperlab import (
     jet_from_mapping,
     jet_residuals,
 )
-from hyperlab.lemma_lab import _MAPPING_KEYS, JET_SCALAR_MAX, _tilted_forms
+from hyperlab.checks import SCALAR_MAX
+from hyperlab.lemma_lab import _MAPPING_KEYS, _tilted_forms
 
 
 def test_jet_preconditions():
@@ -289,11 +290,11 @@ def test_certificate_preconditions():
 
 def test_jet_scalars_are_capped_where_they_enter():
     # at the cap every power in the formulas is finite; past it each entry point refuses
-    jet = consistent_jet(JET_SCALAR_MAX, JET_SCALAR_MAX, JET_SCALAR_MAX)
+    jet = consistent_jet(SCALAR_MAX, SCALAR_MAX, SCALAR_MAX)
     assert all(math.isfinite(row.residual) for row in jet_residuals(jet))
-    cert = contradiction_certificate(JET_SCALAR_MAX, JET_SCALAR_MAX, JET_SCALAR_MAX)
+    cert = contradiction_certificate(SCALAR_MAX, SCALAR_MAX, SCALAR_MAX)
     assert math.isfinite(cert.discriminant) and math.isfinite(cert.w1_norm_sq_implied)
-    big = 2.0 * JET_SCALAR_MAX
+    big = 2.0 * SCALAR_MAX
     for alpha, beta, c in ((big, 1.0, 4.0), (1.0, big, 4.0), (1.0, 1.0, -big)):
         for entry in (lambda: consistent_jet(alpha, beta, c),
                       lambda: LocalJet(alpha=alpha, beta=beta, c=c),
@@ -304,9 +305,9 @@ def test_jet_scalars_are_capped_where_they_enter():
 
 def test_non_finite_derived_jet_value_names_its_key():
     # beta**3 / c overflows although alpha, beta and c are all within the cap
-    with pytest.raises(JetError, match="jet value dalpha_phiW2 = nan is not finite"):
+    with pytest.raises(JetError, match="^dalpha_phiW2 must be finite, got nan$"):
         consistent_jet(1.0, 1e40, 1e-300)
-    with pytest.raises(JetError, match="jet value kappa2 = "):
+    with pytest.raises(JetError, match="^kappa2 must be finite, got "):
         LocalJet(alpha=1e-150, beta=1e20, c=1.0)
 
 

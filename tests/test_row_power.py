@@ -5,14 +5,17 @@ Each FAMILY_TABLE entry at n = 3, on both normals and seed 0, runs through
 by eps.  At eps = 1e-6 the test pins the rows that newly fail and the theorem
 verdict (None where the data is no longer Hopf); at eps = 1e-12 no row newly
 fails and the verdict stands.  A fault that no row names, or a refusal where
-a row should fail, shows up here as a wrong set.
+a row should fail, shows up here as a wrong set.  One row, mu-vanishes on
+span{xi}, is a self-test: no input moves it, as the last test pins.
 """
 import functools
+import itertools
 
 import numpy as np
 import pytest
 
-from hyperlab import KER_ETA, SPAN_XI, ModelSpec, cli, instantiate
+from hyperlab import (KER_ETA, SPAN_XI, CurvatureContext, ModelSpec, check_nabla_xi_l, cli,
+                      instantiate, random_gram, random_structure, random_symmetric_shape)
 from hyperlab.checks import CONTROL_FAILS, VERDICT_HYPOTHESIS_FAILS, VERDICT_TYPE_A
 from hyperlab.model_catalog import FAMILY_TABLE
 
@@ -35,6 +38,14 @@ NOT_HOPF = {("hopf-decomposition", SPAN_XI), ("l-A-commute", KER_ETA), ("l-A-com
 def _symmetric(dim):
     s = np.random.default_rng(0).standard_normal((dim, dim))
     return (s + s.T) / 2.0
+
+
+def _symmetric_3(dim):
+    """A totally symmetric 3-tensor T: with G = I, W, Y -> T(W, Y) is a nabla A that keeps
+    g((nabla_W A)Y, Z) symmetric in Y and Z and is symmetric in W and Y, which Codazzi
+    cannot see."""
+    t = np.random.default_rng(0).standard_normal((dim, dim, dim))
+    return sum(np.transpose(t, axes) for axes in itertools.permutations(range(3))) / 6.0
 
 
 def _on_ker_eta(ctx, s):
@@ -63,6 +74,9 @@ MUTATIONS = {
     "c": lambda ctx, nabla_a, eps: (ctx._replace(c=ctx.c * (1.0 + eps)), nabla_a),
     "nabla-A": lambda ctx, nabla_a, eps: (
         ctx, None if nabla_a is None else lambda w, y: (1.0 + eps) * nabla_a(w, y)),
+    "nabla-A-symmetric": lambda ctx, nabla_a, eps: (ctx, None if nabla_a is None else (
+        lambda w, y: nabla_a(w, y) + eps * np.einsum("ijk,j...,k...->i...",
+                                                     _symmetric_3(ctx.dim), w, y))),
 }
 
 # mutation -> (rows a type-A model newly fails at eps = 1e-6, its verdict after)
@@ -76,6 +90,10 @@ TYPE_A_FAILS = {
     "eta": ({CODAZZI, STRUCTURE, JACOBI}, VERDICT_TYPE_A),
     "c": ({CODAZZI}, VERDICT_TYPE_A),
     "nabla-A": ({CODAZZI}, VERDICT_TYPE_A),
+    # the one row that reads the ker(eta) fit of nabla A beyond Codazzi (1.5e-7 to 2.2e-6 here);
+    # A + eps S moves it only at second order (6.3e-13 to 1.7e-12 at eps = 1e-6, 6.3e-7 to
+    # 1.7e-6 at eps = 1e-3), which is why the mutations of A above leave it passing
+    "nabla-A-symmetric": ({("nabla-xi-l", KER_ETA)}, VERDICT_TYPE_A),
 }
 # A0 and A1 are umbilic on ker(eta): A there is a multiple of the identity, so it
 # still commutes with a moved phi, and only the structure and Codazzi rows see it
@@ -123,3 +141,20 @@ def test_a_fault_of_1e_6_fails_the_pinned_rows(spec, mutation):
     assert failed >= base
     failed, got = _failures(*MUTATIONS[mutation](ctx, nabla_a, 1e-12))
     assert (failed, got) == (base, base_verdict)
+
+
+def test_mu_on_span_xi_is_a_self_test():
+    # mu-vanishes on span{xi} reads g((nabla_xi l)xi, xi), whose terms in _nabla_l cancel
+    # one by one whenever eta phi = 0, eta = g(xi, .) and A is g-symmetric: no data moves
+    # it (0.0 under the symmetric nabla A above, at most 9.4e-23 under A + eps S up to
+    # eps = 1e-3), so it tests the code, not the model
+    rng = np.random.default_rng(2012)
+    for n in (2, 3, 5):
+        for _ in range(10):
+            acs = random_structure(n, rng, gram=random_gram(2 * n - 1, rng))
+            c = rng.uniform(0.5, 8.0) * rng.choice([-1.0, 1.0])
+            ctx = CurvatureContext(acs, random_symmetric_shape(acs, rng), c)
+            s = rng.standard_normal((acs.dim,) * 3)
+            e = np.linalg.solve(acs.gram, s + np.swapaxes(s, -1, -2))  # g-symmetric in Y, Z
+            provider = lambda w, y: np.einsum("kij,k...,j...->i...", e, w, y)
+            assert abs(check_nabla_xi_l(ctx, provider, SPAN_XI).mu) <= 1e-12
