@@ -27,7 +27,7 @@ from hyperlab import (
     riccati_shape_evolution,
 )
 from hyperlab.checks import SCALAR_MAX, finite
-from hyperlab.lemma_lab import _MAPPING_KEYS
+from hyperlab.lemma_lab import _MAPPING_KEYS, _slot
 
 # (id, value, the message that refuses it, {} standing for the argument's name)
 HOSTILE = [
@@ -54,11 +54,8 @@ def _riccati(name, value):
 def _jet(key, value):
     """LocalJet with the field that the mapping key names set to value."""
     kwargs = {**TILTED, "d_alpha": {}, "d_beta": {}}
-    target = _MAPPING_KEYS[key]
-    if isinstance(target, tuple):
-        kwargs[target[0]][target[1]] = value
-    else:
-        kwargs[target] = value
+    entries, name = _slot(kwargs, key)
+    entries[name] = value
     return LocalJet(**kwargs)
 
 
