@@ -1,4 +1,4 @@
-"""Check rows, shared thresholds, the rule for an outside scalar, the verdict rule, verify's rows.
+"""Check rows, shared thresholds, the rules for an outside number, the verdict rule, verify's rows.
 
 No arrays here: the catalog and the jet analysis read these without
 loading numpy, and the tensor layers read the same definitions.
@@ -6,6 +6,7 @@ loading numpy, and the tensor layers read the same definitions.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 DEFAULT_TOL = 1e-9
@@ -44,9 +45,10 @@ def alpha_vanishes(alpha: float, c: float) -> bool:
     return abs(alpha) <= 1e-12 * (1.0 + math.sqrt(abs(c)))
 
 
-def finite(name: str, value, error: type[ValueError], bound: float = math.inf) -> float:
+def finite(name: str, value, error: type[Exception], bound: float = math.inf) -> float:
     """value as a float, or an error of the caller's class that names it: a bool (float(True)
-    is 1.0), a value that is not a number, a non-finite one and one above bound in magnitude."""
+    is 1.0), a value that is not a number, a non-finite one (text echoed as typed) and one
+    above bound in magnitude."""
     try:
         number = float(None if isinstance(value, bool) else value)  # float(True) is 1.0
     except OverflowError:  # not echoed: past 4300 digits even repr refuses the int
@@ -54,10 +56,22 @@ def finite(name: str, value, error: type[ValueError], bound: float = math.inf) -
     except (TypeError, ValueError):
         raise error(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(number):
-        raise error(f"{name} must be finite, got {number!r}")
+        raise error(f"{name} must be finite, got {value if isinstance(value, str) else number!r}")
     if abs(number) > bound:
         raise error(f"{name} = {number!r} exceeds {bound:g} in magnitude")
     return number
+
+
+def integer(name: str, value, error: type[Exception], low: int, high: int | None = None) -> int:
+    """value as an int (numpy's integers too), or an error of the caller's class that names
+    it: a bool (True is an int, not a count), a value that is not an integer (3.0 and "3"
+    included) and one below low or above high, None standing for no cap."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        number = value
+    elif low <= (number := operator.index(value)) and (high is None or number <= high):
+        return number
+    rule = f"an integer >= {low}" if high is None else f"in [{low}, {high}]"
+    raise error(f"{name} must be {rule}, got {number!r}")
 
 
 class _ReportFields(NamedTuple):

@@ -13,7 +13,7 @@ import argparse
 import numpy as np
 
 from . import lemma_lab  # noqa: F401  (see the module docstring)
-from .checks import VERIFY_CHECKS, ConditionReport, theorem_verdict
+from .checks import VERIFY_CHECKS, ConditionReport, integer, theorem_verdict
 from .curvature_engine import _closed_form, _g, _gauss, codazzi_residual, commutator
 from .entry import RANDOM_PROPERTIES, _finalize, _required, _skeleton
 from .entry import run, to_canonical_json, to_markdown  # noqa: F401
@@ -37,12 +37,6 @@ MAX_RANDOM_WORK = 10 * MAX_RANDOM_DIM ** 3
 
 # ------------------------------------------------------------- commands
 
-def _in_range(flag: str, value: int, low: int, cap: int):
-    """Refuse a size option outside [low, cap] before anything is built."""
-    if not low <= value <= cap:
-        raise ValueError(f"{flag} must be in [{low}, {cap}], got {value}")
-
-
 def _context_rows(ctx, nabla_a, tol: float, samples: int, seed: int):
     """The verify rows that read the context alone, its classification and its verdict."""
     cls = classify(ctx, nabla_a, tol)  # phi-l, l-A and nabla-xi-l, each computed once
@@ -65,11 +59,11 @@ def _context_rows(ctx, nabla_a, tol: float, samples: int, seed: int):
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     _required(args, "ambient", "n", "family")
-    _in_range("--n", args.n, 2, MAX_VERIFY_N)
-    _in_range("--samples", args.samples, 1, MAX_SAMPLES)
+    integer("--n", args.n, ValueError, 2, MAX_VERIFY_N)
+    samples = integer("--samples", args.samples, ValueError, 1, MAX_SAMPLES)
     spec = ModelSpec(ambient=args.ambient, n=args.n, family=args.family, c=args.c,
                      radius=args.radius, k=args.k, flip_normal=args.flip_normal)
-    seed, samples, tol = args.seed, args.samples, args.tolerance
+    seed, tol = integer("--seed", args.seed, ValueError, 0), args.tolerance
     names = (VERIFY_CHECKS if args.checks == "all"
              else tuple(w.strip() for w in args.checks.split(",") if w.strip()))
     if not names:
@@ -167,12 +161,12 @@ def _run_property(prop: str, dim: int, samples: int, seed: int) -> float:
 
 
 def cmd_random(args: argparse.Namespace) -> tuple[dict, int]:
-    dim, samples, seed, prop = args.dim, args.samples, args.seed, args.property
-    _in_range("--dim", dim, 3, MAX_RANDOM_DIM)
-    _in_range("--samples", samples, 1, MAX_SAMPLES)
+    dim = integer("--dim", args.dim, ValueError, 3, MAX_RANDOM_DIM)
+    samples = integer("--samples", args.samples, ValueError, 1, MAX_SAMPLES)
+    seed, prop = integer("--seed", args.seed, ValueError, 0), args.property
     if dim % 2 == 0:
         raise ValueError(f"--dim must be odd, got {dim}")
-    _in_range("--dim^3 x --samples", dim ** 3 * samples, 27, MAX_RANDOM_WORK)
+    integer("--dim^3 x --samples", dim ** 3 * samples, ValueError, 27, MAX_RANDOM_WORK)
     props, tol = RANDOM_PROPERTIES if prop == "all" else (prop,), args.tolerance
     config = {"dim": dim, "samples": samples, "seed": seed, "property": prop, "tolerance": tol}
     report = _skeleton("random", config, args)

@@ -120,7 +120,7 @@ def _check_shapes(gram, a: np.ndarray, c):
     the context reads it by checks.finite, and random draws it in +-[0.5, 8]."""
     _refuse(np.asarray(c) == 0, 0, "c must be nonzero (non-flat ambient)")
     norm = np.sqrt(np.einsum("...ij,...ij->...", a, a))
-    _refuse(norm > SCALAR_MAX, norm, "shape_operator norm {:.3e} exceeds 1e50")
+    _refuse(norm > SCALAR_MAX, norm, f"shape_operator norm {{:.3e}} exceeds {SCALAR_MAX:g}")
     sym = _maxabs(_mm(gram, a) - _mm(_t(a), gram))
     _refuse(sym > 1e-8 * (1.0 + norm), sym, "shape operator is not g-symmetric (residual {:.3e})")
 

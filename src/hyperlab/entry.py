@@ -28,7 +28,7 @@ import re
 import sys
 
 from . import __version__
-from .checks import CONTROL_FAILS, DEFAULT_TOL, ConditionReport
+from .checks import CONTROL_FAILS, DEFAULT_TOL, ConditionReport, finite
 from .model_catalog import (AMBIENTS, DEFAULT_STEP, FAMILIES, FocalPointError,
                             OracleMismatchError, catalog_rows, riccati_shape_evolution)
 
@@ -167,13 +167,7 @@ def _as_bool(raw: str, key: str, path: str) -> bool:
 
 def _finite(raw: str) -> float:
     """The type of every float option, from a flag or from a config file."""
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {raw!r}")
-    return value
+    return finite("value", raw, argparse.ArgumentTypeError)
 
 
 def _tolerance(raw: str) -> float:
@@ -181,17 +175,6 @@ def _tolerance(raw: str) -> float:
     value = _finite(raw)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw!r}")
-    return value
-
-
-def _seed(raw: str) -> int:
-    """The type of --seed: numpy's generators take only non-negative integers."""
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {raw!r}")
     return value
 
 
@@ -263,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--radius", type=_finite)
     ver.add_argument("--k", type=int, help="core complex dimension")
     ver.add_argument("--flip-normal", dest="flip_normal", action="store_true")
-    ver.add_argument("--seed", type=_seed, default=0, help="frame seed (default 0)")
+    ver.add_argument("--seed", type=int, default=0, help="frame seed (default 0)")
     ver.add_argument("--samples", type=int, default=25,
                      help="sampled pairs for the codazzi row (default 25)")
     ver.add_argument("--checks", default="all", help="comma-separated row names, or 'all'")
@@ -274,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="property sweeps over randomized structures")
     rnd.add_argument("--dim", type=int, default=5, help="odd tangent dimension >= 3")
     rnd.add_argument("--samples", type=int, default=1000, help="default 1000")
-    rnd.add_argument("--seed", type=_seed, default=0, help="default 0")
+    rnd.add_argument("--seed", type=int, default=0, help="default 0")
     rnd.add_argument("--property", default="all", choices=RANDOM_PROPERTIES + ("all",))
 
     orc = sub.add_parser("oracle", help="numerical oracles")

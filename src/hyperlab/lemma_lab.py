@@ -159,7 +159,8 @@ class LocalJet(_JetFields):
     copies of the dicts it is given.  The mandatory directions are xi, U,
     phiU (zero when absent); phiW2 and W3 (for alpha) and phiW1 (for beta)
     unlock the corresponding optional rows, as do the two mixed second
-    derivatives and the squared norm of W1.  Every value is read by checks.finite.
+    derivatives and the squared norm of W1; any other direction is refused.
+    Every value is read by checks.finite, kappa3 and the mandatory ones even when None.
     """
 
     __slots__ = ()
@@ -176,9 +177,12 @@ class LocalJet(_JetFields):
                 fields[_MAPPING_KEYS[key]] = forms[key]
         for name in ("d_alpha", "d_beta"):
             fields[name] = {**dict.fromkeys(FIRST_ORDER_DIRECTIONS, 0.0), **fields[name]}
-        for key, value in _keyed_values(fields).items():
+            for key in fields[name]:
+                _require((name, key) in _MAPPING_KEYS.values(), f"unknown {name} key {key!r}")
+        for key in _MAPPING_KEYS:  # kappa3 and the mandatory directions are read even when None
             entries, name = _slot(fields, key)
-            entries[name] = finite(key, value, JetError)
+            if entries.get(name) is not None or name in ("kappa3", *FIRST_ORDER_DIRECTIONS):
+                entries[name] = finite(key, entries.get(name), JetError)
         return super().__new__(cls, **fields)
 
     def to_jsonable(self) -> dict:

@@ -29,7 +29,7 @@ import operator
 from collections.abc import Callable, Container
 from typing import TYPE_CHECKING, NamedTuple
 
-from .checks import SCALAR_MAX, alpha_vanishes, finite
+from .checks import SCALAR_MAX, alpha_vanishes, finite, integer
 
 if TYPE_CHECKING:
     from .curvature_engine import CurvatureContext, NablaAProvider
@@ -249,11 +249,7 @@ class ModelSpec(_SpecFields):
             raise CatalogError(
                 f"no family {family!r} in ambient {ambient!r}; the catalog has "
                 + ", ".join(" ".join(key) for key in FAMILY_TABLE))
-        # n and k as plain ints when integral (numpy's too), a bool left to be refused
-        n, k = (v if isinstance(v, bool) or not hasattr(type(v), "__index__")
-                else operator.index(v) for v in (n, k))
-        if isinstance(n, bool) or not isinstance(n, int) or n < 2:  # True is an int
-            raise CatalogError(f"n must be an integer >= 2, got {n!r}")
+        n = integer("n", n, CatalogError, 2)
         if not isinstance(flip_normal, bool):
             raise CatalogError(f"flip_normal must be a bool, got {flip_normal!r}")
         if c is None:
@@ -280,7 +276,7 @@ class ModelSpec(_SpecFields):
             none = "" if ks else f", but no k is admissible at n = {n}"
             raise CatalogError(f"{ambient} {family} requires --k{none} "
                                f"({entry.radius_domain})")
-        if isinstance(k, bool) or not (k is None or isinstance(k, int)) or k not in ks:
+        if k is not None and (k := integer("k", k, CatalogError, 0)) not in ks:
             raise CatalogError(f"{ambient} {family} does not take k = {k!r} "
                                f"at n = {n} ({entry.core}; {entry.radius_domain})")
         return super().__new__(cls, ambient, n, family, c, radius, k, flip_normal)
@@ -394,9 +390,10 @@ def instantiate(spec: ModelSpec, seed: int = 0) -> ModelInstance:
     from .curvature_engine import CurvatureContext
     from .tensor_core import _haar_phi_frame, canonical_structure
 
+    rng = np.random.default_rng(integer("seed", seed, CatalogError, 0))
     table = principal_curvatures(spec)
     acs = canonical_structure(spec.n)
-    f = _haar_phi_frame(np.random.default_rng(seed), spec.n)
+    f = _haar_phi_frame(rng, spec.n)
     layout = [ab for *_, ab in _branches(spec)[1:]]
     diag = np.array([e.value for side in (0, 1) for e, ab in zip(table.entries, layout)
                      for _ in range(ab[side])] + [table.alpha])

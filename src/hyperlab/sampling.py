@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checks import integer
 from .curvature_engine import CurvatureContext, _check_shapes
-from .tensor_core import (AlmostContactStructure, _frame_structures, _haar_frames, _t,
-                          build_phi_basis)
+from .tensor_core import (AlmostContactStructure, StructuralError, _frame_structures,
+                          _haar_frames, _t, build_phi_basis)
 
 
 def _grams(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -23,7 +24,7 @@ def _grams(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 def random_gram(dim: int, rng: np.random.Generator) -> np.ndarray:
     """A well-conditioned symmetric positive-definite Gram matrix."""
-    return _grams(rng, (dim, dim))
+    return _grams(rng, (dim := integer("dim", dim, StructuralError, 1), dim))
 
 
 def _shapes(rng: np.random.Generator, frame: np.ndarray, gram, hopf: bool) -> np.ndarray:
@@ -68,8 +69,9 @@ def _contexts(rng: np.random.Generator, lead: tuple, dim: int, hopf: bool):
 
 
 def _one_context(rng: np.random.Generator, n: int, hopf: bool) -> CurvatureContext:
-    _, phi, xi, eta, a, c = _contexts(rng, (), 2 * n - 1, hopf)
-    acs = AlmostContactStructure(np.eye(2 * n - 1), phi, xi[:, 0], eta[:, 0])
+    dim = 2 * integer("n", n, StructuralError, 2) - 1
+    _, phi, xi, eta, a, c = _contexts(rng, (), dim, hopf)
+    acs = AlmostContactStructure(np.eye(dim), phi, xi[:, 0], eta[:, 0])
     return CurvatureContext(acs, a, float(c))
 
 

@@ -14,12 +14,12 @@ odd in phi; the catalog and the checks all assume this fixed orientation.
 """
 from __future__ import annotations
 
-import operator
 from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
 
+from .checks import integer
 
 class StructuralError(ValueError):
     """Malformed input (wrong shapes, bad Gram matrix) as opposed to a failed identity."""
@@ -172,11 +172,7 @@ def canonical_structure(n: int) -> AlmostContactStructure:
     rotation sending V_i to phiV_i and phiV_i to -V_i, and xi spans its
     kernel.  Its fields are exact, so its identity Gram is not re-checked.
     """
-    if isinstance(n, bool) or not hasattr(type(n), "__index__"):  # True is an int, 3.0 is not
-        raise StructuralError(f"n must be an integer, got {n!r}")
-    if (n := operator.index(n)) < 2:  # numpy's integers read as int, as ModelSpec reads them
-        raise StructuralError(f"n must be >= 2, got {n}")
-    dim = 2 * n - 1
+    dim = 2 * (n := integer("n", n, StructuralError, 2)) - 1
     k = n - 1
     phi = np.zeros((dim, dim))
     phi[k:2 * k, :k] = np.eye(k)
@@ -243,7 +239,7 @@ def _haar_phi_frame(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_structure(n: int, rng: np.random.Generator,
                      gram: np.ndarray | None = None) -> AlmostContactStructure:
     """A valid structure in a uniformly random g-orthonormal frame."""
-    gram, factor = _checked_gram(gram, 2 * n - 1)  # before any draw
+    gram, factor = _checked_gram(gram, 2 * integer("n", n, StructuralError, 2) - 1)  # before a draw
     return structure_from_frame(gram, _haar_frames(rng, gram.shape, factor))
 
 

@@ -264,7 +264,7 @@ def test_config_file_seed_is_refused_naming_the_flag(capsys, tmp_path):
     cfg.write_text("seed = -3\n")
     assert run(["random", "--samples", "5", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == (
-        "error: argument --seed: must be a non-negative integer, got '-3'\n")
+        "error: --seed must be an integer >= 0, got -3\n")
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -895,7 +895,7 @@ def test_every_float_option_refuses_a_negative_non_finite_value(spelling):
                 with pytest.raises(ValueError) as err:
                     leaf.parse_args([action.option_strings[0], spelling])
                 assert str(err.value) == (f"argument {action.option_strings[0]}: "
-                                          f"must be finite, got {spelling!r}")
+                                          f"value must be finite, got {spelling!r}")
                 checked.append(action.dest)
     assert len(checked) == 14
 
@@ -910,7 +910,7 @@ def test_negative_non_finite_flags_name_the_value(capsys, argv, flag, spelling):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert err == f"error: argument {flag}: must be finite, got {spelling!r}\n"
+    assert err == f"error: argument {flag}: value must be finite, got {spelling!r}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -248,7 +248,7 @@ def test_the_context_refuses_a_shape_operator_whose_products_overflow():
     def context(v):
         return CurvatureContext(canonical_structure(3), np.diag([v, v, 2 * v, 2 * v, v]), 4.0)
 
-    with pytest.raises(StructuralError, match=r"shape_operator norm 3\.317e\+100 exceeds 1e50"):
+    with pytest.raises(StructuralError, match=r"shape_operator norm 3\.317e\+100 exceeds 1e\+50$"):
         context(1e100)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

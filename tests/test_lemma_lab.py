@@ -311,6 +311,27 @@ def test_non_finite_derived_jet_value_names_its_key():
         LocalJet(alpha=1e-150, beta=1e20, c=1.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"d_alpha": {"bogus": "abc"}}, "unknown d_alpha key 'bogus'"),
+    ({"d_beta": {"W3": 1.0}}, "unknown d_beta key 'W3'"),  # W3 is a direction of alpha's only
+    ({"kappa3": None}, "kappa3 must be a number, got None"),
+    ({"d_alpha": {"U": None}}, "dalpha_U must be a number, got None"),
+    ({"d_beta": {"phiU": None}}, "dbeta_phiU must be a number, got None"),
+])
+def test_jet_refuses_what_its_rows_cannot_read(kwargs, message):
+    # an unknown direction would ride into to_jsonable unread, and a None in a mandatory
+    # slot would reach jet_residuals as a bare KeyError
+    with pytest.raises(JetError) as caught:
+        LocalJet(alpha=2.0, beta=0.5, c=4.0, **kwargs)
+    assert str(caught.value) == message
+
+
+def test_jet_from_mapping_refuses_a_none_mandatory_direction():
+    with pytest.raises(JetError) as caught:
+        jet_from_mapping({"alpha": 2.0, "beta": 0.5, "c": 4.0, "dalpha_U": None})
+    assert str(caught.value) == "dalpha_U must be a number, got None"
+
+
 def test_jet_from_mapping_roundtrip():
     jet = jet_from_mapping({"alpha": 1.0, "beta": 2.0, "c": 4.0,
                             "dalpha_U": 0.5, "dbeta_xi": 0.5, "lambda": 0.1})

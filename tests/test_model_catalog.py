@@ -77,8 +77,10 @@ def test_spec_validation_errors():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"ambient": "CP", "family": "A2", "radius": 0.8, "k": True}, "does not take k = True"),
-    ({"ambient": "CH", "family": "A1", "radius": 0.5, "k": False}, "does not take k = False"),
+    ({"ambient": "CP", "family": "A2", "radius": 0.8, "k": True},
+     "k must be an integer >= 0, got True"),
+    ({"ambient": "CH", "family": "A1", "radius": 0.5, "k": False},
+     "k must be an integer >= 0, got False"),
     ({"ambient": "CP", "family": "A1", "radius": 0.5, "n": True}, "got True"),
 ])
 def test_spec_refuses_a_bool_for_n_or_k(kwargs, message):
@@ -121,7 +123,7 @@ def test_spec_reads_numpy_integers_as_int():
     got = ModelSpec("CP", np.int64(4), "A2", radius=0.5, k=np.int64(1))
     assert got == want and type(got.n) is int and type(got.k) is int
     assert json.dumps(got.to_jsonable()) == json.dumps(want.to_jsonable())
-    with pytest.raises(CatalogError, match="does not take k = 1.0"):
+    with pytest.raises(CatalogError, match="^k must be an integer >= 0, got 1.0$"):
         ModelSpec("CP", 4, "A2", radius=0.5, k=1.0)
     with pytest.raises(CatalogError, match="got 4.0"):
         ModelSpec("CP", 4.0, "A2", radius=0.5, k=1)

@@ -62,7 +62,7 @@ RECORDS = {
         ({"c": math.inf}, StructuralError, "c must be finite, got inf"),
         ({"shape_operator": NAN_A}, StructuralError, "shape_operator must be finite")]),
     ModelSpec: (lambda: SPEC, [
-        ({"k": True}, CatalogError, "does not take k = True"),
+        ({"k": True}, CatalogError, "k must be an integer >= 0, got True"),
         ({"c": math.nan}, CatalogError, "c must be finite, got nan"),
         ({"c": -math.inf, "ambient": "CH"}, CatalogError, "c must be finite, got -inf")]),
     LocalJet: (lambda: consistent_jet(1.0, 0.5, 4.0),

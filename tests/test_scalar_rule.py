@@ -1,11 +1,13 @@
-"""One rule for an outside scalar: checks.finite at every entry point that takes one.
+"""One rule for an outside scalar: checks.finite at every entry point that takes one, and
+its integer twin, checks.integer, at every entry point that takes a count or a seed.
 
 Each entry point below reads every scalar it is given through checks.finite, so a
 hostile value is refused with the entry point's own ValueError subclass and a
 one-line message that names the argument, never with a bare TypeError or
 OverflowError, and never echoing the digits of a huge int.  Where a scalar is
 bounded (c of a model and of a context, a jet's alpha, beta and c) a value past
-SCALAR_MAX is refused as well.
+SCALAR_MAX is refused as well.  A bool, a value that is not an integer and one below the
+argument's floor is refused the same way where an integer is due.
 """
 import math
 
@@ -23,10 +25,15 @@ from hyperlab import (
     canonical_structure,
     consistent_jet,
     contradiction_certificate,
+    instantiate,
     jet_from_mapping,
+    random_context,
+    random_gram,
+    random_hopf_context,
+    random_structure,
     riccati_shape_evolution,
 )
-from hyperlab.checks import SCALAR_MAX, finite
+from hyperlab.checks import SCALAR_MAX, finite, integer
 from hyperlab.lemma_lab import _MAPPING_KEYS, _slot
 
 # (id, value, the message that refuses it, {} standing for the argument's name)
@@ -123,3 +130,56 @@ def test_the_flat_tilt_norm_reads_c_through_the_context_and_beta_by_the_rule(val
 def test_finite_reads_any_real_number_as_a_float(value, number):
     got = finite("x", value, ValueError, SCALAR_MAX)
     assert type(got) is float and got == number
+
+
+SPEC = ModelSpec("CP", 3, "A1", radius=0.5)
+HOSTILE_INTEGERS = [True, False, 3.0, 2.5, "3", None]
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+# entry point -> (its error class, the argument, its floor, call(value) returning what the
+# value selects); no huge n here: the library builders have no cap (the CLI's is MAX_VERIFY_N)
+INTEGER_ENTRY_POINTS = {
+    "ModelSpec-n": (CatalogError, "n", 2, lambda v: ModelSpec("CP", v, "A1", radius=0.5).n),
+    "ModelSpec-k": (CatalogError, "k", 0, lambda v: ModelSpec("CP", 5, "A2", radius=0.5, k=v).k),
+    "canonical_structure": (StructuralError, "n", 2, lambda v: canonical_structure(v).n),
+    "random_structure": (StructuralError, "n", 2, lambda v: random_structure(v, _rng()).n),
+    "random_context": (StructuralError, "n", 2, lambda v: random_context(v, _rng()).acs.n),
+    "random_hopf_context": (StructuralError, "n", 2,
+                            lambda v: random_hopf_context(v, _rng()).acs.n),
+    "random_gram": (StructuralError, "dim", 1, lambda v: len(random_gram(v, _rng()))),
+    "instantiate": (CatalogError, "seed", 0,
+                    lambda v: instantiate(SPEC, seed=v).ctx.shape_operator.tobytes()),
+}
+# None is ModelSpec's "no k", which only a family that requires a k refuses
+INTEGER_CASES = [pytest.param(entry, value, id=f"{entry}-{value!r}")
+                 for entry, (_, _, low, _) in INTEGER_ENTRY_POINTS.items()
+                 for value in HOSTILE_INTEGERS + [low - 1]
+                 if (entry, value) != ("ModelSpec-k", None)]
+
+
+@pytest.mark.parametrize("entry, value", INTEGER_CASES)
+def test_a_hostile_integer_is_refused_by_name(entry, value):
+    error, name, low, call = INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError) as caught:
+        call(value)
+    assert type(caught.value) is error
+    assert str(caught.value) == f"{name} must be an integer >= {low}, got {value!r}"
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_a_numpy_integer_is_read_as_an_int(entry):
+    got, want = (INTEGER_ENTRY_POINTS[entry][3](v) for v in (np.int64(3), 3))
+    assert got == want and type(got) is type(want)
+
+
+def test_integer_names_the_range_of_a_capped_flag():
+    got = integer("--n", np.int64(240), ValueError, 2, 240)
+    assert type(got) is int and got == 240
+    for value in (1, 241, True, "3"):
+        with pytest.raises(ValueError) as caught:
+            integer("--n", value, ValueError, 2, 240)
+        assert str(caught.value) == f"--n must be in [2, 240], got {value!r}"

@@ -24,20 +24,21 @@ def test_structure_rejects_bad_dimensions(rng):
         with pytest.raises(StructuralError, match=f"^dimension must be odd and >= 3, got {dim}$"):
             AlmostContactStructure(np.eye(dim), np.zeros((dim, dim)), np.zeros(dim), np.zeros(dim))
     for n in (1, 0, -1):
-        with pytest.raises(StructuralError, match=f"got {2 * n - 1}$"):
+        with pytest.raises(StructuralError, match=f"^n must be an integer >= 2, got {n}$"):
             random_structure(n, rng)
 
 
 def test_canonical_structure_refuses_n_below_two():
     for n in (1, 0, -1):
-        with pytest.raises(StructuralError, match=f"^n must be >= 2, got {n}$"):
+        with pytest.raises(StructuralError, match=f"^n must be an integer >= 2, got {n}$"):
             canonical_structure(n)
 
 
 @pytest.mark.parametrize("n", [True, False, 3.0, 2.5, "3", None])
 def test_canonical_structure_refuses_a_bool_or_non_integral_n(n):
     # as ModelSpec does: a bool is an int but not a count, and a float escaped from numpy
-    with pytest.raises(StructuralError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+    message = f"^n must be an integer >= 2, got {re.escape(repr(n))}$"
+    with pytest.raises(StructuralError, match=message):
         canonical_structure(n)
 
 
