@@ -154,13 +154,12 @@ class _JetFields(NamedTuple):
 class LocalJet(_JetFields):
     """First-order scalar data of a tilted configuration at one point.
 
-    gamma, lam, kappa1 and kappa2 default to their closed forms.  d_alpha /
-    d_beta map direction names to directional derivatives; the jet keeps
-    copies of the dicts it is given.  The mandatory directions are xi, U,
-    phiU (zero when absent); phiW2 and W3 (for alpha) and phiW1 (for beta)
-    unlock the corresponding optional rows, as do the two mixed second
-    derivatives and the squared norm of W1; any other direction is refused.
-    Every value is read by checks.finite, kappa3 and the mandatory ones even when None.
+    gamma, lam, kappa1 and kappa2 default to their closed forms.  d_alpha / d_beta map
+    direction names to directional derivatives; the jet keeps copies of the dicts it is
+    given.  The mandatory directions are xi, U, phiU (zero when absent); phiW2 and W3 (for
+    alpha) and phiW1 (for beta) unlock the corresponding optional rows, as do the two mixed
+    second derivatives and the squared norm of W1; any other direction is refused.  Every
+    value is read by checks.finite, kappa3 and the mandatory ones even when None.
     """
 
     __slots__ = ()
@@ -179,7 +178,7 @@ class LocalJet(_JetFields):
             fields[name] = {**dict.fromkeys(FIRST_ORDER_DIRECTIONS, 0.0), **fields[name]}
             for key in fields[name]:
                 _require((name, key) in _MAPPING_KEYS.values(), f"unknown {name} key {key!r}")
-        for key in _MAPPING_KEYS:  # kappa3 and the mandatory directions are read even when None
+        for key in _MAPPING_KEYS:
             entries, name = _slot(fields, key)
             if entries.get(name) is not None or name in ("kappa3", *FIRST_ORDER_DIRECTIONS):
                 entries[name] = finite(key, entries.get(name), JetError)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .checks import integer
 
+
 class StructuralError(ValueError):
     """Malformed input (wrong shapes, bad Gram matrix) as opposed to a failed identity."""
 
